@@ -13,13 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import mpmath
 
 from .errors import DomainError, NotSurjectiveError
-from .exactnum import (DEFAULT_PRECISION, IntPolynomial,
-                       gaussian_root_magnitudes, is_kronecker,
+from .exactnum import (DEFAULT_PRECISION, IntPolynomial, is_kronecker,
                        polynomial_class, root_magnitudes)
 from .matlin import RationalMatrix, exterior_power
 from .endo import (TorusEndomorphism, eigen_data, iterate, unity_free)
@@ -31,13 +30,8 @@ AMPLE_SEARCH_HEIGHT = 8
 
 
 def h1_magnitudes(f: TorusEndomorphism, precision=DEFAULT_PRECISION):
-    """Certified root magnitudes of the H^1 charpoly.  For n <= 2 the
-    analytic charpoly has degree <= 2 over Q(i) and the quadratic formula
-    gives the enclosures without complex root isolation."""
-    data = eigen_data(f)
-    if f.torus.n <= 2:
-        return gaussian_root_magnitudes(data.analytic, data.h1_charpoly, precision)
-    return root_magnitudes(data.h1_charpoly, precision)
+    """Certified root magnitudes of the H^1 charpoly."""
+    return root_magnitudes(eigen_data(f).h1_charpoly, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +148,20 @@ def dynamical_degrees(f: TorusEndomorphism,
 
 
 def _integer_nth_root(value: int, n: int):
-    if value < 1:
+    """The integer r >= 1 with r^n = value, or None (integer Newton from
+    above, which ends at floor(value^(1/n)))."""
+    if value < 1 or n < 1:
         return None
-    r = round(value ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**n == value:
-            return cand
-    return None
+    if n == 2:
+        r = isqrt(value)
+    else:
+        r = 1 << -(-value.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + value // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == value else None
 
 
 def polarization_q_candidate(f: TorusEndomorphism):

@@ -292,6 +292,16 @@ def _positive_int(text):
     return value
 
 
+def _positive_rational(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="toridyn",
@@ -303,7 +313,8 @@ def build_parser():
         p.add_argument("scenario", nargs="?", help="JSON scenario file")
         p.add_argument("--example", help="named built-in example")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--precision", type=Fraction, default=DEFAULT_PRECISION,
+        p.add_argument("--precision", type=_positive_rational,
+                       default=DEFAULT_PRECISION,
                        help="certified enclosure width, e.g. 1/1000000000")
 
     p = sub.add_parser("classify", help="full classification report")

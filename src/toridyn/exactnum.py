@@ -2,19 +2,23 @@
 
 Integer polynomials with exact arithmetic, Gaussian rationals, cyclotomic
 factor extraction, Kronecker/Salem classification, and certified rational
-enclosures of root magnitudes.  Root-of-unity detection never consults
-floating point; the numeric work for magnitudes is delegated to sympy's
-certified complex root isolation and postprocessed into rational bounds.
+enclosures of root magnitudes.  Root-of-unity and unit-circle detection
+never consult floating point.  For magnitudes, floats (then mpmath at
+rising precision) only propose roots; each proposal set is certified in
+exact Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
+(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+import mpmath
 import sympy as _sp
 
 from .errors import DomainError
@@ -446,47 +450,6 @@ def unit_circle_root_count(p: IntPolynomial) -> int:
 # Certified root magnitudes
 
 
-def _rational_sqrt_bounds(lo2: Fraction, hi2: Fraction, width: Fraction):
-    """Rational l, u with l <= sqrt(lo2) and u >= sqrt(hi2); the slack from
-    integer square roots stays below width, so the caller controls the final
-    interval width through lo2/hi2."""
-    scale = max(2 * (width.denominator // max(width.numerator, 1)) + 2, 4)
-    l_num = isqrt((lo2.numerator * scale * scale) // lo2.denominator) if lo2 > 0 else 0
-    lo = Fraction(l_num, scale)
-    u_num = isqrt((hi2.numerator * scale * scale) // hi2.denominator) + 1
-    hi = Fraction(u_num, scale)
-    return lo, hi
-
-
-def _box_magnitude_bounds(re: Fraction, im: Fraction, dx: Fraction, dy: Fraction):
-    """Bounds on |z|^2 for z in the box [re +/- dx] x [im +/- dy]."""
-
-    def sq_bounds(center, rad):
-        a, b = center - rad, center + rad
-        if a <= 0 <= b:
-            lo = Fraction(0)
-        else:
-            lo = min(a * a, b * b)
-        return lo, max(a * a, b * b)
-
-    rl, rh = sq_bounds(re, dx)
-    il, ih = sq_bounds(im, dy)
-    return rl + il, rh + ih
-
-
-def _sympy_rational(v) -> Fraction:
-    return Fraction(int(_sp.numer(v)), int(_sp.denom(v)))
-
-
-def _interval_sq_bounds(a: Fraction, b: Fraction):
-    """Bounds of t^2 for t in [a, b]."""
-    if a <= 0 <= b:
-        lo = Fraction(0)
-    else:
-        lo = min(a * a, b * b)
-    return lo, max(a * a, b * b)
-
-
 def _exact_sqrt(m2: Fraction):
     """sqrt(m2) when it is rational, else None."""
     if m2 < 0:
@@ -497,217 +460,179 @@ def _exact_sqrt(m2: Fraction):
     return None
 
 
-def _quadratic_magnitudes(p: IntPolynomial, precision: Fraction):
-    """Magnitude entries for an irreducible integer quadratic, by formula.
+def _exact_magnitude(q: IntPolynomial):
+    """The common |root| of an irreducible linear factor, or of a quadratic
+    with a complex root pair (|root|^2 = c/a), when it is rational."""
+    if q.degree == 1:
+        return abs(Fraction(q[0], q[1]))
+    if q.degree == 2 and q[1] * q[1] < 4 * q[0] * q[2]:
+        return _exact_sqrt(Fraction(q[0], q[2]))
+    return None
 
-    Complex pair: |root|^2 = c/a exactly.  Real pair: enclose sqrt(disc)
-    tightly; the roots are irrational so neither magnitude equals 1 and
-    the intervals refine until 1 is excluded."""
-    c, b, a = p.coeffs
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        m2 = Fraction(c, a)
-        exact = _exact_sqrt(m2)
-        if exact is not None:
-            return [MagnitudeEntry(exact, exact, 2)]
-        width = precision
-        while True:
-            lo, hi = _rational_sqrt_bounds(m2, m2, width)
-            if not lo <= 1 <= hi:
-                return [MagnitudeEntry(lo, hi, 2)]
-            width /= 2**8
-    entries = []
-    width = precision / 8
-    while True:
-        s_lo, s_hi = _rational_sqrt_bounds(Fraction(disc), Fraction(disc), width)
-        done = []
-        for sign in (-1, 1):
-            ends = sorted(((-b + sign * s) / (2 * a) for s in (s_lo, s_hi)))
-            lo = Fraction(0) if ends[0] <= 0 <= ends[1] else min(abs(ends[0]), abs(ends[1]))
-            hi = max(abs(ends[0]), abs(ends[1]))
-            if lo <= 1 <= hi or hi - lo > precision:
+
+def _float_roots(coeffs):
+    """Root proposals for an integer polynomial (ascending coefficients,
+    nonzero constant term) from the Aberth-Ehrlich iteration in complex
+    floats; None when floats overflow or the iteration breaks down."""
+    d = len(coeffs) - 1
+    try:
+        monic = [c / coeffs[-1] for c in reversed(coeffs)]
+        radius = abs(monic[-1]) ** (1 / d)
+        zs = [radius * cmath.exp(1j * (2 * math.pi * j / d + 0.4)) for j in range(d)]
+        for _ in range(100):
+            moved = False
+            for i, z in enumerate(zs):
+                p = dp = 0j
+                for c in monic:
+                    dp = dp * z + p
+                    p = p * z + c
+                if p == 0:
+                    continue
+                ratio = p / dp
+                pull = sum(1 / (z - u) for j, u in enumerate(zs) if j != i)
+                step = ratio / (1 - ratio * pull)
+                zs[i] = z - step
+                moved = moved or abs(step) > 2**-50 * abs(z)
+            if not moved:
                 break
-            done.append(MagnitudeEntry(lo, hi, 1))
-        else:
-            return entries + done
-        width /= 2**8
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
-def _crootof_magnitudes(p: IntPolynomial, precision: Fraction):
-    """Magnitude entries for an irreducible integer polynomial of degree
-    >= 3 via certified CRootOf boxes; roots exactly on the unit circle are
-    detected by the exact count and reported as the point interval
-    [1, 1]."""
-    on_circle = unit_circle_root_count(p)
-    spoly = p.to_sympy()
-    roots = [_sp.CRootOf(spoly, i) for i in range(p.degree)]
-    tol = Fraction(1, 2**24)
+def _mp_roots(coeffs, dps, seeds):
+    """Root proposals from mpmath's Durand-Kerner iteration at dps digits,
+    started from seeds when given; None when it does not converge."""
+    try:
+        with mpmath.workdps(dps):
+            return mpmath.polyroots(coeffs[::-1], maxsteps=4 * dps,
+                                    extraprec=dps, roots_init=seeds)
+    except mpmath.mp.NoConvergence:
+        return None
+
+
+def _scaled(v, k: int) -> int:
+    """round(v * 2^k), exactly, for a float or an mpmath mpf."""
+    if isinstance(v, float):
+        m, e = math.frexp(v)
+        man, exp = int(m * 2**53), e - 53
+    else:
+        sign, man, exp, _ = v._mpf_
+        man = -man if sign else man
+    shift = exp + k
+    return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+
+
+def _centres(zs, k: int, bits: int):
+    """Dyadic Gaussian centres round(z 2^k) for proposals good to about
+    `bits` bits, made conjugate-symmetric as the roots of a real polynomial
+    are: imaginary parts below 2^(-bits/2) become 0, and when the two
+    half-planes hold equally many proposals the lower ones are replaced by
+    the conjugates of the upper ones."""
+    pts = [(_scaled(z.real, k), _scaled(z.imag, k)) for z in zs]
+    tol = 1 << max(k - bits // 2, 0)
+    upper = [(x, y) for x, y in pts if y > tol]
+    real = [(x, 0) for x, y in pts if -tol <= y <= tol]
+    if 2 * len(upper) + len(real) != len(pts):
+        return pts
+    return real + upper + [(x, -y) for x, y in upper]
+
+
+def _inclusion_radii(coeffs, centres, k: int):
+    """Integer R_i with R_i / 2^k >= d |p(z_i)| / |a_d prod_{j != i} (z_i - z_j)|
+    for the centres z_i = (x_i + i y_i) / 2^k of a polynomial p of degree d
+    (ascending integer coefficients), or None when two centres coincide or
+    two of the disks |z - z_i| <= R_i / 2^k meet.
+
+    Every root of p lies in the union of these disks, and a connected
+    component of m disks holds exactly m roots (Braess-Hadeler 1973;
+    Carstensen 1991, LAA 157), so pairwise-disjoint disks hold exactly one
+    root each.  All arithmetic is over the Gaussian integers."""
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    radii = []
+    for i, (x, y) in enumerate(centres):
+        pr, pi = lead, 0  # 2^(kd) p(z_i) by Horner
+        for j in range(d - 1, -1, -1):
+            pr, pi = pr * x - pi * y + (coeffs[j] << (k * (d - j))), pr * y + pi * x
+        qr, qi = lead, 0  # 2^(k(d-1)) a_d prod_{j != i} (z_i - z_j)
+        for j, (u, v) in enumerate(centres):
+            if j != i:
+                qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
+        norm = qr * qr + qi * qi
+        if norm == 0:
+            return None
+        radii.append(isqrt(-(-d * d * (pr * pr + pi * pi) // norm)) + 1)
+    for i, (x, y) in enumerate(centres):
+        for j in range(i):
+            u, v = centres[j]
+            if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
+                return None
+    return radii
+
+
+def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
+    """Certified |root| intervals for an irreducible integer polynomial of
+    degree >= 2.
+
+    Float proposals, then mpmath ones at doubling precision, are rounded to
+    dyadic centres and certified by exact inclusion disks.  A round is
+    accepted when the disks are disjoint, every interval that excludes 1 is
+    at most `precision` wide, and as many intervals contain 1 as the exact
+    count of unit-circle roots; those intervals snap to the point [1, 1]."""
+    coeffs = q.coeffs
+    # intervals are rounded outward to the grid 2^-scale
+    scale = (precision.denominator // precision.numerator).bit_length() + 8
+    zs, bits, dps = _float_roots(coeffs), 53, 0
+    on_circle = None
     while True:
-        boxed = []
-        for r in roots:
-            approx = r.eval_rational(_sp.Rational(tol), _sp.Rational(tol))
-            re = _sympy_rational(_sp.re(approx))
-            im = _sympy_rational(_sp.im(approx))
-            lo2, hi2 = _box_magnitude_bounds(re, im, tol, tol)
-            boxed.append(_rational_sqrt_bounds(lo2, hi2, precision))
-        holds_one = sum(1 for lo, hi in boxed if lo <= 1 <= hi)
-        widths_ok = all(hi - lo <= precision for lo, hi in boxed
-                        if not (lo <= 1 <= hi))
-        if holds_one == on_circle and widths_ok:
-            return [MagnitudeEntry(Fraction(1), Fraction(1), 1)
-                    if lo <= 1 <= hi else MagnitudeEntry(lo, hi, 1)
-                    for lo, hi in boxed]
-        if tol < Fraction(1, 2**4000):  # pragma: no cover - safety valve
+        radii = None
+        if zs is not None:
+            k = max(bits, scale)
+            centres = _centres(zs, k, bits)
+            radii = _inclusion_radii(coeffs, centres, k)
+        if radii is not None:
+            one, shift = 1 << scale, k - scale
+            boxed = []
+            for (x, y), r in zip(centres, radii):
+                c = isqrt(x * x + y * y)  # |root| is within r of |z|
+                boxed.append((max(c - r, 0) >> shift, -(-(c + r + 1) >> shift)))
+            meets = sum(lo <= one <= hi for lo, hi in boxed)
+            if meets and on_circle is None:
+                on_circle = unit_circle_root_count(q)
+            if meets != (on_circle or 0):
+                scale = k  # a root off the circle is too close to 1 for the grid
+            elif all(Fraction(hi - lo, one) <= precision
+                     for lo, hi in boxed if not lo <= one <= hi):
+                return [MagnitudeEntry(Fraction(1), Fraction(1), 1) if lo <= one <= hi
+                        else MagnitudeEntry(Fraction(lo, one), Fraction(hi, one), 1)
+                        for lo, hi in boxed]
+        if dps > 5000:  # pragma: no cover - safety valve
             raise DomainError("root magnitude refinement failed to converge")
-        tol = tol / 2**16
+        # disjoint disks mean the proposals are good seeds for the next round
+        seeds = None if radii is None else [mpmath.mpc(z) for z in zs]
+        dps = max(2 * dps, 15 + 3 * scale // 10)
+        zs, bits = _mp_roots(coeffs, dps, seeds), int(3.32 * dps)
 
 
 def _magnitude_intervals(factor: IntPolynomial, precision: Fraction):
     """Certified |root| intervals for a squarefree integer polynomial with
     nonzero constant term.
 
-    The polynomial is factored over Q first: linear factors give exact
-    rational magnitudes, quadratics are handled by formula (CRootOf
-    auto-evaluates them into radical expressions, so they need a direct
-    path anyway), and higher-degree irreducible factors go through
-    certified CRootOf refinement."""
+    The polynomial is factored over Q first: a linear factor, or a complex
+    quadratic pair whose |root|^2 = c/a is a rational square, gives an exact
+    point; every other irreducible factor goes through the inclusion-disk
+    certificate."""
     entries = []
     _, factors = factor.to_sympy().factor_list()
     for fac, _mult in factors:
         q = IntPolynomial([int(c) for c in reversed(fac.all_coeffs())])
-        if q.degree == 1:
-            mag = abs(Fraction(q[0], q[1]))
-            entries.append(MagnitudeEntry(mag, mag, 1))
-        elif q.degree == 2:
-            entries.extend(_quadratic_magnitudes(q, precision))
+        exact = _exact_magnitude(q)
+        if exact is not None:
+            entries.append(MagnitudeEntry(exact, exact, q.degree))
         else:
-            entries.extend(_crootof_magnitudes(q, precision))
+            entries.extend(_disk_magnitudes(q, precision))
     return entries
-
-
-def gaussian_sqrt_exact(w: GaussianRational):
-    """sqrt of a Gaussian rational when it exists in Q(i), else None."""
-    if w.is_zero():
-        return GaussianRational()
-    t = _exact_sqrt(w.re * w.re + w.im * w.im)
-    if t is None:
-        return None
-    a = _exact_sqrt((t + w.re) / 2)
-    if a is None:
-        return None
-    if a == 0:
-        b = _exact_sqrt(-w.re)
-        if b is None:
-            return None
-        root = GaussianRational(Fraction(0), b)
-    else:
-        root = GaussianRational(a, w.im / (2 * a))
-    return root if root * root == w else None
-
-
-def _gaussian_sqrt_box(w: GaussianRational, width: Fraction):
-    """Rational box around the principal sqrt of a non-square w, or None
-    when the requested width cannot separate the real part from zero yet
-    (the caller then refines)."""
-    u, v = w.re, w.im
-    if v == 0:
-        if u > 0:
-            lo, hi = _rational_sqrt_bounds(u, u, width)
-            return (lo, hi), (Fraction(0), Fraction(0))
-        lo, hi = _rational_sqrt_bounds(-u, -u, width)
-        return (Fraction(0), Fraction(0)), (lo, hi)
-    t_lo, t_hi = _rational_sqrt_bounds(u * u + v * v, u * u + v * v, width)
-    a2_lo, a2_hi = max(Fraction(0), (t_lo + u) / 2), (t_hi + u) / 2
-    a_lo, a_hi = _rational_sqrt_bounds(a2_lo, a2_hi, width)
-    if a_lo <= 0:
-        return None
-    # 2ab = v pins the imaginary part once a is enclosed away from zero
-    ends = sorted((v / (2 * a_lo), v / (2 * a_hi)))
-    return (a_lo, a_hi), (ends[0], ends[1])
-
-
-def _box_abs_entry(x_int, y_int, precision: Fraction):
-    lo2_x, hi2_x = _interval_sq_bounds(*x_int)
-    lo2_y, hi2_y = _interval_sq_bounds(*y_int)
-    return _rational_sqrt_bounds(lo2_x + lo2_y, hi2_x + hi2_y, precision)
-
-
-def _gauss_value_entry(w: GaussianRational, precision: Fraction, multiplicity: int):
-    """Magnitude entry for an exact Gaussian rational."""
-    m2 = w.re * w.re + w.im * w.im
-    exact = _exact_sqrt(m2)
-    if exact is not None:
-        return MagnitudeEntry(exact, exact, multiplicity)
-    width = precision
-    while True:
-        lo, hi = _rational_sqrt_bounds(m2, m2, width)
-        if not lo <= 1 <= hi:
-            return MagnitudeEntry(lo, hi, multiplicity)
-        width /= 2**8
-
-
-def gaussian_root_magnitudes(coeffs, h1: IntPolynomial,
-                             precision=DEFAULT_PRECISION) -> CertifiedMagnitudeMultiset:
-    """Certified root magnitudes of H^1 computed from the analytic
-    charpoly (degree <= 2 over Q(i)), each analytic magnitude counted
-    twice.  This avoids complex root isolation entirely: quadratics are
-    solved by formula with certified rational square-root enclosures, and
-    the exact unit-circle count of h1 decides which enclosures snap to the
-    point [1, 1]."""
-    return _gaussian_root_magnitudes_cached(
-        tuple(GaussianRational.of(c) for c in coeffs), h1, Fraction(precision))
-
-
-@lru_cache(maxsize=1024)
-def _gaussian_root_magnitudes_cached(coeffs, h1, precision) -> CertifiedMagnitudeMultiset:
-    degree = len(coeffs) - 1
-    if degree > 2:
-        raise DomainError("gaussian_root_magnitudes handles degree <= 2")
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs[:-1]]
-    entries = []
-    if degree == 1:
-        entries.append(_gauss_value_entry(-monic[0], precision, 2))
-        return CertifiedMagnitudeMultiset(tuple(entries), precision)
-    if degree == 2:
-        c0, c1 = monic
-        disc = c1 * c1 - GaussianRational.of(4) * c0
-        half = GaussianRational(Fraction(1, 2))
-        exact_root = gaussian_sqrt_exact(disc)
-        if exact_root is not None:
-            for sign in (1, -1):
-                r = (-c1 + GaussianRational.of(sign) * exact_root) * half
-                entries.append(_gauss_value_entry(r, precision, 2))
-            return CertifiedMagnitudeMultiset(tuple(entries), precision)
-        circle_target = sum(
-            m * unit_circle_root_count(f)
-            for f, m in h1.squarefree_decomposition() if f.degree >= 1) // 2
-        width = precision / 8
-        while True:
-            box = _gaussian_sqrt_box(disc, width)
-            if box is not None:
-                (ax_lo, ax_hi), (ay_lo, ay_hi) = box
-                boxed = []
-                for sign in (1, -1):
-                    sx = sorted((sign * ax_lo, sign * ax_hi))
-                    sy = sorted((sign * ay_lo, sign * ay_hi))
-                    x_int = ((-c1.re + sx[0]) / 2, (-c1.re + sx[1]) / 2)
-                    y_int = ((-c1.im + sy[0]) / 2, (-c1.im + sy[1]) / 2)
-                    boxed.append(_box_abs_entry(x_int, y_int, precision))
-                holds_one = sum(1 for lo, hi in boxed if lo <= 1 <= hi)
-                widths_ok = all(hi - lo <= precision for lo, hi in boxed
-                                if not (lo <= 1 <= hi))
-                if holds_one == circle_target and widths_ok:
-                    for lo, hi in boxed:
-                        if lo <= 1 <= hi:
-                            entries.append(MagnitudeEntry(Fraction(1), Fraction(1), 2))
-                        else:
-                            entries.append(MagnitudeEntry(lo, hi, 2))
-                    return CertifiedMagnitudeMultiset(tuple(entries), precision)
-            if width < Fraction(1, 2**4000):  # pragma: no cover - safety valve
-                raise DomainError("gaussian magnitude refinement failed to converge")
-            width /= 2**8
-    return CertifiedMagnitudeMultiset((), precision)
 
 
 def root_magnitudes(p: IntPolynomial, precision=DEFAULT_PRECISION) -> CertifiedMagnitudeMultiset:
@@ -739,7 +664,8 @@ def _root_magnitudes_cached(p: IntPolynomial, precision: Fraction) -> CertifiedM
         cyc_degree = 0
         for n in _cyclotomic_indices(factor.degree):
             phi_n = cyclotomic_poly(n)
-            if phi_n.degree > remaining.degree:
+            # phi_n | remaining forces phi_n(2) | remaining(2)
+            if phi_n.degree > remaining.degree or remaining(2) % phi_n(2):
                 continue
             quo = remaining.try_divide(phi_n)
             if quo is not None:

@@ -195,3 +195,16 @@ def test_criterion_10_lefschetz_alternating_trace_identity():
         alternating = 1 + sum((-1) ** k * exterior_power(f.m.transpose(), k).trace()
                               for k in range(1, d + 1))
         assert lefschetz_number(f) == alternating
+
+
+def test_criterion_11_sweep_50_dim3(capsys):
+    start = time.monotonic()
+    code = cli_main(["sweep", "--count", "50", "--dim", "3", "--iterate", "2",
+                     "--height", "2", "--seed", "0", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    import json
+    doc = json.loads(out)
+    assert doc["violations"] == []
+    assert sum(doc["cells"].values()) == 50
+    assert time.monotonic() - start < 60.0

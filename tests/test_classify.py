@@ -1,15 +1,18 @@
 """Classification layer: NS actions, finite order, dynamical degrees,
 polarized/amplified verdicts, Serre test, full reports and chains."""
 
+import random
 from fractions import Fraction
 
 import sympy
 import pytest
 
-from toridyn import (NotSurjectiveError, amplified, chain_violations,
-                     dynamical_degrees, finite_order, full_report, is_ample,
+from toridyn import (DomainError, NotSurjectiveError, amplified,
+                     chain_violations, dynamical_degrees, finite_order,
+                     full_report, is_ample,
                      iterate, make_endo, ns_action, polarization_q_candidate,
                      polarized, serre_test, verify_chain, verify_iterates)
+from toridyn.classify import _integer_nth_root
 from toridyn.scenarios import get_example
 
 
@@ -104,6 +107,13 @@ def test_degrees_top_is_topological_degree():
     assert d.intervals[-1] == (abs(f.degree_matrix_det), abs(f.degree_matrix_det))
 
 
+@pytest.mark.parametrize("precision", [Fraction(0), Fraction(-1, 10)])
+def test_degrees_reject_nonpositive_precision(precision):
+    # gtz_diag has n = 2
+    with pytest.raises(DomainError):
+        dynamical_degrees(get_example("gtz_diag").endo, precision)
+
+
 def test_entropy_positive_for_expanding(e_torus):
     f = make_endo(e_torus, [[2, 0], [0, 2]])
     d = dynamical_degrees(f)
@@ -128,6 +138,24 @@ def test_q_candidate():
 
 def test_q_candidate_scalar(e_torus):
     assert polarization_q_candidate(make_endo(e_torus, [[2, 0], [0, 2]])) == 4
+
+
+@pytest.mark.parametrize("n,lo,hi", [(2, 62, 64), (3, 54, 56), (4, 62, 64)])
+def test_integer_nth_root_beyond_float_range(n, lo, hi):
+    rng = random.Random(n)
+    for _ in range(200):
+        q = rng.randrange(2**lo, 2**hi)
+        assert _integer_nth_root(q**n, n) == q
+        assert _integer_nth_root(q**n + 1, n) is None
+        assert _integer_nth_root(q**n - 1, n) is None
+
+
+def test_integer_nth_root_of_huge_values():
+    assert _integer_nth_root(10**400, 2) == 10**200
+    assert _integer_nth_root(10**400, 4) == 10**100
+    assert _integer_nth_root(10**400, 3) is None
+    assert _integer_nth_root(1, 5) == 1
+    assert _integer_nth_root(0, 2) is None
 
 
 def test_serre_accepts_multiplication(e_torus):

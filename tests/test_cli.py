@@ -1,10 +1,13 @@
 """CLI behavior: subcommands, scenario files, output formats, exit codes."""
 
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from toridyn.cli import main
+from toridyn.scenarios import cm_matrix_endo, cm_power_torus, gaussian_order
 
 
 def run(capsys, *argv):
@@ -71,11 +74,46 @@ def test_degrees_precision_flag(capsys):
                        "--format", "json", "--precision", "1/1000000000000")
     assert code == 0
     doc = json.loads(out)
-    from fractions import Fraction
     lo, hi = (Fraction(x) for x in doc["dynamical_degrees"][1])
     # products of per-root enclosures widen somewhat, but the requested
     # precision must still dominate the default
     assert hi - lo <= Fraction(1, 10**10)
+
+
+def test_degrees_biquadratic_h1_factor(capsys, tmp_path):
+    # E^3 over Z[i] with M = [[0, 1], [-(8+8i), 0]] + [2]: the H^1 charpoly
+    # has the irreducible biquadratic factor x^4 + 16x^2 + 128
+    g = gaussian_order()
+    f = cm_matrix_endo(cm_power_torus(g, 3), g,
+                       [[(0, 0), (1, 0), (0, 0)],
+                        [(-8, -8), (0, 0), (0, 0)],
+                        [(0, 0), (0, 0), (2, 0)]])
+    doc = {"torus": {"J": [[str(x) for x in row] for row in f.torus.j.entries]},
+           "endomorphism": {"M": [[str(x) for x in row] for row in f.m.entries]}}
+    code, out, _ = run(capsys, "degrees", write_scenario(tmp_path, doc),
+                       "--format", "json")
+    assert code == 0
+    intervals = json.loads(out)["dynamical_degrees"]
+    assert len(intervals) == 4
+    # oracle: lambda_j is the product of the 2j largest eigenvalue moduli
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[int(x) for x in row] for row in f.m.entries])
+        moduli = sorted((abs(v) for v in mpmath.eig(m, left=False, right=False)),
+                        reverse=True)
+        slack = mpmath.mpf(10) ** -40
+        for j, (lo, hi) in enumerate(intervals):
+            value = mpmath.fprod(moduli[:2 * j])
+            lo, hi = Fraction(lo), Fraction(hi)
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= value + slack
+            assert value - slack <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+@pytest.mark.parametrize("value", ["0", "-1/10", "1/0", "abc"])
+def test_precision_must_be_a_positive_rational(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["degrees", "--example", "gtz_diag", f"--precision={value}"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
 
 
 # -- fixed points

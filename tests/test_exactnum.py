@@ -4,6 +4,7 @@ counts, certified magnitudes."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from toridyn import (DomainError, GaussianRational, IntPolynomial,
                      cyclotomic_poly, cyclotomic_root_count,
                      gaussian_order, is_kronecker, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
-from toridyn.exactnum import gaussian_root_magnitudes, gaussian_sqrt_exact
+from toridyn import exactnum
 
 small_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(
     lambda cs: cs[-1] != 0)
@@ -120,18 +121,25 @@ def test_unit_circle_root_count(coeffs, expected):
 # -- certified magnitudes
 
 def test_salem_quartic_magnitudes():
-    mags = root_magnitudes(IntPolynomial([1, -3, -4, -3, 1]))
+    p = IntPolynomial([1, -3, -4, -3, 1])
+    mags = root_magnitudes(p)
     entries = sorted(mags.entries, key=lambda e: e.lower)
     assert [e.multiplicity for e in entries] == [1, 2, 1]
     assert entries[1].lower == entries[1].upper == 1
     alpha = entries[2]
     assert alpha.upper - alpha.lower <= Fraction(1, 10**9)
-    assert alpha.contains(Fraction(41301599497, 10**10))
+    # alpha = 4.1301599497208... is the only root in [4, 5], where p rises
+    # from p(4) = -11 to p(5) = 136, so the sign change brackets it exactly
+    assert alpha.lower >= 4 and alpha.upper <= 5
+    assert p(alpha.lower) <= 0 <= p(alpha.upper)
 
 
 def test_rational_roots_are_exact_points():
     mags = root_magnitudes(IntPolynomial([2, 3, 1]))
     assert {(e.lower, e.upper) for e in mags.entries} == {(1, 1), (2, 2)}
+    # complex pair -1 +/- i sqrt(3): |root|^2 = c/a = 4 gives the point 2
+    mags = root_magnitudes(IntPolynomial([4, 2, 1]))
+    assert [(e.lower, e.upper, e.multiplicity) for e in mags.entries] == [(2, 2, 2)]
 
 
 def test_magnitude_of_cyclotomic_products_is_exact_one():
@@ -173,7 +181,101 @@ def test_magnitude_errors():
         root_magnitudes(IntPolynomial([1, 1]), Fraction(0))
 
 
-# -- Gaussian rationals and the analytic fast path
+def test_magnitudes_of_gaussian_diagonal_h1():
+    # H^1 charpoly of diag(1+2i, 2+i): every root has modulus sqrt(5)
+    h1 = IntPolynomial([5, -2, 1]) * IntPolynomial([5, -4, 1])
+    mags = root_magnitudes(h1)
+    assert mags.total_multiplicity() == 4
+    for e in mags.entries:
+        assert e.lower**2 <= 5 <= e.upper**2
+        assert e.upper - e.lower <= Fraction(1, 10**9)
+
+
+def oracle_moduli(coeffs):
+    """|root| with multiplicity: mpmath.polyroots at 60 digits on each
+    squarefree factor from sympy."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+    moduli = []
+    for factor, mult in poly.sqf_list()[1]:
+        if factor.degree() >= 1:
+            roots = mpmath.polyroots([int(c) for c in factor.all_coeffs()],
+                                     maxsteps=500, extraprec=300)
+            moduli += [abs(r) for r in roots] * mult
+    return moduli
+
+
+def encloses(mags, moduli):
+    """Each modulus is matched to its own interval slot (greedy by upper
+    end, which finds a matching whenever one exists)."""
+    slack = mpmath.mpf(10) ** -40
+    slots = sorted((mpmath.mpf(e.upper.numerator) / e.upper.denominator,
+                    mpmath.mpf(e.lower.numerator) / e.lower.denominator)
+                   for e in mags.entries for _ in range(e.multiplicity))
+    for m in sorted(moduli):
+        hit = next((i for i, (hi, lo) in enumerate(slots)
+                    if lo - slack <= m <= hi + slack), None)
+        if hit is None:
+            return False
+        del slots[hit]
+    return not slots
+
+
+@given(st.lists(st.integers(-9, 9), min_size=4, max_size=9).filter(
+    lambda cs: cs[-1] != 0))
+@settings(max_examples=40, deadline=None)
+def test_certified_magnitudes_contain_oracle_moduli(cs):
+    p = IntPolynomial(cs)
+    mags = root_magnitudes(p)
+    with mpmath.workdps(60):
+        assert encloses(mags, oracle_moduli(cs))
+    assert all(e.upper - e.lower <= mags.precision for e in mags.entries)
+    exact_ones = sum(e.multiplicity for e in mags.entries if e.lower == e.upper == 1)
+    assert exact_ones == unit_circle_root_count(p)
+
+
+@pytest.mark.parametrize("a,precision,floats_overlap", [
+    (100, Fraction(1, 10**30), False),
+    (10**4, Fraction(1, 10**9), True),
+])
+def test_mignotte_close_roots_escalate(monkeypatch, a, precision, floats_overlap):
+    # x^5 - 2(ax - 1)^2 is irreducible (Eisenstein at 2) and has two roots
+    # about 2.8 a^-3.5 apart near 1/a.  At a = 100 the float disks are
+    # disjoint but too wide for 1e-30; at a = 10^4 they overlap, so the
+    # mpmath round starts without seeds.
+    p = IntPolynomial([-2, 4 * a, -2 * a * a, 0, 0, 1])
+    rounds = []
+    real = exactnum._mp_roots
+
+    def counting(coeffs, dps, seeds):
+        rounds.append(seeds is None)
+        return real(coeffs, dps, seeds)
+
+    monkeypatch.setattr(exactnum, "_mp_roots", counting)
+    exactnum._root_magnitudes_cached.cache_clear()
+    mags = root_magnitudes(p, precision)
+    assert rounds and rounds[0] is floats_overlap
+    assert mags.total_multiplicity() == 5
+    assert all(e.upper - e.lower <= precision for e in mags.entries)
+    with mpmath.workdps(60):
+        assert encloses(mags, oracle_moduli(p.coeffs))
+
+
+def test_magnitudes_beyond_float_range():
+    # x^3 + x + 10^310: the float proposals overflow, and the first mpmath
+    # rounds stop short of convergence, so the precision keeps doubling.
+    # Every |root| is 10^(310/3) up to a relative 10^-200.
+    p = IntPolynomial([10**310, 1, 0, 1])
+    mags = root_magnitudes(p)
+    assert mags.total_multiplicity() == 3
+    with mpmath.workdps(400):
+        target = mpmath.cbrt(mpmath.mpf(10) ** 310)
+        for e in mags.entries:
+            assert e.upper - e.lower <= mags.precision
+            assert mpmath.mpf(e.lower.numerator) / e.lower.denominator <= target
+            assert target <= mpmath.mpf(e.upper.numerator) / e.upper.denominator
+
+
+# -- Gaussian rationals
 
 def test_gaussian_field_axioms():
     a = GaussianRational(Fraction(1, 2), Fraction(3))
@@ -183,29 +285,6 @@ def test_gaussian_field_axioms():
         a.re * a.re + a.im * a.im)
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational()
-
-
-def test_gaussian_sqrt_exact():
-    w = GaussianRational(Fraction(3), Fraction(4))  # (2+i)^2
-    s = gaussian_sqrt_exact(w)
-    assert s is not None and s * s == w
-    assert gaussian_sqrt_exact(GaussianRational(Fraction(1), Fraction(1))) is None
-    assert gaussian_sqrt_exact(GaussianRational(Fraction(-4))) == GaussianRational(
-        Fraction(0), Fraction(2))
-
-
-def test_gaussian_path_matches_real_path():
-    # analytic charpoly of diag(1+2i, 2+i); h1 is the real product
-    one = GaussianRational.of(1)
-    r1 = GaussianRational(Fraction(1), Fraction(2))
-    r2 = GaussianRational(Fraction(2), Fraction(1))
-    coeffs = (r1 * r2, -(r1 + r2), one)
-    h1 = IntPolynomial([5, -2, 1]) * IntPolynomial([5, -4, 1])
-    fast = gaussian_root_magnitudes(coeffs, h1)
-    slow = root_magnitudes(h1)
-    assert fast.total_multiplicity() == slow.total_multiplicity() == 4
-    for e in fast.entries:
-        assert e.lower**2 <= 5 <= e.upper**2
 
 
 # -- polynomial classification
