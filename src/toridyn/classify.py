@@ -23,7 +23,7 @@ from .exactnum import (DEFAULT_PRECISION, IntPolynomial, is_kronecker,
 from .matlin import RationalMatrix, exterior_power
 from .endo import (TorusEndomorphism, eigen_data, iterate, unity_free)
 from .dynamics import lefschetz_number
-from .torus import canonical_ample_class, is_ample, neron_severi
+from .torus import is_ample, neron_severi
 
 AMPLE_SEARCH_BUDGET = 10**4
 AMPLE_SEARCH_HEIGHT = 8
@@ -84,7 +84,7 @@ class DegreeData:
     intervals: tuple          # ((lo, up) Fractions per j)
     equal_consecutive_pairs: tuple  # indices j with lambda_j = lambda_{j+1}
     exact_equalities: tuple   # subset of pairs certified by exact structure
-    entropy: tuple            # (lo, hi) floats enclosing log lambda_1
+    entropy: tuple            # (lo, hi) floats enclosing log max_j lambda_j
     precision: Fraction
 
 
@@ -138,7 +138,10 @@ def dynamical_degrees(f: TorusEndomorphism,
             equal.append(j)
         if exact_here:
             exact.append(j)
-    entropy = _entropy_enclosure(*intervals[1]) if n >= 1 else (0.0, 0.0)
+    # topological entropy is log max_j lambda_j (Gromov; Yomdin)
+    entropy = (_entropy_enclosure(max(lo for lo, _ in intervals),
+                                  max(hi for _, hi in intervals))
+               if n >= 1 else (0.0, 0.0))
     return DegreeData(tuple(intervals), tuple(equal), tuple(exact),
                       entropy, Fraction(precision))
 
@@ -248,9 +251,7 @@ def amplified(f: TorusEndomorphism) -> AmplifiedVerdict:
     (d) bounded search of (f^* - id)(NS) for an ample class."""
     if not f.surjective:
         raise NotSurjectiveError("amplified requires det M != 0")
-    try:
-        canonical_ample_class(f.torus)
-    except DomainError:
+    if f.torus.n == 0:  # every torus of positive dimension carries an ample class
         return AmplifiedVerdict("inconclusive", "not-verified-projective")
     action = ns_action(f)
     if (action - RationalMatrix.identity(action.rows)).det() != 0:

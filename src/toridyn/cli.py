@@ -8,7 +8,8 @@ JSON file with exact rationals written as "p/q" or decimal strings:
      "sublattices": {"diag": [["1", "0"], ["0", "1"]]}}
 
 Exit codes: 0 success, 1 property violation, 2 parse error, 3 domain or
-validation error, 4 resource budget exceeded.
+validation error, 4 resource budget exceeded, 5 internal error (an
+unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .classify import (chain_violations, dynamical_degrees, full_report,
                        verify_iterates)
 from .scenarios import get_example, order_by_name, named_examples, random_endo
 
-EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +386,10 @@ def main(argv=None):
     except ToridynError as exc:  # pragma: no cover - residual mapping
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:  # a bug, not a property of the input
+        detail = " ".join(str(exc).split())
+        print(f"error[internal]: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

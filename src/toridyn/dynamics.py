@@ -232,8 +232,9 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
         rows = [tuple(r) for r in red.entries if any(r)]
         return tuple(rows)
 
+    # M is invertible over Q, so the map on subtori is injective and the
+    # first repeat of the orbit is its start
     start = canonical(sub.lattice)
-    seen = [start]
     current = sub.lattice
     sequence = [current]
     for step in range(1, bound + 1):
@@ -244,9 +245,6 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
         if key == start:
             verdict = "invariant" if step == 1 else ("periodic", step)
             return verdict, sequence
-        if key in seen:
-            return ("periodic-tail", step), sequence
-        seen.append(key)
     return "escaping", sequence
 
 

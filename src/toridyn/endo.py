@@ -1,7 +1,7 @@
 """Endomorphisms of complex tori.
 
 Validation, iteration, analytic eigenvalue data over the Gaussian
-rationals, the exact unity-free test, fixed subtori, and eigenvalue
+integers, the exact unity-free test, fixed subtori, and eigenvalue
 multiset splitting along invariant subtori.
 
 Convention: the analytic eigenvalue multiset is attached to the +i
@@ -12,14 +12,15 @@ downstream verdicts are conjugation-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
 
 from .errors import (DomainError, InvarianceViolation, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
-from .exactnum import (GaussianRational, IntPolynomial, cyclotomic_root_count)
-from .matlin import RationalMatrix, restrict_and_quotient, saturate
+from .exactnum import GaussianRational, IntPolynomial, cyclotomic_root_count
+from .matlin import (RationalMatrix, charpoly, int_charpoly, matmul,
+                     restrict_and_quotient)
 from .torus import ComplexTorus, Subtorus, make_subtorus
 
 
@@ -32,13 +33,13 @@ class TorusEndomorphism:
     m: RationalMatrix
     tau: tuple
 
-    @property
+    @cached_property
     def degree_matrix_det(self) -> int:
-        return self.m.det().numerator
+        return self.m.det()
 
     @property
     def surjective(self) -> bool:
-        return self.m.det() != 0
+        return self.degree_matrix_det != 0
 
     @property
     def is_isogeny(self) -> bool:
@@ -72,101 +73,17 @@ def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
     """f^k: matrix M^k, translation (M^{k-1} + ... + I) tau mod 1."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
-    mk = f.m ** k
     acc = RationalMatrix.zero(f.torus.rank, f.torus.rank)
     power = RationalMatrix.identity(f.torus.rank)
     for _ in range(k):
         acc = acc + power
         power = power * f.m
     tau = tuple(t % 1 for t in acc.apply(f.tau))
-    return TorusEndomorphism(f.torus, mk, tau)
+    return TorusEndomorphism(f.torus, power, tau)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational linear algebra (internal)
-
-
-def _gauss_matmul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GaussianRational())
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _gauss_identity(n):
-    one, zero = GaussianRational.of(1), GaussianRational()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _gauss_rref(mat):
-    mat = [row[:] for row in mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = GaussianRational.of(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
-
-
-def _gauss_kernel(mat):
-    red, pivots = _gauss_rref(mat)
-    cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [GaussianRational() for _ in range(cols)]
-        v[fc] = GaussianRational.of(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _gauss_solve(a, rhs):
-    """Any X with a X = rhs over Q(i); raises on inconsistency."""
-    rows = len(a)
-    cols = len(a[0])
-    rcols = len(rhs[0])
-    aug = [a[i][:] + rhs[i][:] for i in range(rows)]
-    red, pivots = _gauss_rref(aug)
-    if any(p >= cols for p in pivots):
-        raise DomainError("inconsistent Gaussian linear system")
-    sol = [[GaussianRational() for _ in range(rcols)] for _ in range(cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(rcols):
-            sol[pc][j] = red[r][cols + j]
-    check = _gauss_matmul(a, sol)
-    if any(check[i][j] != rhs[i][j] for i in range(rows) for j in range(rcols)):
-        raise DomainError("inconsistent Gaussian linear system")
-    return sol
-
-
-def _gauss_charpoly(a):
-    """Faddeev-LeVerrier over Q(i); ascending GaussianRational coefficients."""
-    n = len(a)
-    coeffs = [GaussianRational() for _ in range(n + 1)]
-    coeffs[n] = GaussianRational.of(1)
-    m = _gauss_identity(n)
-    for k in range(1, n + 1):
-        am = _gauss_matmul(a, m)
-        tr = sum((am[i][i] for i in range(n)), GaussianRational())
-        c = -(tr / k)
-        coeffs[n - k] = c
-        m = [[am[i][j] + (c if i == j else GaussianRational())
-              for j in range(n)] for i in range(n)]
-    return tuple(coeffs)
+# Analytic representation
 
 
 def gauss_poly_mul(p, q):
@@ -181,27 +98,54 @@ def gauss_poly_conj(p):
     return tuple(c.conjugate() for c in p)
 
 
-def _analytic_matrix(m: RationalMatrix, j: RationalMatrix):
-    """M restricted to the +i eigenspace of J, as a Gaussian matrix."""
-    d = j.rows
-    i_unit = GaussianRational(Fraction(0), Fraction(1))
-    j_minus_i = [[GaussianRational.of(j[r, c]) - (i_unit if r == c else GaussianRational())
-                  for c in range(d)] for r in range(d)]
-    kernel = _gauss_kernel(j_minus_i)
-    if len(kernel) != d // 2:
-        raise InvariantViolation("+i eigenspace has unexpected dimension")
-    basis = [[kernel[c][r] for c in range(len(kernel))] for r in range(d)]
-    mg = [[GaussianRational.of(m[r, c]) for c in range(d)] for r in range(d)]
-    mb = _gauss_matmul(mg, basis)
-    return _gauss_solve(basis, mb)
+@lru_cache(maxsize=256)
+def _complex_basis(j: RationalMatrix):
+    """(idx, d, q) with v_k = e_idx[k] chosen so that the columns
+    P = (v_1..v_n, Jv_1..Jv_n) are a Q-basis, and q = d * P^-1 integral.
+
+    span(v, Jv) is J-invariant, so a unit vector outside it adds two
+    dimensions and the greedy choice always completes when J^2 = -I."""
+    size = j.rows
+    units = RationalMatrix.identity(size).columns()
+    idx = []
+    for k in range(size):
+        trial = idx + [k]
+        cols = [units[i] for i in trial] + [j.column(i) for i in trial]
+        if RationalMatrix.from_columns(cols).rank() == len(cols):
+            idx = trial
+    if 2 * len(idx) != size:
+        raise InvariantViolation("J admits no basis of the form (v, Jv)")
+    p = RationalMatrix.from_columns([units[i] for i in idx] + [j.column(i) for i in idx])
+    d, q = p.inverse().scaled_rows()
+    return tuple(idx), d, q
+
+
+def _scaled_analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
+    """(s, coeffs): ascending Gaussian-integer (re, im) coefficients of the
+    charpoly of s(A + iB), where P^-1 M P = [[A, -B], [B, A]] in the basis
+    P of _complex_basis.  The analytic charpoly is coeffs[k] / s^(n-k).
+
+    With w_k = v_k - iJv_k, Jw = iw and Mw_k = sum_l (A + iB)_lk w_l, so
+    A + iB is M on the +i eigenspace of J."""
+    if j.rows == 0:
+        return 1, [(1, 0)]
+    idx, d, q = _complex_basis(j)
+    dm, mrows = m.scaled_rows()
+    y = matmul(q, [[row[k] for k in idx] for row in mrows])  # d dm P^-1 M V
+    n = len(idx)
+    return d * dm, int_charpoly(y[:n], y[n:])
+
+
+def _gaussian_coeffs(s: int, coeffs):
+    n = len(coeffs) - 1
+    return tuple(GaussianRational(Fraction(re, s ** (n - k)), Fraction(im, s ** (n - k)))
+                 for k, (re, im) in enumerate(coeffs))
 
 
 def analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
     """Ascending Gaussian-rational coefficients of the charpoly of the
     analytic representation."""
-    if j.rows == 0:
-        return (GaussianRational.of(1),)
-    return _gauss_charpoly(_analytic_matrix(m, j))
+    return _gaussian_coeffs(*_scaled_analytic_charpoly(m, j))
 
 
 @dataclass(frozen=True)
@@ -218,17 +162,21 @@ class EigenData:
 
 @lru_cache(maxsize=512)
 def eigen_data(f: TorusEndomorphism) -> EigenData:
-    from .matlin import charpoly as _charpoly
-    h1 = _charpoly(f.m)
-    gamma = analytic_charpoly(f.m, f.torus.j)
-    product = gauss_poly_mul(gamma, gauss_poly_conj(gamma))
-    for k, c in enumerate(product):
-        if c.im != 0 or c.re != Fraction(h1[k]):
-            raise InvariantViolation("h1 charpoly is not analytic x conjugate")
+    h1 = charpoly(f.m)
+    s, gamma = _scaled_analytic_charpoly(f.m, f.torus.j)
+    # exact h1 = Gamma * conj(Gamma); the scaled product has s^(2n-k) h1_k at x^k
+    n = len(gamma) - 1
+    product = [[0, 0] for _ in range(2 * n + 1)]
+    for i, (a, b) in enumerate(gamma):
+        for k, (c, d) in enumerate(gamma):
+            product[i + k][0] += a * c + b * d
+            product[i + k][1] += b * c - a * d
+    if any(im or re != h1[k] * s ** (2 * n - k) for k, (re, im) in enumerate(product)):
+        raise InvariantViolation("h1 charpoly is not analytic x conjugate")
     count, factors = cyclotomic_root_count(h1) if h1.degree > 0 else (0, [])
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, gamma, count // 2, tuple(factors))
+    return EigenData(h1, _gaussian_coeffs(s, gamma), count // 2, tuple(factors))
 
 
 def unity_free(f: TorusEndomorphism):

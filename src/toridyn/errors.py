@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ParseError -> 2, DomainError (and
-subclasses) -> 3, ResourceError -> 4.
+subclasses) -> 3, ResourceError -> 4, any other exception -> 5.
 """
 
 

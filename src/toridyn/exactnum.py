@@ -35,9 +35,9 @@ DEFAULT_PRECISION = Fraction(1, 10**9)
 
 class IntPolynomial:
     """Dense univariate polynomial, coefficients ascending from the constant
-    term.  Immutable.  Arithmetic is exact; division happens over Q and is
-    only accepted when the result warrants it (divmod returns rational
-    coefficient polynomials as Fraction tuples internally)."""
+    term.  Immutable.  Arithmetic is exact and stays in the integers:
+    division is integer long division, accepted only when the quotient is
+    integral (pseudo-remainders in gcd always are)."""
 
     __slots__ = ("coeffs",)
 
@@ -104,37 +104,33 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def divmod_exact(self, other: "IntPolynomial"):
-        """Quotient and remainder over Q, returned as coefficient tuples of
-        Fractions (ascending)."""
+    def _int_divmod(self, other: "IntPolynomial"):
+        """Long division in integers: (quotient, remainder) coefficient
+        lists, or None as soon as a quotient coefficient is not an integer
+        (the quotient over Q is then not integral)."""
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        quo = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
         d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i in range(d + 1):
-                rem[k + i] -= q * other.coeffs[i]
-            rem.pop()
-        return tuple(quo), tuple(rem)
+        div = other.coeffs
+        rem = list(self.coeffs)
+        quo = [0] * max(len(rem) - d, 1)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            q, r = divmod(rem[k + d], div[-1])
+            if r:
+                return None
+            if q:
+                quo[k] = q
+                for i in range(d + 1):
+                    rem[k + i] -= q * div[i]
+        return quo, rem[:d]
 
     def try_divide(self, other: "IntPolynomial"):
         """Exact quotient as an IntPolynomial, or None when the division
         leaves a remainder or a non-integer coefficient."""
-        quo, rem = self.divmod_exact(other)
-        if any(rem):
+        result = self._int_divmod(other)
+        if result is None or any(result[1]):
             return None
-        if any(q.denominator != 1 for q in quo):
-            return None
-        return IntPolynomial([int(q) for q in quo])
+        return IntPolynomial(result[0])
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -154,10 +150,9 @@ class IntPolynomial:
         coefficient)."""
         a, b = self.primitive(), other.primitive()
         while not b.is_zero():
-            # pseudo-remainder keeps everything integral
-            _, rem = (a * b.coeffs[-1] ** (max(a.degree - b.degree, 0) + 1)).divmod_exact(b)
-            r = IntPolynomial([int(c) for c in rem])
-            a, b = b, r.primitive()
+            # the pseudo-remainder keeps every quotient coefficient integral
+            _, rem = (a * b.coeffs[-1] ** (max(a.degree - b.degree, 0) + 1))._int_divmod(b)
+            a, b = b, IntPolynomial(rem).primitive()
         return a.primitive()
 
     def reversal(self) -> "IntPolynomial":
@@ -193,17 +188,6 @@ class IntPolynomial:
 
     def to_sympy(self):
         return _sp.Poly(list(reversed(self.coeffs)), _X, domain="ZZ")
-
-    @staticmethod
-    def from_rational_coeffs(coeffs) -> "IntPolynomial":
-        """Accepts Fractions that must all be integral."""
-        out = []
-        for c in coeffs:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise DomainError(f"non-integer coefficient {f}")
-            out.append(f.numerator)
-        return IntPolynomial(out)
 
     def serialize(self):
         """Ascending coefficient list as decimal strings."""
@@ -270,11 +254,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-ZERO_GAUSS = GaussianRational()
-ONE_GAUSS = GaussianRational(Fraction(1), Fraction(0))
-I_GAUSS = GaussianRational(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 Characteristic polynomials, kernels, Smith normal form with transforms,
 lattice saturation, exterior powers, and restriction/quotient along
-invariant sublattices.  Everything is Fraction-exact; dimensions in this
+invariant sublattices.  The core is integer-first: a matrix stores plain
+`int` entries wherever the value is integral and a `Fraction` only where it
+is not, and every true division goes through `Fraction`.  Elimination
+(determinant, rank, reduced row echelon form, kernels, solving, inverses)
+is one fraction-free routine (Bareiss 1968) on the integer matrix D*A, D
+the lcm of the denominators; the characteristic polynomial is
+Faddeev-LeVerrier with exact integer division on D*A.  Dimensions in this
 artifact stay small (ambient rank <= 8, exterior squares <= 28) so dense
 arithmetic is the right tool.
 """
@@ -12,38 +18,150 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .errors import DomainError, InvarianceViolation
 from .exactnum import IntPolynomial
+
+# ---------------------------------------------------------------------------
+# Integer arithmetic
+
+
+def _rational(value):
+    """An exact entry: the int when the value is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a: int, b: int):
+    """a / b as an exact entry."""
+    q, r = divmod(a, b)
+    return q if r == 0 else Fraction(a, b)
+
+
+def matmul(a, b):
+    """Product of two matrices given as row lists."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def bareiss(mat, jordan=False, definite=False):
+    """Fraction-free elimination (Bareiss 1968) of the integer rows `mat`,
+    in place.
+
+    Every entry after a pivot step is a minor of the input, so each
+    division by the previous pivot is exact.  Rows below a pivot are always
+    cleared; with `jordan` the rows above are cleared too, so the pivot
+    rows end as p * (reduced row echelon form), p the last pivot
+    (fraction-free Gauss-Jordan).  With `definite` no rows are swapped and
+    the elimination stops at the first leading principal minor <= 0.
+
+    Returns (pivot columns, last pivot, number of row swaps), or None when
+    `definite` finds a leading principal minor <= 0."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivots = []
+    prev = 1
+    swaps = 0
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        if definite:
+            if mat[r][c] <= 0:
+                return None
+        else:
+            piv = next((i for i in range(r, rows) if mat[i][c]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                mat[r], mat[piv] = mat[piv], mat[r]
+                swaps += 1
+        row_r = mat[r]
+        p = row_r[c]
+        lo = 0 if jordan else c
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                row_i = mat[i]
+                f = row_i[c]
+                row_i[lo:] = [(p * x - f * y) // prev
+                              for x, y in zip(row_i[lo:], row_r[lo:])]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, prev, swaps
+
+
+def int_charpoly(a, b=None):
+    """Ascending coefficients of det(xI - (A + iB)) for integer matrices A
+    and B given as row lists, by Faddeev-LeVerrier: every division by k is
+    exact because the coefficients are (Gaussian) integers.  Returns ints
+    when B is None, else (re, im) pairs."""
+    n = len(a)
+    # M_0 = I; M_k = (A + iB) M_(k-1) + c_(n-k) I, with m_im None while zero
+    m_re, m_im = [[int(i == j) for j in range(n)] for i in range(n)], None
+    coeffs = [(0, 0)] * n + [(1, 0)]
+    for k in range(1, n + 1):
+        am_re = matmul(a, m_re)
+        am_im = None if b is None else matmul(b, m_re)
+        if m_im is not None:
+            am_re = [[x - y for x, y in zip(r, s)] for r, s in zip(am_re, matmul(b, m_im))]
+            am_im = [[x + y for x, y in zip(r, s)] for r, s in zip(am_im, matmul(a, m_im))]
+        c_re = -sum(am_re[i][i] for i in range(n)) // k
+        c_im = 0 if am_im is None else -sum(am_im[i][i] for i in range(n)) // k
+        coeffs[n - k] = (c_re, c_im)
+        for i in range(n):
+            am_re[i][i] += c_re
+            if am_im is not None:
+                am_im[i][i] += c_im
+        m_re, m_im = am_re, am_im
+    if b is None:
+        return [c for c, _ in coeffs]
+    return coeffs
+
 
 # ---------------------------------------------------------------------------
 # Rational matrices
 
 
 class RationalMatrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q; integral entries are stored as int."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_integral")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        if not rows or not rows[0]:
-            self.rows, self.cols, self.entries = len(rows), 0, rows
-            return
-        n = len(rows[0])
+        rows = tuple(tuple(map(_rational, row)) for row in entries)
+        n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise DomainError("ragged matrix")
-        self.rows, self.cols, self.entries = len(rows), n, rows
+        self.rows, self.cols, self.entries, self._integral = len(rows), n, rows, None
+
+    @staticmethod
+    def _of(rows, integral=None) -> "RationalMatrix":
+        """Matrix from row sequences whose entries are already exact; row
+        sequences of plain ints when `integral` is true."""
+        if not integral:
+            return RationalMatrix(rows)
+        out = object.__new__(RationalMatrix)
+        out.entries = tuple(map(tuple, rows))
+        out.rows = len(out.entries)
+        out.cols = len(out.entries[0]) if out.entries else 0
+        out._integral = True
+        return out
 
     # -- constructors
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], True)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * cols for _ in range(rows)])
+        return RationalMatrix._of([[0] * cols for _ in range(rows)], True)
 
     @staticmethod
     def from_columns(cols) -> "RationalMatrix":
@@ -73,7 +191,9 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        if self._integral is None:
+            self._integral = all(type(e) is int for row in self.entries for e in row)
+        return self._integral
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)
@@ -90,16 +210,19 @@ class RationalMatrix:
 
     def __add__(self, other):
         self._shape_match(other)
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
+        return RationalMatrix._of([[a + b for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.entries, other.entries)],
+                                  self.is_integral() and other.is_integral())
 
     def __sub__(self, other):
         self._shape_match(other)
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
+        return RationalMatrix._of([[a - b for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.entries, other.entries)],
+                                  self.is_integral() and other.is_integral())
 
     def __neg__(self):
-        return RationalMatrix([[-a for a in row] for row in self.entries])
+        return RationalMatrix._of([[-a for a in row] for row in self.entries],
+                                  self.is_integral())
 
     def _shape_match(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -109,22 +232,23 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise DomainError("matrix shape mismatch in product")
-            ot = list(zip(*other.entries)) if other.entries else []
-            return RationalMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in ot]
-                 for row in self.entries])
-        return RationalMatrix([[a * Fraction(other) for a in row] for row in self.entries])
+            return RationalMatrix._of(matmul(self.entries, other.entries),
+                                      self.is_integral() and other.is_integral())
+        scalar = _rational(other)
+        return RationalMatrix._of([[a * scalar for a in row] for row in self.entries],
+                                  self.is_integral() and type(scalar) is int)
 
     __rmul__ = lambda self, other: self * other
 
     def apply(self, vector):
         if len(vector) != self.cols:
             raise DomainError("vector length mismatch")
-        return tuple(sum(a * Fraction(v) for a, v in zip(row, vector))
+        vec = [_rational(v) for v in vector]
+        return tuple(_rational(sum(map(mul, row, vec)))
                      for row in self.entries)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
+        return RationalMatrix._of(list(zip(*self.entries)), self.is_integral())
 
     def __pow__(self, k: int) -> "RationalMatrix":
         if not self.is_square() or k < 0:
@@ -140,104 +264,95 @@ class RationalMatrix:
 
     # -- elimination based operations
 
+    def scaled_rows(self):
+        """(D, rows of D * self as int lists), D the lcm of the denominators."""
+        if self.is_integral():
+            return 1, [list(row) for row in self.entries]
+        d = lcm(*(e.denominator for row in self.entries for e in row))
+        return d, [[e.numerator * (d // e.denominator) for e in row]
+                   for row in self.entries]
+
+    def _reduced(self):
+        """(pivot rows of p * rref as int lists, pivot columns, p)."""
+        _, mat = self.scaled_rows()
+        pivots, p, _ = bareiss(mat, jordan=True)
+        return mat[:len(pivots)], pivots, p
+
     def rref(self):
         """Reduced row echelon form and pivot column indices."""
-        mat = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if mat[i][c] != 0), None)
-            if pivot is None:
-                continue
-            mat[r], mat[pivot] = mat[pivot], mat[r]
-            inv = 1 / mat[r][c]
-            mat[r] = [x * inv for x in mat[r]]
-            for i in range(self.rows):
-                if i != r and mat[i][c] != 0:
-                    f = mat[i][c]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RationalMatrix(mat), pivots
+        top, pivots, p = self._reduced()
+        red = [[_quotient(x, p) for x in row] for row in top]
+        red += [[0] * self.cols for _ in range(self.rows - len(pivots))]
+        return RationalMatrix._of(red), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        _, mat = self.scaled_rows()
+        return len(bareiss(mat)[0])
 
     def kernel_basis(self):
         """Basis of the right kernel as a list of rational vectors."""
-        red, pivots = self.rref()
+        top, pivots, p = self._reduced()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+            v = [0] * self.cols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
+                v[pc] = _quotient(-top[r][fc], p)
             basis.append(tuple(v))
         return basis
 
-    def det(self) -> Fraction:
+    def det(self):
         if not self.is_square():
             raise DomainError("determinant requires a square matrix")
-        mat = [list(row) for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                mat[c], mat[pivot] = mat[pivot], mat[c]
-                det = -det
-            det *= mat[c][c]
-            inv = 1 / mat[c][c]
-            for i in range(c + 1, n):
-                if mat[i][c] != 0:
-                    f = mat[i][c] * inv
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-        return det
+        d, mat = self.scaled_rows()
+        pivots, p, swaps = bareiss(mat)
+        if len(pivots) < self.rows:
+            return 0
+        value = -p if swaps & 1 else p
+        return value if d == 1 else _quotient(value, d ** self.rows)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():
             raise DomainError("inverse requires a square matrix")
         n = self.rows
-        aug = RationalMatrix([list(self.entries[i]) + [1 if j == i else 0 for j in range(n)]
-                              for i in range(n)])
-        red, pivots = aug.rref()
+        d, mat = self.scaled_rows()
+        for i, row in enumerate(mat):
+            row.extend(int(i == j) for j in range(n))
+        pivots, p, _ = bareiss(mat, jordan=True)
         if pivots != list(range(n)):
             raise DomainError("matrix is singular")
-        return RationalMatrix([red.row(i)[n:] for i in range(n)])
+        # [DA | I] reduces to p * [I | (DA)^-1], and A^-1 = D (DA)^-1
+        return RationalMatrix._of([[_quotient(d * x, p) for x in row[n:]] for row in mat])
 
     def solve_exact(self, rhs: "RationalMatrix") -> "RationalMatrix":
         """X with self * X = rhs; raises if no exact solution exists."""
         if self.rows != rhs.rows:
             raise DomainError("shape mismatch in solve")
-        aug = RationalMatrix([list(a) + list(b) for a, b in zip(self.entries, rhs.entries)])
-        red, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
+        aug = RationalMatrix._of([a + b for a, b in zip(self.entries, rhs.entries)],
+                                 self.is_integral() and rhs.is_integral())
+        top, pivots, p = aug._reduced()
+        if any(pc >= self.cols for pc in pivots):
             raise DomainError("inconsistent linear system")
-        sol = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
+        sol = [[0] * rhs.cols for _ in range(self.cols)]
         for r, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                sol[pc][j] = red[r, self.cols + j]
+            sol[pc] = [_quotient(x, p) for x in top[r][self.cols:]]
         # verify (the system may be underdetermined; any solution is checked)
-        cand = RationalMatrix(sol)
+        cand = RationalMatrix._of(sol)
         if self * cand != rhs:
             raise DomainError("inconsistent linear system")
         return cand
 
-    def trace(self) -> Fraction:
+    def trace(self):
         if not self.is_square():
             raise DomainError("trace requires a square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
+        return _rational(sum(self.entries[i][i] for i in range(self.rows)))
 
     def to_integer(self):
         """Entries as ints; raises when any entry is non-integral."""
         if not self.is_integral():
             raise DomainError("matrix is not integral")
-        return [[e.numerator for e in row] for row in self.entries]
+        return [list(row) for row in self.entries]
 
     def serialize(self):
         """Row-major rational strings 'p/q'."""
@@ -245,24 +360,19 @@ class RationalMatrix:
 
 
 def charpoly(a: RationalMatrix):
-    """Exact characteristic polynomial det(xI - A) via Faddeev-LeVerrier.
+    """Exact characteristic polynomial det(xI - A): integer Faddeev-LeVerrier
+    on D*A, whose k-th coefficient is D^(n-k) times that of A.
 
     Returns an IntPolynomial when A is integral, else the ascending tuple
     of Fraction coefficients."""
     if not a.is_square():
         raise DomainError("characteristic polynomial requires a square matrix")
+    d, mat = a.scaled_rows()
+    coeffs = int_charpoly(mat)
+    if d == 1:
+        return IntPolynomial(coeffs)
     n = a.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a * m
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        m = am + RationalMatrix.identity(n) * c
-    if a.is_integral():
-        return IntPolynomial.from_rational_coeffs(coeffs)
-    return tuple(coeffs)
+    return tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs))
 
 
 def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
@@ -274,14 +384,14 @@ def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
     if not 1 <= k <= d:
         raise DomainError("exterior power index out of range")
     subsets = list(combinations(range(d), k))
-    out = []
-    for rows in subsets:
-        out_row = []
-        for cols in subsets:
-            minor = RationalMatrix([[a[i, j] for j in cols] for i in rows])
-            out_row.append(minor.det())
-        out.append(out_row)
-    return RationalMatrix(out)
+    e = a.entries
+    if k == 2:
+        return RationalMatrix._of(
+            [[e[i][j] * e[p][q] - e[i][q] * e[p][j] for j, q in subsets]
+             for i, p in subsets], a.is_integral())
+    return RationalMatrix._of(
+        [[RationalMatrix._of([[e[i][j] for j in cols] for i in rows], a.is_integral()).det()
+          for cols in subsets] for rows in subsets], a.is_integral())
 
 
 def exterior_basis(d: int, k: int):
@@ -386,8 +496,8 @@ def smith_form(a) -> SmithDecomposition:
             add_row(t, offender, 1)
             continue
         t += 1
-    d = [[Fraction(mat[i][j]) for j in range(cols)] for i in range(rows)]
-    return SmithDecomposition(RationalMatrix(u), RationalMatrix(d), RationalMatrix(v))
+    return SmithDecomposition(RationalMatrix._of(u, True), RationalMatrix._of(mat, True),
+                              RationalMatrix._of(v, True))
 
 
 # ---------------------------------------------------------------------------

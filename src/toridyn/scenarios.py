@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, ResourceError
 from .matlin import RationalMatrix
@@ -33,10 +32,6 @@ from .torus import ComplexTorus, make_torus
 from .endo import TorusEndomorphism, make_endo
 
 RANDOM_REJECTION_BUDGET = 500
-
-
-def _int_matrix(rows):
-    return RationalMatrix([[Fraction(x) for x in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class CMOrder:
             power = power * g
         if acc != RationalMatrix.zero(n, n):
             raise DomainError(f"generator violates minimal polynomial ({self.tag})")
-        if j * j != RationalMatrix.identity(n) * Fraction(-1):
+        if j * j != -RationalMatrix.identity(n):
             raise DomainError(f"j_block^2 != -I ({self.tag})")
         if g * j != j * g:
             raise DomainError(f"order generator does not commute with J ({self.tag})")
@@ -78,16 +73,16 @@ class CMOrder:
 
 
 def gaussian_order() -> CMOrder:
-    j0 = _int_matrix([[0, -1], [1, 0]])
+    j0 = RationalMatrix([[0, -1], [1, 0]])
     return CMOrder("gaussian", j0, j0, (1, 0, 1))
 
 
 def eisenstein_order() -> CMOrder:
     # companion matrix of x^4 - x^2 + 1, the minimal polynomial of zeta_12
-    c = _int_matrix([[0, 0, 0, -1],
-                     [1, 0, 0, 0],
-                     [0, 1, 0, 1],
-                     [0, 0, 1, 0]])
+    c = RationalMatrix([[0, 0, 0, -1],
+                         [1, 0, 0, 0],
+                         [0, 1, 0, 1],
+                         [0, 0, 1, 0]])
     return CMOrder("eisenstein", c ** 4, c ** 3, (1, 1, 1))
 
 
@@ -99,16 +94,16 @@ def quadratic_order(d: int) -> CMOrder:
         raise DomainError("quadratic order requires d >= 1")
     b = math.isqrt(d)
     if b * b == d:
-        j0 = _int_matrix([[0, -1], [1, 0]])
+        j0 = RationalMatrix([[0, -1], [1, 0]])
         return CMOrder(f"quadratic(-{d})", j0 * b, j0, (d, 0, 1))
-    w = _int_matrix([[0, -d, 0, 0],
-                     [1, 0, 0, 0],
-                     [0, 0, 0, -d],
-                     [0, 0, 1, 0]])
-    j = _int_matrix([[0, 0, -1, 0],
-                     [0, 0, 0, -1],
-                     [1, 0, 0, 0],
-                     [0, 1, 0, 0]])
+    w = RationalMatrix([[0, -d, 0, 0],
+                         [1, 0, 0, 0],
+                         [0, 0, 0, -d],
+                         [0, 0, 1, 0]])
+    j = RationalMatrix([[0, 0, -1, 0],
+                         [0, 0, 0, -1],
+                         [1, 0, 0, 0],
+                         [0, 1, 0, 0]])
     return CMOrder(f"quadratic(-{d})", w, j, (d, 0, 1))
 
 
@@ -143,7 +138,7 @@ def product(tori) -> ComplexTorus:
     if not tori:
         raise DomainError("product of no tori")
     size = sum(t.rank for t in tori)
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     offset = 0
     for t in tori:
         for i in range(t.rank):
@@ -172,7 +167,7 @@ def cm_matrix_endo(torus: ComplexTorus, order: CMOrder, b, tau=None) -> TorusEnd
     r = order.rank
     if torus.rank != n * r:
         raise DomainError("torus is not the matching power of the order's curve")
-    rows = [[Fraction(0)] * (n * r) for _ in range(n * r)]
+    rows = [[0] * (n * r) for _ in range(n * r)]
     for i in range(n):
         if len(b[i]) != n:
             raise DomainError("order-matrix must be square")
@@ -197,65 +192,50 @@ class Scenario:
     sublattices: dict  # name -> tuple of integer column tuples
 
 
-def _gaussian_ee():
-    return cm_power_torus(gaussian_order(), 2)
+_EE_SUBLATTICES = {
+    "first_factor": ((1, 0, 0, 0), (0, 1, 0, 0)),
+    "second_factor": ((0, 0, 1, 0), (0, 0, 0, 1)),
+    "diagonal": ((1, 0, 1, 0), (0, 1, 0, 1)),
+}
+
+# name -> (description, n, n x n matrix over the Gaussian order acting on E^n)
+_EXAMPLES = {
+    "mult_2_1": ("multiplication by 2 on the first factor of E x E", 2,
+                 [[(2, 0), (0, 0)], [(0, 0), (1, 0)]]),
+    "mult_2_3": ("multiplication by 2 and 3 on the factors of E x E", 2,
+                 [[(2, 0), (0, 0)], [(0, 0), (3, 0)]]),
+    "gtz_diag": ("multiplication by 1+2i and 2+i on the factors of E x E", 2,
+                 [[(1, 2), (0, 0)], [(0, 0), (2, 1)]]),
+    "shear": ("(a1, a2) -> (a1 + a2, a2) on E x E", 2,
+              [[(1, 0), (1, 0)], [(0, 0), (1, 0)]]),
+    "salem_surface": ("[[2,1],[1,1]] over the Gaussian order on E x E", 2,
+                      [[(2, 0), (1, 0)], [(1, 0), (1, 0)]]),
+    "mult_by_i": ("multiplication by i on E (finite order 4)", 1,
+                  [[(0, 1)]]),
+    "e4_auto": ("automorphism of E^4 with Salem characteristic polynomial", 4,
+                [[(0, 0), (0, 0), (0, 0), (-1, 0)],
+                 [(1, 0), (0, 0), (0, 0), (3, 0)],
+                 [(0, 0), (1, 0), (0, 0), (4, 0)],
+                 [(0, 0), (0, 0), (1, 0), (3, 0)]]),
+}
+
+
+def _build_example(name: str) -> Scenario:
+    description, n, b = _EXAMPLES[name]
+    g = gaussian_order()
+    return Scenario(name, description, cm_matrix_endo(cm_power_torus(g, n), g, b),
+                    dict(_EE_SUBLATTICES) if n == 2 else {})
 
 
 def named_examples() -> dict:
-    g = gaussian_order()
-    ee = _gaussian_ee()
-    e = elliptic_curve(g)
-    ee_subs = {
-        "first_factor": ((1, 0, 0, 0), (0, 1, 0, 0)),
-        "second_factor": ((0, 0, 1, 0), (0, 0, 0, 1)),
-        "diagonal": ((1, 0, 1, 0), (0, 1, 0, 1)),
-    }
-    out = {}
-
-    out["mult_2_1"] = Scenario(
-        "mult_2_1", "multiplication by 2 on the first factor of E x E",
-        cm_matrix_endo(ee, g, [[(2, 0), (0, 0)], [(0, 0), (1, 0)]]),
-        ee_subs)
-    out["mult_2_3"] = Scenario(
-        "mult_2_3", "multiplication by 2 and 3 on the factors of E x E",
-        cm_matrix_endo(ee, g, [[(2, 0), (0, 0)], [(0, 0), (3, 0)]]),
-        ee_subs)
-    out["gtz_diag"] = Scenario(
-        "gtz_diag", "multiplication by 1+2i and 2+i on the factors of E x E",
-        cm_matrix_endo(ee, g, [[(1, 2), (0, 0)], [(0, 0), (2, 1)]]),
-        ee_subs)
-    out["shear"] = Scenario(
-        "shear", "(a1, a2) -> (a1 + a2, a2) on E x E",
-        cm_matrix_endo(ee, g, [[(1, 0), (1, 0)], [(0, 0), (1, 0)]]),
-        ee_subs)
-    out["salem_surface"] = Scenario(
-        "salem_surface", "[[2,1],[1,1]] over the Gaussian order on E x E",
-        cm_matrix_endo(ee, g, [[(2, 0), (1, 0)], [(1, 0), (1, 0)]]),
-        ee_subs)
-    out["mult_by_i"] = Scenario(
-        "mult_by_i", "multiplication by i on E (finite order 4)",
-        cm_matrix_endo(e, g, [[(0, 1)]]),
-        {})
-    e4 = cm_power_torus(g, 4)
-    companion = [
-        [(0, 0), (0, 0), (0, 0), (-1, 0)],
-        [(1, 0), (0, 0), (0, 0), (3, 0)],
-        [(0, 0), (1, 0), (0, 0), (4, 0)],
-        [(0, 0), (0, 0), (1, 0), (3, 0)],
-    ]
-    out["e4_auto"] = Scenario(
-        "e4_auto", "automorphism of E^4 with Salem characteristic polynomial",
-        cm_matrix_endo(e4, g, companion),
-        {})
-    return out
+    return {name: _build_example(name) for name in _EXAMPLES}
 
 
 def get_example(name: str) -> Scenario:
-    examples = named_examples()
-    if name not in examples:
+    if name not in _EXAMPLES:
         raise DomainError(
-            f"unknown example {name!r}; known: {', '.join(sorted(examples))}")
-    return examples[name]
+            f"unknown example {name!r}; known: {', '.join(sorted(_EXAMPLES))}")
+    return _build_example(name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ComplexStructureError, DomainError, NotSubtorusError
-from .matlin import (RationalMatrix, Sublattice, exterior_basis,
+from .matlin import (RationalMatrix, Sublattice, bareiss, exterior_basis,
                      exterior_power, restrict_and_quotient, saturate)
 
 
@@ -169,37 +169,13 @@ def form_to_ns_vector(torus: ComplexTorus, e: RationalMatrix) -> tuple:
     return tuple(e[i, j] for i, j in pairs)
 
 
-@dataclass(frozen=True)
-class PolarizationForm:
-    """Integral alternating form E with E(Jx, Jy) = E(x, y)."""
-
-    e: RationalMatrix
-
-    def __post_init__(self):
-        if self.e.transpose() != -self.e:
-            raise DomainError("polarization form must be alternating")
-
-
 def _is_positive_definite(s) -> bool:
     """Exact Sylvester test on a symmetric rational matrix via one
-    elimination pass: the k-th leading minor is the product of the first k
-    pivots, so all pivots > 0 is equivalent and aborts early."""
-    if isinstance(s, RationalMatrix):
-        s = s.entries
-    mat = [list(row) for row in s]
-    n = len(mat)
-    for c in range(n):
-        pivot = mat[c][c]
-        if pivot <= 0:
-            return False
-        for i in range(c + 1, n):
-            factor = mat[i][c] / pivot
-            if factor:
-                row_c = mat[c]
-                row_i = mat[i]
-                for j in range(c + 1, n):
-                    row_i[j] -= factor * row_c[j]
-    return True
+    fraction-free elimination pass without row swaps: the k-th pivot is the
+    k-th leading principal minor of D*S (D > 0 clears the denominators), so
+    all pivots > 0 is equivalent and aborts early."""
+    mat = s if isinstance(s, RationalMatrix) else RationalMatrix(s)
+    return bareiss(mat.scaled_rows()[1], definite=True) is not None
 
 
 def is_ample(torus: ComplexTorus, omega) -> bool:

@@ -122,6 +122,15 @@ def test_entropy_positive_for_expanding(e_torus):
     assert lo <= math.log(4) <= hi and lo > 0
 
 
+@pytest.mark.parametrize("name, top", [("mult_2_3", 36), ("gtz_diag", 25)])
+def test_entropy_is_log_of_the_largest_degree(name, top):
+    # topological entropy is log max_j lambda_j, here log lambda_2 = log |det M|,
+    # not log lambda_1 (log 9 and log 5)
+    import math
+    lo, hi = dynamical_degrees(get_example(name).endo).entropy
+    assert lo <= math.log(top) <= hi
+
+
 def test_entropy_zero_for_automorphism():
     d = dynamical_degrees(get_example("mult_by_i").endo)
     lo, hi = d.entropy

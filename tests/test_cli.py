@@ -254,6 +254,18 @@ def test_domain_error_not_holomorphic(capsys, tmp_path):
     assert code == 3
 
 
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import toridyn.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_examples", broken)
+    code, out, err = run(capsys, "examples")
+    assert code == 5 and out == ""
+    assert err == "error[internal]: RuntimeError: boom second line\n"
+
+
 def test_unknown_example(capsys):
     code, _, err = run(capsys, "classify", "--example", "missing")
     assert code == 3

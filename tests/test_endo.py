@@ -4,6 +4,8 @@ fixed subtori, eigenvalue splitting."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toridyn import (DomainError, GaussianRational, InvarianceViolation,
                      NotHolomorphicError, NotSurjectiveError, analytic_charpoly,
@@ -163,3 +165,122 @@ def test_eigen_split_diagonal_product(ee_torus):
     gamma, delta, quot = eigen_split(f, sub)
     assert -delta[0] / delta[1] == GaussianRational.of(2)
     assert -quot[0] / quot[1] == GaussianRational.of(3)
+
+
+# -- the A + iB analytic charpoly against the kernel-of-(J - i) computation
+
+def _oracle_rref(mat):
+    mat = [row[:] for row in mat]
+    rows, cols = len(mat), len(mat[0])
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = GaussianRational.of(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return mat, pivots
+
+
+def _oracle_matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GaussianRational())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def oracle_analytic_charpoly(m, j):
+    """M on the +i eigenspace K = ker(J - i) of J over Q(i): solve K X = M K,
+    then Faddeev-LeVerrier over Q(i)."""
+    d = j.rows
+    g = GaussianRational.of
+    j_minus_i = [[g(j[r, c]) - (GaussianRational(Fraction(0), Fraction(1)) if r == c else 0)
+                  for c in range(d)] for r in range(d)]
+    red, pivots = _oracle_rref(j_minus_i)
+    kernel = []
+    for fc in (c for c in range(d) if c not in pivots):
+        v = [GaussianRational() for _ in range(d)]
+        v[fc] = g(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        kernel.append(v)
+    assert len(kernel) == d // 2
+    basis = [[kernel[c][r] for c in range(len(kernel))] for r in range(d)]
+    mk = _oracle_matmul([[g(m[r, c]) for c in range(d)] for r in range(d)], basis)
+    n = len(kernel)
+    aug, pivots = _oracle_rref([basis[i] + mk[i] for i in range(d)])
+    assert pivots == list(range(n))
+    a = [aug[i][n:] for i in range(n)]
+    coeffs = [GaussianRational() for _ in range(n + 1)]
+    coeffs[n] = g(1)
+    cur = [[g(int(r == c)) for c in range(n)] for r in range(n)]
+    for k in range(1, n + 1):
+        am = _oracle_matmul(a, cur)
+        c = -(sum((am[i][i] for i in range(n)), GaussianRational()) / k)
+        coeffs[n - k] = c
+        cur = [[am[r][s] + (c if r == s else GaussianRational()) for s in range(n)]
+               for r in range(n)]
+    return tuple(coeffs)
+
+
+def _cm_tori():
+    from toridyn import make_torus
+    from toridyn.scenarios import (cm_power_torus, eisenstein_order, elliptic_curve,
+                                   gaussian_order, product, quadratic_order)
+    orders = [gaussian_order(), eisenstein_order(), quadratic_order(2),
+              quadratic_order(3), quadratic_order(4), quadratic_order(5)]
+    tori = [cm_power_torus(o, n) for o in orders for n in (1, 2)]
+    tori.append(cm_power_torus(orders[0], 4))
+    tori.append(product([elliptic_curve(orders[0]), elliptic_curve(orders[1])]))
+    tori.append(product([elliptic_curve(orders[2]), elliptic_curve(orders[0]),
+                         elliptic_curve(orders[0])]))
+    # a rational complex structure whose (v, Jv) basis has a non-integral inverse
+    half = make_torus([[0, Fraction(-1, 2)], [2, 0]])
+    tori += [half, product([half, elliptic_curve(orders[3])])]
+    return tori
+
+
+CM_TORI = _cm_tori()
+
+
+def _commutant(j):
+    """Integer basis of the matrices commuting with J (kernel of X -> XJ - JX)."""
+    from math import lcm
+    from toridyn import RationalMatrix
+    d = j.rows
+    rows = []
+    for r in range(d):
+        for c in range(d):
+            rows.append([(j[k, c] if p == r else 0) - (j[r, p] if k == c else 0)
+                         for p in range(d) for k in range(d)])
+    out = []
+    for v in RationalMatrix(rows).kernel_basis():
+        s = lcm(*(Fraction(x).denominator for x in v))
+        out.append([int(x * s) for x in v])
+    return out
+
+
+COMMUTANTS = {}
+
+
+@given(st.sampled_from(range(len(CM_TORI))), st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_analytic_charpoly_matches_eigenspace_oracle(index, seed):
+    import random
+    torus = CM_TORI[index]
+    basis = COMMUTANTS.setdefault(index, _commutant(torus.j))
+    rng = random.Random(seed)
+    coeffs = [rng.randint(-3, 3) for _ in basis]
+    d = torus.rank
+    flat = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(d * d)]
+    f = make_endo(torus, [flat[r * d:(r + 1) * d] for r in range(d)])
+    expected = oracle_analytic_charpoly(f.m, torus.j)
+    assert analytic_charpoly(f.m, torus.j) == expected
+    assert eigen_data(f).analytic == expected

@@ -184,3 +184,125 @@ def test_restrict_non_invariant_raises_with_witness():
 def test_serialize_fractions():
     a = RationalMatrix([[Fraction(1, 2), Fraction(-3)]])
     assert a.serialize() == ["1/2", "-3"]
+
+
+# -- the integer-first core against sympy (integral and rational, <= 8 x 8)
+
+@st.composite
+def exact_matrices(draw, square=False, rational=None):
+    """Small integral or rational matrices, often rank deficient."""
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    if rational is None:
+        rational = draw(st.booleans())
+    entry = (st.fractions(min_value=-9, max_value=9, max_denominator=6) if rational
+             else st.integers(-9, 9))
+    mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # make the last row a combination of the others
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(rows - 1)]
+        mat[-1] = [sum(c * mat[i][j] for i, c in enumerate(coeffs)) for j in range(cols)]
+    return RationalMatrix(mat)
+
+
+def _exact(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _assert_integer_first(values):
+    """Exact entries only, and integral values stored as int."""
+    for x in values:
+        assert type(x) in (int, Fraction)
+        assert type(x) is int or x.denominator != 1
+
+
+@given(exact_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_det_inverse_charpoly_match_sympy(a):
+    sm = sympy_matrix(a)
+    det = a.det()
+    _assert_integer_first([det])
+    assert det == _exact(sm.det())
+    if det == 0:
+        with pytest.raises(DomainError):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        assert sympy_matrix(inv) == sm.inv()
+        _assert_integer_first(x for row in inv.entries for x in row)
+    expected = [_exact(c) for c in reversed(sm.charpoly().all_coeffs())]
+    p = charpoly(a)
+    if a.is_integral():
+        assert p == IntPolynomial(expected)
+    else:
+        assert list(p) == expected
+
+
+@given(exact_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rank_rref_kernel_match_sympy(a):
+    sm = sympy_matrix(a)
+    assert a.rank() == sm.rank()
+    red, pivots = a.rref()
+    sred, spivots = sm.rref()
+    assert sympy_matrix(red) == sred and tuple(pivots) == spivots
+    kernel = a.kernel_basis()
+    assert [tuple(_exact(x) for x in v) for v in sm.nullspace()] == kernel
+    for v in kernel:
+        _assert_integer_first(v)
+        assert a.apply(v) == (0,) * a.rows
+
+
+@given(exact_matrices(), st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_solve_exact_matches_sympy(a, width, consistent, seed):
+    rng = random.Random(seed)
+    if consistent:
+        x0 = frac_matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                           for _ in range(width)] for _ in range(a.cols)])
+        rhs = a * x0
+    else:
+        rhs = frac_matrix([[rng.randint(-5, 5) for _ in range(width)]
+                           for _ in range(a.rows)])
+    sm, srhs = sympy_matrix(a), sympy_matrix(rhs)
+    solvable = sm.rank() == sm.row_join(srhs).rank()
+    if not solvable:
+        with pytest.raises(DomainError):
+            a.solve_exact(rhs)
+        return
+    x = a.solve_exact(rhs)
+    assert a * x == rhs
+    _assert_integer_first(v for row in x.entries for v in row)
+    if sm.rank() == a.cols:  # unique solution
+        assert sympy_matrix(x) == (sm.T * sm).inv() * sm.T * srhs
+
+
+@given(exact_matrices(square=True), exact_matrices(square=True), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_no_operation_yields_a_float(a, b, k):
+    """Integer-first storage: every entry is an int or a non-integral
+    Fraction, so no true division on entries can silently give a float."""
+    results = [a, -a, a.transpose(), a * 3, a * Fraction(1, 3), a ** k,
+               a.rref()[0], exterior_power(a, min(2, a.rows))]
+    if a.rows == b.rows:
+        results += [a + b, a - b, a * b]
+    if a.det() != 0:
+        results += [a.inverse(), a.solve_exact(b) if a.rows == b.rows else a]
+    for m in results:
+        _assert_integer_first(x for row in m.entries for x in row)
+    _assert_integer_first([a.det(), a.trace()] + list(a.apply([1] * a.cols)))
+    for v in a.kernel_basis():
+        _assert_integer_first(v)
+
+
+def test_positive_definite_test_is_exact():
+    from toridyn.torus import _is_positive_definite
+    big = 10**20
+    # [[1, N], [N, N^2 + 1]] = V^T V with det 1; in floats N^2 + 1 - N * N is 0
+    assert _is_positive_definite([[1, big], [big, big * big + 1]])
+    assert not _is_positive_definite([[1, big], [big, big * big - 1]])
+    assert _is_positive_definite(frac_matrix([[Fraction(1, 3), Fraction(big, 3)],
+                                              [Fraction(big, 3), Fraction(big * big + 1, 3)]]))
+    assert not _is_positive_definite([[0, 0], [0, 1]])
+    assert not _is_positive_definite([[2, 3], [3, 2]])
+    assert _is_positive_definite(RationalMatrix.identity(8) * 2)

@@ -116,6 +116,23 @@ def test_get_example_unknown():
     assert "known:" in str(err.value)
 
 
+def test_get_example_builds_only_the_requested_example(monkeypatch):
+    import toridyn.scenarios as scenarios
+    built = []
+    original = scenarios.cm_matrix_endo
+
+    def spy(torus, order, b, tau=None):
+        built.append(torus.n)
+        return original(torus, order, b, tau)
+
+    monkeypatch.setattr(scenarios, "cm_matrix_endo", spy)
+    assert get_example("gtz_diag").endo.torus.n == 2
+    assert built == [2]  # in particular the n = 4 e4_auto is not built
+    with pytest.raises(DomainError) as err:
+        get_example("e5_auto")
+    assert all(name in str(err.value) for name in named_examples())
+
+
 def test_e4_auto_is_automorphism():
     f = get_example("e4_auto").endo
     assert abs(f.degree_matrix_det) == 1
