@@ -107,7 +107,7 @@ def dynamical_degrees(f: TorusEndomorphism,
     if not f.surjective:
         raise NotSurjectiveError("dynamical degrees require det M != 0")
     mags = h1_magnitudes(f, precision)
-    expanded = mags.sorted_descending()
+    expanded = [e for e in mags.entries for _ in range(e.multiplicity)]
     lowers = sorted((e.lower for e in expanded), reverse=True)
     uppers = sorted((e.upper for e in expanded), reverse=True)
     n = f.torus.n
@@ -374,6 +374,8 @@ class ClassificationReport:
 
 def full_report(f: TorusEndomorphism,
                 precision: Fraction = DEFAULT_PRECISION) -> ClassificationReport:
+    if f.torus.n == 0:
+        raise DomainError("classification needs a torus of positive dimension")
     if not f.surjective:
         raise NotSurjectiveError("classification requires a surjective endomorphism")
     data = eigen_data(f)

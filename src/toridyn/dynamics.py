@@ -127,16 +127,14 @@ class TorsionOrbitGraph:
 
     level: int
     node_count: int
-    period: tuple        # eventual period per node
-    tail: tuple          # tail length per node (0 = periodic)
     cycle_histogram: dict  # cycle length -> number of cycles
-    tail_histogram: dict   # tail length -> node count
+    tail_histogram: dict   # tail length -> node count (0 = periodic)
 
     def periodic_node_count(self) -> int:
-        return sum(1 for t in self.tail if t == 0)
+        return self.tail_histogram[0]
 
     def fixed_node_count(self) -> int:
-        return sum(1 for t, p in zip(self.tail, self.period) if t == 0 and p == 1)
+        return self.cycle_histogram.get(1, 0)
 
 
 def torsion_dynamics(f: TorusEndomorphism, m: int,
@@ -211,8 +209,7 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
             cycles[period[idx]] += 1
     cycle_hist = {length: count // length for length, count in cycles.items()}
     tail_hist = dict(Counter(tail))
-    return TorsionOrbitGraph(m, n_nodes, tuple(period), tuple(tail),
-                             cycle_hist, tail_hist)
+    return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,

@@ -3,27 +3,29 @@
 Integer polynomials with exact arithmetic, Gaussian rationals, cyclotomic
 factor extraction, Kronecker/Salem classification, and certified rational
 enclosures of root magnitudes.  Root-of-unity and unit-circle detection
-never consult floating point.  For magnitudes, floats (then mpmath at
-rising precision) only propose roots; each proposal set is certified in
-exact Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
-(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.
+never consult floating point; real roots are counted by integer Sturm
+sequences.  For magnitudes, floats (then mpmath at rising precision) only
+propose roots; each proposal set is certified in exact Gaussian-integer
+arithmetic by pairwise-disjoint inclusion disks (Braess-Hadeler 1973;
+Carstensen 1991), each holding exactly one root.  A rational |root| of an
+integer polynomial is k/|a_d| for an integer k; an interval becomes the
+exact point k/|a_d| only when the intervals holding that point number
+exactly the roots of that modulus, counted exactly.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import mpmath
-import sympy as _sp
 
 from .errors import DomainError
-
-_X = _sp.Symbol("x")
 
 #: Default certification width for root magnitudes.
 DEFAULT_PRECISION = Fraction(1, 10**9)
@@ -186,9 +188,6 @@ class IntPolynomial:
             i += 1
         return out
 
-    def to_sympy(self):
-        return _sp.Poly(list(reversed(self.coeffs)), _X, domain="ZZ")
-
     def serialize(self):
         """Ascending coefficient list as decimal strings."""
         return [str(c) for c in self.coeffs]
@@ -266,9 +265,6 @@ class MagnitudeEntry:
     upper: Fraction
     multiplicity: int
 
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
     def contains(self, value) -> bool:
         return self.lower <= value <= self.upper
 
@@ -283,16 +279,6 @@ class CertifiedMagnitudeMultiset:
 
     def total_multiplicity(self) -> int:
         return sum(e.multiplicity for e in self.entries)
-
-    def sorted_descending(self):
-        """Entries expanded to one item per root, sorted by interval
-        midpoint descending.  Safe for top-k products because equal true
-        values yield equal products regardless of which entry is picked."""
-        expanded = []
-        for e in self.entries:
-            expanded.extend([e] * e.multiplicity)
-        expanded.sort(key=lambda e: e.lower + e.upper, reverse=True)
-        return expanded
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +329,9 @@ def cyclotomic_root_count(p: IntPolynomial):
     factors = []
     for n in _cyclotomic_indices(p.degree):
         phi_n = cyclotomic_poly(n)
-        if phi_n.degree > remaining.degree:
-            continue
         mult = 0
-        while True:
+        # phi_n | remaining forces phi_n(2) | remaining(2)
+        while phi_n.degree <= remaining.degree and remaining(2) % phi_n(2) == 0:
             quo = remaining.try_divide(phi_n)
             if quo is None:
                 break
@@ -395,10 +380,29 @@ def _trace_polynomial(p: IntPolynomial) -> IntPolynomial:
     return t
 
 
-def _sturm_count(p: IntPolynomial, lo, hi) -> int:
-    """Number of real roots of squarefree p in the closed interval
-    [lo, hi] (exact Sturm via sympy)."""
-    return p.to_sympy().count_roots(_sp.Rational(lo), _sp.Rational(hi))
+def _real_root_count(p: IntPolynomial, lo, hi) -> int:
+    """Number of real roots of squarefree p in (lo, hi]; lo None stands
+    for -oo and hi None for +oo.
+
+    Sturm's theorem (Basu-Pollack-Roy, Algorithms in Real Algebraic
+    Geometry, Thm. 2.62) on the sequence p, p', then minus each
+    pseudo-remainder, scaled by |lc|^(delta+1) and divided by its positive
+    content so that the signs survive.  Sign variations skip zeros and are
+    right-continuous at the roots of p, so V(lo) - V(hi) counts (lo, hi]."""
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        a, b = seq[-2], seq[-1]
+        _, rem = (a * abs(b.coeffs[-1]) ** (a.degree - b.degree + 1))._int_divmod(b)
+        g = math.gcd(*rem)
+        seq.append(IntPolynomial([-c // g for c in rem]))
+
+    def variations(x, infinity):
+        signs = [q(x) if x is not None else q.coeffs[-1] * infinity ** q.degree
+                 for q in seq if q.coeffs]
+        signs = [v for v in signs if v]
+        return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
+
+    return variations(lo, -1) - variations(hi, 1)
 
 
 def unit_circle_root_count(p: IntPolynomial) -> int:
@@ -412,41 +416,19 @@ def unit_circle_root_count(p: IntPolynomial) -> int:
         raise DomainError("zero polynomial")
     total = 0
     for factor, mult in p.squarefree_decomposition():
-        if factor.degree < 1:
-            continue
         r = factor.gcd(factor.reversal())
         r, m1 = _strip_root(r, 1)
         r, m2 = _strip_root(r, -1)
         circle = m1 + m2
         if r.degree >= 2:
             t = _trace_polynomial(r)
-            circle += 2 * _sturm_count(t, -2, 2)
+            circle += 2 * _real_root_count(t, -2, 2)
         total += circle * mult
     return total
 
 
 # ---------------------------------------------------------------------------
 # Certified root magnitudes
-
-
-def _exact_sqrt(m2: Fraction):
-    """sqrt(m2) when it is rational, else None."""
-    if m2 < 0:
-        return None
-    num, den = isqrt(m2.numerator), isqrt(m2.denominator)
-    if num * num == m2.numerator and den * den == m2.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _exact_magnitude(q: IntPolynomial):
-    """The common |root| of an irreducible linear factor, or of a quadratic
-    with a complex root pair (|root|^2 = c/a), when it is rational."""
-    if q.degree == 1:
-        return abs(Fraction(q[0], q[1]))
-    if q.degree == 2 and q[1] * q[1] < 4 * q[0] * q[2]:
-        return _exact_sqrt(Fraction(q[0], q[2]))
-    return None
 
 
 def _float_roots(coeffs):
@@ -551,19 +533,23 @@ def _inclusion_radii(coeffs, centres, k: int):
 
 
 def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
-    """Certified |root| intervals for an irreducible integer polynomial of
-    degree >= 2.
+    """Certified (lower, upper) |root| intervals, one per root, for a
+    squarefree integer polynomial with nonzero constant term.
 
     Float proposals, then mpmath ones at doubling precision, are rounded to
-    dyadic centres and certified by exact inclusion disks.  A round is
-    accepted when the disks are disjoint, every interval that excludes 1 is
-    at most `precision` wide, and as many intervals contain 1 as the exact
-    count of unit-circle roots; those intervals snap to the point [1, 1]."""
-    coeffs = q.coeffs
+    dyadic centres and certified by exact inclusion disks.  A rational
+    |root| is k/|a_d| for an integer k >= 1, since a_d z is an algebraic
+    integer.  A round is accepted when the disks are disjoint, each interval
+    holds at most one such candidate, the intervals holding a candidate
+    r = a/b number exactly the roots of modulus r (the unit-circle roots of
+    b^d q(a x / b)), and every other interval is at most `precision` wide.
+    The intervals holding a candidate snap to the point [r, r]."""
+    coeffs, d = q.coeffs, q.degree
+    lead = abs(coeffs[-1])
     # intervals are rounded outward to the grid 2^-scale
     scale = (precision.denominator // precision.numerator).bit_length() + 8
     zs, bits, dps = _float_roots(coeffs), 53, 0
-    on_circle = None
+    on_modulus = {}  # candidate r -> number of roots of modulus r
     while True:
         radii = None
         if zs is not None:
@@ -576,16 +562,23 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
             for (x, y), r in zip(centres, radii):
                 c = isqrt(x * x + y * y)  # |root| is within r of |z|
                 boxed.append((max(c - r, 0) >> shift, -(-(c + r + 1) >> shift)))
-            meets = sum(lo <= one <= hi for lo, hi in boxed)
-            if meets and on_circle is None:
-                on_circle = unit_circle_root_count(q)
-            if meets != (on_circle or 0):
-                scale = k  # a root off the circle is too close to 1 for the grid
+            # the candidates j/lead in [lo, hi] / 2^scale have j = first..last
+            spans = [(max(-(-lo * lead >> scale), 1), hi * lead >> scale)
+                     for lo, hi in boxed]
+            held = [Fraction(first, lead) if first == last else None
+                    for first, last in spans]
+            candidates = set(held) - {None}
+            for r in candidates - on_modulus.keys():
+                a, b = r.numerator, r.denominator
+                on_modulus[r] = unit_circle_root_count(IntPolynomial(
+                    [c * a**j * b**(d - j) for j, c in enumerate(coeffs)]))
+            if any(last > first for first, last in spans) or any(
+                    held.count(r) != on_modulus[r] for r in candidates):
+                scale = k  # a candidate is too close to a root for the grid
             elif all(Fraction(hi - lo, one) <= precision
-                     for lo, hi in boxed if not lo <= one <= hi):
-                return [MagnitudeEntry(Fraction(1), Fraction(1), 1) if lo <= one <= hi
-                        else MagnitudeEntry(Fraction(lo, one), Fraction(hi, one), 1)
-                        for lo, hi in boxed]
+                     for r, (lo, hi) in zip(held, boxed) if r is None):
+                return [(r, r) if r is not None else (Fraction(lo, one), Fraction(hi, one))
+                        for r, (lo, hi) in zip(held, boxed)]
         if dps > 5000:  # pragma: no cover - safety valve
             raise DomainError("root magnitude refinement failed to converge")
         # disjoint disks mean the proposals are good seeds for the next round
@@ -594,30 +587,11 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
         zs, bits = _mp_roots(coeffs, dps, seeds), int(3.32 * dps)
 
 
-def _magnitude_intervals(factor: IntPolynomial, precision: Fraction):
-    """Certified |root| intervals for a squarefree integer polynomial with
-    nonzero constant term.
-
-    The polynomial is factored over Q first: a linear factor, or a complex
-    quadratic pair whose |root|^2 = c/a is a rational square, gives an exact
-    point; every other irreducible factor goes through the inclusion-disk
-    certificate."""
-    entries = []
-    _, factors = factor.to_sympy().factor_list()
-    for fac, _mult in factors:
-        q = IntPolynomial([int(c) for c in reversed(fac.all_coeffs())])
-        exact = _exact_magnitude(q)
-        if exact is not None:
-            entries.append(MagnitudeEntry(exact, exact, q.degree))
-        else:
-            entries.extend(_disk_magnitudes(q, precision))
-    return entries
-
-
 def root_magnitudes(p: IntPolynomial, precision=DEFAULT_PRECISION) -> CertifiedMagnitudeMultiset:
     """Certified enclosures of all root magnitudes of p with exact
-    multiplicities; each interval has width <= precision.  Cached: the
-    classification layer asks for the same charpoly repeatedly."""
+    multiplicities; each interval has width <= precision or is an exact
+    point.  Cached: the classification layer asks for the same charpoly
+    repeatedly."""
     return _root_magnitudes_cached(p, Fraction(precision))
 
 
@@ -627,39 +601,14 @@ def _root_magnitudes_cached(p: IntPolynomial, precision: Fraction) -> CertifiedM
         raise DomainError("zero polynomial has no roots to enclose")
     if precision <= 0:
         raise DomainError("precision must be positive")
-    entries = []
-    # roots at zero
-    k = 0
-    while p[k] == 0 and k <= p.degree:
-        k += 1
-    if k:
-        entries.append(MagnitudeEntry(Fraction(0), Fraction(0), k))
-        p = IntPolynomial(p.coeffs[k:])
+    merged = Counter()
+    zeros = next(k for k, c in enumerate(p.coeffs) if c)
+    if zeros:
+        merged[Fraction(0), Fraction(0)] = zeros
+        p = IntPolynomial(p.coeffs[zeros:])
     for factor, mult in p.squarefree_decomposition():
-        if factor.degree < 1:
-            continue
-        # exact magnitude 1 for the cyclotomic part without any numerics
-        remaining = factor
-        cyc_degree = 0
-        for n in _cyclotomic_indices(factor.degree):
-            phi_n = cyclotomic_poly(n)
-            # phi_n | remaining forces phi_n(2) | remaining(2)
-            if phi_n.degree > remaining.degree or remaining(2) % phi_n(2):
-                continue
-            quo = remaining.try_divide(phi_n)
-            if quo is not None:
-                remaining = quo
-                cyc_degree += phi_n.degree
-        if cyc_degree:
-            entries.append(MagnitudeEntry(Fraction(1), Fraction(1), cyc_degree * mult))
-        if remaining.degree >= 1:
-            for e in _magnitude_intervals(remaining, precision):
-                entries.append(MagnitudeEntry(e.lower, e.upper, e.multiplicity * mult))
-    # merge identical intervals
-    merged = {}
-    for e in entries:
-        key = (e.lower, e.upper)
-        merged[key] = merged.get(key, 0) + e.multiplicity
+        for interval in _disk_magnitudes(factor, precision):
+            merged[interval] += mult
     out = tuple(MagnitudeEntry(lo, hi, m) for (lo, hi), m in sorted(merged.items()))
     return CertifiedMagnitudeMultiset(out, precision)
 
@@ -688,36 +637,11 @@ def polynomial_class(p: IntPolynomial) -> str:
         above_one = 0
         in_unit = 0
         for factor, mult in p.squarefree_decomposition():
-            if factor.degree < 1:
-                continue
-            above_one += mult * _count_real_roots_above(factor, Fraction(1))
-            in_unit += mult * _count_real_roots_between(factor, Fraction(0), Fraction(1))
+            above_one += mult * _real_root_count(factor, 1, None)
+            in_unit += mult * (_real_root_count(factor, 0, 1) - (factor(1) == 0))
         if (above_one == 1 and in_unit == 1 and circle == p.degree - 2
                 and circle >= 2):
             return "salem"
         if circle == 0:
             return "off-circle-reciprocal"
     return "other"
-
-
-def _cauchy_bound(p: IntPolynomial) -> int:
-    lead = abs(p.coeffs[-1])
-    return 1 + max(abs(c) for c in p.coeffs) // lead + 1
-
-
-def _count_real_roots_above(p: IntPolynomial, threshold: Fraction) -> int:
-    """Real roots of squarefree p strictly above threshold."""
-    lin = IntPolynomial([-threshold.numerator, threshold.denominator])
-    if p(threshold) == 0:
-        p = p.try_divide(lin) or p
-    return _sturm_count(p, threshold, _cauchy_bound(p))
-
-
-def _count_real_roots_between(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Real roots in the open interval (lo, hi) of squarefree p."""
-    count = _sturm_count(p, lo, hi)
-    if p(lo) == 0:
-        count -= 1
-    if p(hi) == 0:
-        count -= 1
-    return count

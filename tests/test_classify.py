@@ -10,7 +10,8 @@ import pytest
 from toridyn import (DomainError, NotSurjectiveError, amplified,
                      chain_violations, dynamical_degrees, finite_order,
                      full_report, is_ample,
-                     iterate, make_endo, ns_action, polarization_q_candidate,
+                     iterate, make_endo, make_torus, ns_action,
+                     polarization_q_candidate,
                      polarized, serre_test, verify_chain, verify_iterates)
 from toridyn.classify import _integer_nth_root
 from toridyn.scenarios import get_example
@@ -241,6 +242,19 @@ def test_full_report_notes_on_unity_factor():
     r = full_report(get_example("mult_2_1").endo)
     assert not r.unity_free and r.amplified == "no"
     assert r.polarized != "yes"
+
+
+def test_full_report_rejects_the_zero_dimensional_torus(monkeypatch):
+    # the empty map is both unity-free and of finite order 1, so the
+    # verdicts would contradict each other; none of them is computed
+    import toridyn.classify as classify
+
+    def no_verdicts(*args):
+        raise AssertionError("a verdict was computed")
+
+    monkeypatch.setattr(classify, "eigen_data", no_verdicts)
+    with pytest.raises(DomainError, match="positive dimension"):
+        full_report(make_endo(make_torus([]), []))
 
 
 def test_report_to_dict_deterministic():

@@ -2,6 +2,7 @@
 subtorus orbits."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -125,8 +126,11 @@ def test_torsion_dynamics_matches_brute_force(e_torus):
         graph = torsion_dynamics(f, m)
         succ = brute_force_graph(f, m)
         assert graph.node_count == m ** 2 == len(succ)
-        periodic = sum(1 for v in succ if eventual_period(succ, v)[1] == 0)
+        tails = Counter(eventual_period(succ, v)[1] for v in succ)
+        periodic = tails[0]
         assert graph.periodic_node_count() == periodic
+        assert graph.tail_histogram == tails
+        assert graph.fixed_node_count() == sum(1 for v in succ if succ[v] == v)
         total_cycle_nodes = sum(l * c for l, c in graph.cycle_histogram.items())
         assert total_cycle_nodes == periodic
 
@@ -144,7 +148,7 @@ def test_torsion_dynamics_tails(e_torus):
     graph = torsion_dynamics(mult_map(e_torus, 2), 4)
     assert graph.node_count == 16
     assert graph.periodic_node_count() == 1  # only 0 is periodic
-    assert max(graph.tail) == 2
+    assert max(graph.tail_histogram) == 2
 
 
 def test_torsion_dynamics_budget(e_torus):

@@ -2,15 +2,19 @@
 counts, certified magnitudes."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toridyn import (DomainError, GaussianRational, IntPolynomial,
+from toridyn import (DEFAULT_PRECISION, DomainError, GaussianRational,
+                     IntPolynomial,
                      cyclotomic_poly, cyclotomic_root_count,
                      gaussian_order, is_kronecker, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
@@ -118,6 +122,43 @@ def test_unit_circle_root_count(coeffs, expected):
     assert unit_circle_root_count(IntPolynomial(coeffs)) == expected
 
 
+# -- integer Sturm counts
+
+@st.composite
+def squarefree_with_endpoints(draw):
+    """A squarefree integer polynomial of degree 1..8 with some rational
+    roots, and endpoints drawn from its rational roots, other rationals
+    and None (for -oo or +oo)."""
+    roots = draw(st.lists(st.fractions(-4, 4, max_denominator=5), max_size=3,
+                          unique=True))
+    p = IntPolynomial(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6)))
+    for r in roots:
+        p = p * IntPolynomial([-r.numerator, r.denominator])
+    assume(1 <= p.degree <= 8 and p.gcd(p.derivative()).degree == 0)
+    point = st.one_of(st.sampled_from(roots) if roots else st.nothing(),
+                      st.fractions(-6, 6, max_denominator=7))
+    lo, hi = sorted([draw(point), draw(point)])
+    return p, draw(st.sampled_from([lo, None])), draw(st.sampled_from([hi, None]))
+
+
+@given(squarefree_with_endpoints())
+@settings(max_examples=150, deadline=None)
+def test_real_root_count_matches_sympy(case):
+    p, lo, hi = case
+    poly = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
+    # sympy counts the closed interval [lo, hi]; ours is (lo, hi]
+    expected = poly.count_roots(lo, hi) - (lo is not None and p(lo) == 0)
+    assert exactnum._real_root_count(p, lo, hi) == expected
+
+
+def test_import_does_not_load_sympy():
+    code = "import sys, toridyn; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
 # -- certified magnitudes
 
 def test_salem_quartic_magnitudes():
@@ -140,6 +181,26 @@ def test_rational_roots_are_exact_points():
     # complex pair -1 +/- i sqrt(3): |root|^2 = c/a = 4 gives the point 2
     mags = root_magnitudes(IntPolynomial([4, 2, 1]))
     assert [(e.lower, e.upper, e.multiplicity) for e in mags.entries] == [(2, 2, 2)]
+    # a rational |root| is k/|a_d|, also for irreducible factors of degree
+    # >= 3 and for leading coefficients other than 1
+    cases = [([16, 0, 1, 0, 1], DEFAULT_PRECISION, (2, 2, 4)),
+             ([1, 0, 4], DEFAULT_PRECISION, (Fraction(1, 2), Fraction(1, 2), 2)),
+             ([1, 0, 10**6], Fraction(1, 1000), (Fraction(1, 1000), Fraction(1, 1000), 2))]
+    for coeffs, precision, entry in cases:
+        mags = root_magnitudes(IntPolynomial(coeffs), precision)
+        assert [(e.lower, e.upper, e.multiplicity) for e in mags.entries] == [entry]
+    # |root| = sqrt(2)/1000 is irrational, but an interval 1/1000 wide holds
+    # many candidates k/10^6: the grid is refined until none is held
+    mags = root_magnitudes(IntPolynomial([-2, 0, 10**6]), Fraction(1, 1000))
+    assert mags.total_multiplicity() == 2
+    for e in mags.entries:
+        assert e.lower < e.upper and e.lower**2 * 10**6 < 2 < e.upper**2 * 10**6
+    # (x - 2)(x - 10^10) + 1 has a root about 1e-10 above 2: the interval
+    # that holds the candidate 2 at precision 1/10 must not snap to it
+    p = IntPolynomial([2 * 10**10 + 1, -(10**10 + 2), 1])
+    near = min(root_magnitudes(p, Fraction(1, 10)).entries, key=lambda e: e.lower)
+    assert 2 < near.lower and near.upper - near.lower <= Fraction(1, 10)
+    assert p(near.lower) >= 0 >= p(near.upper)  # p falls through the root
 
 
 def test_magnitude_of_cyclotomic_products_is_exact_one():
