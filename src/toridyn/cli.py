@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (DomainError, InvariantViolation, ParseError,
                      ResourceError, ToridynError)
@@ -303,7 +304,10 @@ def _positive_rational(text):
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once; the subcommand `x-y` runs
+    `cmd_x_y`."""
     parser = argparse.ArgumentParser(
         prog="toridyn",
         description="Exact classification and dynamics of surjective "
@@ -320,33 +324,27 @@ def build_parser():
 
     p = sub.add_parser("classify", help="full classification report")
     scenario_args(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("degrees", help="certified dynamical degrees")
     scenario_args(p)
-    p.set_defaults(func=cmd_degrees)
 
     p = sub.add_parser("fixed-points", help="fixed points of an iterate")
     scenario_args(p)
     p.add_argument("--iterate", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("torsion", help="orbit graph on m-torsion")
     scenario_args(p)
     p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("quotient", help="eigenvalue split along a subtorus")
     scenario_args(p)
     p.add_argument("--sublattice", help="named sublattice from the scenario")
-    p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("orbit", help="orbit of a subtorus")
     scenario_args(p)
     p.add_argument("--sublattice", help="named sublattice from the scenario")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_ORBIT_BOUND)
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("sweep", help="random verification sweep")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -357,20 +355,19 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterate", type=_positive_int, default=3,
                    help="iterate-stability depth per sample")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("examples", help="list named examples")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_examples)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a replaced handler takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return EXIT_PARSE

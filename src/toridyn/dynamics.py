@@ -1,16 +1,18 @@
 """Fixed points, periodic point counts, Lefschetz numbers, torsion-level
 orbit graphs, and subtorus orbit behaviour.
 
-Fixed-point congruences are solved through the Smith normal form; orbit
-graphs are exhaustive over the m-torsion lattice and therefore budgeted.
+Fixed-point congruences are solved through the Smith normal form and
+enumerated in integers over one common denominator.  Orbit graphs are
+exhaustive over the m-torsion lattice and therefore budgeted; they are
+built by whole-array numpy passes, and numpy is imported only then.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, smith_form
@@ -52,36 +54,37 @@ class FixedPointSet:
 def _solve_congruence(m_minus_i: RationalMatrix, rhs):
     """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (points,
     free_directions) where free_directions are integer kernel generators,
-    or None when inconsistent."""
+    or None when inconsistent.
+
+    With U (M - I) V = diag(d_i) and c = U rhs, y = V^{-1} x solves
+    d_i y_i = c_i, so y_i = (c_i + j) / d_i for 0 <= j < |d_i|.  Every
+    option is written over one common denominator D and x D = V (y D)
+    is enumerated mod D in integers."""
     d = m_minus_i.rows
     dec = smith_form(m_minus_i)
-    c = dec.u.apply(rhs)
-    factors = [dec.d[i, i].numerator for i in range(d)]
-    coords = []
-    free = []
-    for i, di in enumerate(factors):
-        ci = Fraction(c[i])
+    c = [Fraction(ci) for ci in dec.u.apply(rhs)]
+    factors = [abs(dec.d[i, i].numerator) for i in range(d)]
+    free = [i for i, di in enumerate(factors) if di == 0]
+    if any(c[i].denominator != 1 for i in free):
+        return None
+    denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
+    columns = []  # per coordinate i: column i of V times each y_i D
+    for i, (di, ci) in enumerate(zip(factors, c)):
         if di == 0:
-            if ci.denominator != 1:
-                return None
-            free.append(i)
-            coords.append([Fraction(0)])
-        else:
-            di = abs(di)
-            coords.append([Fraction(ci + j_, di) % 1 for j_ in range(di)])
-    points = [[]]
-    for options in coords:
-        points = [p + [o] for p in points for o in options]
-    out = []
-    for y in points:
-        x = dec.v.apply(y)
-        out.append(tuple(t % 1 for t in x))
-    kernel_dirs = []
-    for i in free:
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        kernel_dirs.append(dec.v.apply(e))
-    return sorted(set(out)), kernel_dirs
+            columns.append([(0,) * d])
+            continue
+        step = denom // di
+        base = ci.numerator * (step // ci.denominator)
+        col = dec.v.column(i)
+        columns.append([tuple(e * (base + j * step) for e in col)
+                        for j in range(di)])
+    out = {tuple(sum(t) % denom for t in zip(*choice))
+           for choice in itertools.product(*columns)}
+    # sorting the numerators sorts the points, since D is common
+    shared = {k: Fraction(k, denom) for k in set().union(*out)}
+    points = [tuple(shared[k] for k in x) for x in sorted(out)]
+    kernel_dirs = [dec.v.column(i) for i in free]
+    return points, kernel_dirs
 
 
 def fixed_points(f: TorusEndomorphism) -> FixedPointSet:
@@ -142,7 +145,8 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     """Orbit graph of x -> M x + m*tau on (Z/m)^{2n}.
 
     Torsion points a = x/m; f(a) has coordinates (M x + m tau)/m, so the
-    translation must have denominators dividing m."""
+    translation must have denominators dividing m.  Nodes are mixed-radix
+    integers, last coordinate fastest."""
     if m < 1:
         raise DomainError("torsion level must be >= 1")
     for t in f.tau:
@@ -152,64 +156,86 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     n_nodes = m**d
     if n_nodes > budget:
         raise ResourceError(f"torsion graph needs {n_nodes} nodes, budget {budget}")
-    mint = f.m.to_integer()
-    shift = [int(t * m) % m for t in f.tau]
-    # successor array over mixed-radix encoded nodes
-    succ = [0] * n_nodes
-    radix = [m**(d - 1 - i) for i in range(d)]
-    coords = [0] * d
-    for idx in range(n_nodes):
-        s = 0
-        for i in range(d):
-            acc = shift[i]
-            row = mint[i]
-            for jj in range(d):
-                acc += row[jj] * coords[jj]
-            s += (acc % m) * radix[i]
-        succ[idx] = s
-        # increment mixed-radix counter (last coordinate fastest)
-        for i in range(d - 1, -1, -1):
-            coords[i] += 1
-            if coords[i] < m:
-                break
-            coords[i] = 0
-    period = [0] * n_nodes
-    tail = [-1] * n_nodes
-    state = [0] * n_nodes  # 0 unvisited, 1 in progress, 2 done
-    for start in range(n_nodes):
-        if state[start] != 0:
-            continue
-        path = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = succ[node]
-        if state[node] == 1:
-            # found a new cycle; node is on it
-            cycle_start = path.index(node)
-            cyc_len = len(path) - cycle_start
-            for p in path[cycle_start:]:
-                period[p] = cyc_len
-                tail[p] = 0
-            for i, p in enumerate(path[:cycle_start]):
-                period[p] = cyc_len
-                tail[p] = cycle_start - i
-        else:
-            base_tail = tail[node]
-            base_per = period[node]
-            for i, p in enumerate(path):
-                period[p] = base_per
-                tail[p] = base_tail + len(path) - i
-        for p in path:
-            state[p] = 2
-    cycles = Counter()
-    for idx in range(n_nodes):
-        if tail[idx] == 0:
-            cycles[period[idx]] += 1
-    cycle_hist = {length: count // length for length, count in cycles.items()}
-    tail_hist = dict(Counter(tail))
+    try:
+        cycle_hist, tail_hist = _orbit_histograms(f, m, n_nodes)
+    except MemoryError:
+        raise ResourceError(
+            f"torsion graph of {n_nodes} nodes does not fit in memory") from None
     return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
+
+
+def _orbit_histograms(f, m, n):
+    """(cycle length -> cycles, tail length -> nodes) of the orbit graph
+    on n = m^d nodes, by whole-array numpy passes.
+
+    Every value stays below n: a term is a residue times an entry of M
+    reduced mod m, so at most (m-1)^2, and a partial sum is reduced mod m
+    after each term, so it is at most m^2 - m.  The rank d is 0 (no
+    arithmetic at all) or at least 2, where m^2 <= m^d = n; so int32
+    suffices whenever n < 2^31."""
+    import numpy as np
+
+    def histogram(values):
+        counts = np.bincount(values)
+        keys = np.flatnonzero(counts)
+        return dict(zip(keys.tolist(), counts[keys].tolist()))
+
+    d = f.torus.rank
+    dtype = np.int32 if n < 2**31 else np.int64
+    mint = [[x % m for x in row] for row in f.m.to_integer()]
+    shift = [int(t * m) % m for t in f.tau]
+    residues = np.arange(m, dtype=dtype)
+    # successor map, one output coordinate at a time: its value over the
+    # whole grid is a broadcast sum of d residue vectors, one per axis
+    succ = np.zeros(n, dtype)
+    for i in range(d):
+        acc = np.full((1,) * d, shift[i], dtype)
+        for j in range(d):
+            axis = [1] * d
+            axis[j] = m
+            acc = acc + (residues * mint[i][j] % m).reshape(axis)
+            acc %= m
+        acc *= m**(d - 1 - i)
+        succ += acc.reshape(n)
+    # cycle nodes: peel nodes of in-degree 0 until none is left
+    indeg = np.bincount(succ, minlength=n)
+    on_cycle = np.ones(n, bool)
+    frontier = np.flatnonzero(indeg == 0)
+    while frontier.size:
+        on_cycle[frontier] = False
+        targets = succ[frontier]
+        np.subtract.at(indeg, targets, 1)
+        frontier = np.unique(targets[indeg[targets] == 0])
+    del indeg
+    # tails: one more than the successor's, filled in rounds over the
+    # nodes still unknown
+    tail = np.full(n, -1, dtype)
+    tail[on_cycle] = 0
+    unknown = np.flatnonzero(~on_cycle)
+    while unknown.size:
+        nxt = tail[succ[unknown]]
+        known = nxt >= 0
+        tail[unknown[known]] = nxt[known] + 1
+        unknown = unknown[~known]
+    # cycle lengths: label each cycle node by the least compact index on
+    # its cycle (pointer doubling), then count the labels
+    cyc = np.flatnonzero(on_cycle).astype(dtype)
+    del on_cycle
+    position = np.zeros(n, dtype)
+    position[cyc] = np.arange(cyc.size, dtype=dtype)
+    jump = position[succ[cyc]]
+    del position
+    label = np.arange(cyc.size, dtype=dtype)
+    # a window of 2^r nodes that misses some cycle's least index moves a
+    # label in the next round, so a round that moves none is the last
+    while True:
+        merged = np.minimum(label, label[jump])
+        if np.array_equal(merged, label):
+            break
+        label = merged
+        jump = jump[jump]
+    lengths = np.bincount(label)
+    return histogram(lengths[lengths > 0]), histogram(tail)
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,

@@ -265,9 +265,6 @@ class MagnitudeEntry:
     upper: Fraction
     multiplicity: int
 
-    def contains(self, value) -> bool:
-        return self.lower <= value <= self.upper
-
 
 @dataclass(frozen=True)
 class CertifiedMagnitudeMultiset:
@@ -312,11 +309,12 @@ def _euler_phi(n: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic_indices(max_degree: int):
     """All n with phi(n) <= max_degree; phi(n) >= sqrt(n/2) bounds the
     search."""
     bound = 2 * max_degree * max_degree + 2
-    return [n for n in range(1, bound + 1) if _euler_phi(n) <= max_degree]
+    return tuple(n for n in range(1, bound + 1) if _euler_phi(n) <= max_degree)
 
 
 def cyclotomic_root_count(p: IntPolynomial):

@@ -161,6 +161,23 @@ def test_torsion_budget_exhausted(capsys):
     assert "error[resource]" in err
 
 
+def test_torsion_unallocatable_graph_is_a_resource_error(capsys):
+    # 10^14 nodes pass this budget but cannot be allocated; the request
+    # fails at once without touching memory
+    code, out, err = run(capsys, "torsion", "--example", "mult_by_i",
+                         "--level", str(10**7), "--budget", str(10**14))
+    assert code == 4 and out == ""
+    assert err.startswith("error[resource]: ")
+
+
+def test_parser_is_reused_across_calls(capsys):
+    from toridyn import cli
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "examples", "--format", "json")[0] == 0
+    assert run(capsys, "fixed-points", "--example", "mult_2_3",
+                "--format", "json")[0] == 0
+
+
 # -- quotient and orbit
 
 def test_quotient_first_factor(capsys):

@@ -2,6 +2,9 @@
 subtorus orbits."""
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -64,6 +67,35 @@ def test_fixed_points_brute_force_agreement(e_torus):
     assert set(fp.points) == expected
 
 
+@pytest.mark.parametrize("name, tau", [
+    ("mult_2_3", (Fraction(1, 5), 0, Fraction(2, 7), 0)),
+    ("gtz_diag", (Fraction(1, 3), Fraction(1, 4), 0, Fraction(1, 5))),
+])
+def test_fixed_points_translation_denominator_off_smith_factors(name, tau):
+    endo = get_example(name).endo
+    f = make_endo(endo.torus, endo.m, tau)
+    fp = fixed_points(f)
+    assert fp.kind == "finite"
+    assert fp.count() == abs(lefschetz_number(f)) == len(set(fp.points))
+    assert list(fp.points) == sorted(fp.points)
+    for x in fp.points:
+        assert all(0 <= t < 1 for t in x)
+        image = f.m.apply(x)
+        assert all((image[i] + f.tau[i] - x[i]).denominator == 1
+                   for i in range(len(x)))
+
+
+def test_fixed_points_common_denominator_brute_force(e_torus):
+    # 2x = -tau with tau = (1/3, 0): Smith factors (2, 2), points over 6
+    f = make_endo(e_torus, [[3, 0], [0, 3]], tau=[Fraction(1, 3), 0])
+    grid = [Fraction(k, 12) for k in range(12)]
+    expected = sorted((x, y) for x, y in itertools.product(grid, repeat=2)
+                      if ((3 * x + Fraction(1, 3) - x).denominator == 1
+                          and (2 * y).denominator == 1))
+    assert list(fixed_points(f).points) == expected
+    assert len(expected) == 4
+
+
 def test_fixed_points_pure_translation_empty(e_torus):
     f = make_endo(e_torus, [[1, 0], [0, 1]], tau=[Fraction(1, 3), 0])
     assert fixed_points(f).kind == "empty"
@@ -120,19 +152,57 @@ def eventual_period(succ, start):
     return steps - seen[v], seen[v]  # period, tail
 
 
+def assert_matches_brute_force(f, m):
+    graph = torsion_dynamics(f, m)
+    succ = brute_force_graph(f, m)
+    assert graph.node_count == m ** f.torus.rank == len(succ)
+    orbits = {v: eventual_period(succ, v) for v in succ}
+    tails = Counter(tail for _, tail in orbits.values())
+    periodic = tails[0]
+    assert graph.periodic_node_count() == periodic
+    assert graph.tail_histogram == tails
+    assert graph.fixed_node_count() == sum(1 for v in succ if succ[v] == v)
+    total_cycle_nodes = sum(l * c for l, c in graph.cycle_histogram.items())
+    assert total_cycle_nodes == periodic
+    cycles = Counter()  # each cycle counted at its least node
+    for v, (period, tail) in orbits.items():
+        cycle = [v]
+        while tail == 0 and len(cycle) < period:
+            cycle.append(succ[cycle[-1]])
+        if tail == 0 and v == min(cycle):
+            cycles[period] += 1
+    assert graph.cycle_histogram == cycles
+
+
 def test_torsion_dynamics_matches_brute_force(e_torus):
     f = make_endo(e_torus, [[2, 1], [-1, 2]], tau=[Fraction(1, 2), 0])
     for m in (2, 4, 6):
-        graph = torsion_dynamics(f, m)
-        succ = brute_force_graph(f, m)
-        assert graph.node_count == m ** 2 == len(succ)
-        tails = Counter(eventual_period(succ, v)[1] for v in succ)
-        periodic = tails[0]
-        assert graph.periodic_node_count() == periodic
-        assert graph.tail_histogram == tails
-        assert graph.fixed_node_count() == sum(1 for v in succ if succ[v] == v)
-        total_cycle_nodes = sum(l * c for l, c in graph.cycle_histogram.items())
-        assert total_cycle_nodes == periodic
+        assert_matches_brute_force(f, m)
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name, m, tau", [
+    ("gtz_diag", 4, None), ("gtz_diag", 6, (HALF, 0, 0, HALF)),
+    ("gtz_diag", 8, (0, HALF, HALF, 0)), ("gtz_diag", 10, (HALF, HALF, 0, 0)),
+    ("mult_2_3", 4, None), ("mult_2_3", 6, (HALF, 0, 0, HALF)),
+    ("mult_2_3", 8, None), ("mult_2_3", 8, (0, HALF, HALF, HALF)),
+])
+def test_torsion_dynamics_rank4_matches_brute_force(name, m, tau):
+    endo = get_example(name).endo
+    assert_matches_brute_force(make_endo(endo.torus, endo.m, tau), m)
+
+
+def test_torsion_dynamics_long_tails_past_2_16_nodes(e_torus):
+    # x -> (1+i) x on Z[i]/2^9 = Z[i]/pi^18 with pi = 1+i: a point of
+    # pi-valuation v < 18 has tail 18 - v, and 2^(t-1) points have tail t
+    k = 9
+    graph = torsion_dynamics(make_endo(e_torus, [[1, -1], [1, 1]]), 2**k,
+                             budget=2**18)
+    assert graph.node_count == 2**18
+    assert graph.tail_histogram == {0: 1, **{t: 2**(t - 1) for t in range(1, 2 * k + 1)}}
+    assert graph.cycle_histogram == {1: 1}
 
 
 def test_torsion_dynamics_doubling_level3(e_torus):
@@ -149,6 +219,17 @@ def test_torsion_dynamics_tails(e_torus):
     assert graph.node_count == 16
     assert graph.periodic_node_count() == 1  # only 0 is periodic
     assert max(graph.tail_histogram) == 2
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported by the first torsion graph, not by the package
+    code = ("import sys, toridyn, toridyn.cli; print('numpy' in sys.modules); "
+            "toridyn.torsion_dynamics(toridyn.get_example('mult_by_i').endo, 2); "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_torsion_dynamics_budget(e_torus):
