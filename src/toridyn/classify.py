@@ -2,31 +2,29 @@
 polarized, the Serre magnitude test, dynamical degrees and entropy, and
 verification of the implication chain and its stability under iteration.
 
-Amplified and polarized are three-valued verdicts: the decision tree
-settles every case the theory settles exactly, and reports `inconclusive`
-instead of guessing when a bounded witness search comes up empty.
+Amplified and polarized are decided exactly from the spectrum of M, with
+no search; each "yes" carries an integer NS witness.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 import mpmath
 
 from .errors import DomainError, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, is_kronecker,
-                       polynomial_class, root_magnitudes)
+                       polynomial_class, root_magnitudes,
+                       unit_circle_root_count)
 from .matlin import RationalMatrix, exterior_power
 from .endo import (TorusEndomorphism, eigen_data, iterate, unity_free)
 from .dynamics import lefschetz_number
-from .torus import is_ample, neron_severi
-
-AMPLE_SEARCH_BUDGET = 10**4
-AMPLE_SEARCH_HEIGHT = 8
+from .torus import (_is_positive_definite, _primitive_integer_vector,
+                    canonical_ample_class, form_to_ns_vector, neron_severi,
+                    ns_vector_to_form)
 
 
 def h1_magnitudes(f: TorusEndomorphism, precision=DEFAULT_PRECISION):
@@ -83,7 +81,7 @@ class DegreeData:
 
     intervals: tuple          # ((lo, up) Fractions per j)
     equal_consecutive_pairs: tuple  # indices j with lambda_j = lambda_{j+1}
-    exact_equalities: tuple   # subset of pairs certified by exact structure
+    exact_equalities: tuple   # the same pairs: every equality is exact
     entropy: tuple            # (lo, hi) floats enclosing log max_j lambda_j
     precision: Fraction
 
@@ -124,26 +122,18 @@ def dynamical_degrees(f: TorusEndomorphism,
     intervals[n] = (degree_det, degree_det)
     # exact structure: entries certified > 1 come first, exact-1 entries
     # in the middle; when positions 2j+1, 2j+2 are both exactly 1 the two
-    # consecutive degrees agree exactly.
+    # consecutive degrees agree exactly.  That decides every equality, as
+    # the magnitudes pair up (h1 = Gamma conj(Gamma)) and root_magnitudes
+    # certifies every modulus-1 root as [1, 1].
     count_gt1 = sum(1 for e in expanded if e.lower > 1)
     count_one = sum(1 for e in expanded if e.lower == e.upper == 1)
-    equal = []
-    exact = []
-    for j in range(n):
-        exact_here = (count_gt1 <= 2 * j) and (2 * j + 2 <= count_gt1 + count_one)
-        lo_j, hi_j = intervals[j]
-        lo_k, hi_k = intervals[j + 1]
-        overlap = max(lo_j, lo_k) <= min(hi_j, hi_k)
-        if exact_here or overlap:
-            equal.append(j)
-        if exact_here:
-            exact.append(j)
+    equal = tuple(j for j in range(n)
+                  if count_gt1 <= 2 * j and 2 * j + 2 <= count_gt1 + count_one)
     # topological entropy is log max_j lambda_j (Gromov; Yomdin)
     entropy = (_entropy_enclosure(max(lo for lo, _ in intervals),
                                   max(hi for _, hi in intervals))
                if n >= 1 else (0.0, 0.0))
-    return DegreeData(tuple(intervals), tuple(equal), tuple(exact),
-                      entropy, Fraction(precision))
+    return DegreeData(tuple(intervals), equal, equal, entropy, Fraction(precision))
 
 
 # ---------------------------------------------------------------------------
@@ -182,73 +172,49 @@ def serre_test(f: TorusEndomorphism, q: int,
 
 
 # ---------------------------------------------------------------------------
-# Ample witness search
-
-
-def _coordinate_candidates(dim: int, budget: int, seed: int = 10301):
-    """Deterministic small-height coordinate vectors, then seeded random
-    vectors of height <= AMPLE_SEARCH_HEIGHT, up to budget."""
-    produced = 0
-    for height in (1, 2):
-        if (2 * height + 1) ** dim > 4 * budget and height > 1:
-            break
-        for combo in itertools.product(range(-height, height + 1), repeat=dim):
-            if any(combo) and max(abs(c) for c in combo) == height:
-                yield combo
-                produced += 1
-                if produced >= budget:
-                    return
-    rng = random.Random(seed)
-    while produced < budget:
-        yield tuple(rng.randint(-AMPLE_SEARCH_HEIGHT, AMPLE_SEARCH_HEIGHT)
-                    for _ in range(dim))
-        produced += 1
-
-
-def _search_ample_in_subspace(torus, ns, columns, budget=AMPLE_SEARCH_BUDGET):
-    """Bounded search for an ample class among integer combinations of the
-    given NS vectors; returns the witness NS vector or None.
-
-    The symmetric form S = J^T E is linear in the class, so the forms for
-    the basis vectors are precomputed and combined per candidate; the
-    positivity test aborts at the first nonpositive pivot, which rejects
-    most candidates almost immediately."""
-    from .torus import ns_vector_to_form, _is_positive_definite
-    if not columns:
-        return None
-    jt = torus.j.transpose()
-    forms = [(jt * ns_vector_to_form(torus, col)).entries for col in columns]
-    d = torus.rank
-    for combo in _coordinate_candidates(len(columns), budget):
-        # diagonal screen: every diagonal entry of a PD form is positive
-        if any(sum(c * fm[i][i] for c, fm in zip(combo, forms) if c) <= 0
-               for i in range(d)):
-            continue
-        s = [[sum(c * fm[i][j] for c, fm in zip(combo, forms) if c)
-              for j in range(d)] for i in range(d)]
-        if _is_positive_definite(s):
-            vec = tuple(sum(c * col[i] for c, col in zip(combo, columns) if c)
-                        for i in range(len(columns[0])))
-            assert is_ample(torus, vec)
-            return vec
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Amplified
+
+
+def _positive_primitive(vec) -> tuple:
+    """The primitive integer vector on the ray of vec (no sign change)."""
+    prim = _primitive_integer_vector(vec)
+    return prim if next(x for x in vec if x) > 0 else tuple(-x for x in prim)
+
+
+def _hyperbolic_witness(f: TorusEndomorphism) -> tuple:
+    """A primitive integer NS vector of an ample class f^*w - w, for M with
+    no eigenvalue of modulus 1.  With L the canonical ample class (form E)
+    and w_N = sum_{0<=k<N} f^*^k L - sum_{1<=k<=N} f^*^-k L, the class
+    f^*w_N - w_N has the form (M^N)^T E M^N + (M^-N)^T E M^-N - 2E, ample
+    once N is large, since |M^N x|^2 + |M^-N x|^2 is unbounded on the unit
+    sphere.  N doubles until the exact test passes, on forms scaled by
+    det^2N to stay integral."""
+    torus = f.torus
+    e = ns_vector_to_form(torus, canonical_ample_class(torus))
+    det = f.degree_matrix_det
+    fwd, adj, scale = f.m, f.m.inverse() * det, det * det
+    jt = torus.j.transpose()
+    while True:
+        form = ((fwd.transpose() * e * fwd - e * 2) * scale
+                + adj.transpose() * e * adj)
+        if _is_positive_definite(jt * form):
+            return _positive_primitive(form_to_ns_vector(torus, form))
+        fwd, adj, scale = fwd * fwd, adj * adj, scale * scale
 
 
 @dataclass(frozen=True)
 class AmplifiedVerdict:
-    verdict: str  # yes / no / inconclusive
+    verdict: str  # yes / no; inconclusive only on the 0-dimensional torus
     path: str
     witness: tuple | None = None
 
 
+@lru_cache(maxsize=512)
 def amplified(f: TorusEndomorphism) -> AmplifiedVerdict:
-    """Decision tree: (a) 1 not an eigenvalue of the NS action -> yes;
-    (b) not unity-free -> no; (c) abelian surface and unity-free -> yes;
-    (d) bounded search of (f^* - id)(NS) for an ample class."""
+    """Is f^*w - w ample for some class w?  (a) 1 is not an eigenvalue of
+    f^* on NS, so f^* - 1 is onto -> yes; (b) not unity-free -> no;
+    (c) Mv = mu v with |mu| = 1 -> no, as the form M^T S M - S of every
+    f^*w - w vanishes on v; (d) else yes, by _hyperbolic_witness."""
     if not f.surjective:
         raise NotSurjectiveError("amplified requires det M != 0")
     if f.torus.n == 0:  # every torus of positive dimension carries an ample class
@@ -259,34 +225,52 @@ def amplified(f: TorusEndomorphism) -> AmplifiedVerdict:
     free, _ = unity_free(f)
     if not free:
         return AmplifiedVerdict("no", "not-unity-free")
-    if f.torus.n == 2:
-        return AmplifiedVerdict("yes", "abelian-surface-unity-free")
-    ns = neron_severi(f.torus)
-    shifted = action - RationalMatrix.identity(action.rows)
-    columns = [ns.from_coordinates(shifted.column(j)) for j in range(ns.rho)]
-    witness = _search_ample_in_subspace(f.torus, ns, columns)
-    if witness is not None:
-        return AmplifiedVerdict("yes", "ample-difference-witness", witness)
-    return AmplifiedVerdict("inconclusive", "witness-search-exhausted")
+    if unit_circle_root_count(eigen_data(f).h1_charpoly) > 0:
+        return AmplifiedVerdict("no", "unit-circle-eigenvalue")
+    return AmplifiedVerdict("yes", "hyperbolic-witness", _hyperbolic_witness(f))
 
 
 # ---------------------------------------------------------------------------
 # Polarized
 
 
+def _radical(p: IntPolynomial) -> IntPolynomial:
+    """The product of the squarefree factors of p."""
+    radical = IntPolynomial([1])
+    for factor, _ in p.squarefree_decomposition():
+        radical = radical * factor
+    return radical
+
+
+def _is_semisimple(f: TorusEndomorphism) -> bool:
+    """M is diagonalizable over C exactly when radical(h1)(M) = 0."""
+    coeffs = _radical(eigen_data(f).h1_charpoly).coeffs
+    size = f.torus.rank
+    value = RationalMatrix.zero(size, size)
+    for c in reversed(coeffs):  # Horner
+        value = value * f.m + RationalMatrix.identity(size) * c
+    return value == RationalMatrix.zero(size, size)
+
+
 @dataclass(frozen=True)
 class PolarizedVerdict:
-    verdict: str  # yes / no / inconclusive
+    verdict: str  # yes / no
     q: int | None = None
     witness: tuple | None = None
     reason: str = ""
 
 
+@lru_cache(maxsize=512)
 def polarized(f: TorusEndomorphism,
               precision: Fraction = DEFAULT_PRECISION) -> PolarizedVerdict:
-    """f^* L = qL for an ample class L (numerical classes): q is pinned by
-    |det M| = q^n, the Serre magnitude test rejects certified mismatches,
-    and a witness is searched in the exact q-eigenspace of the NS action."""
+    """Is f^*L = qL for an ample class L?  q is pinned by |det M| = q^n and
+    the Serre magnitude test rejects certified mismatches.  Then f is
+    polarized exactly when M is semisimple and the projection w of the
+    canonical class L_can onto ker(A - q) along im(A - q), A = f^* on NS,
+    is ample; w is the witness.  If f^*L = qL with L ample, M / sqrt(q) is
+    unitary for L, so A / q is semisimple with unit-modulus spectrum, and
+    the Cesaro means of (A / q)^k, each at least c L on L_can, converge to
+    that projector."""
     if not f.surjective:
         raise NotSurjectiveError("polarized requires det M != 0")
     q = polarization_q_candidate(f)
@@ -294,17 +278,23 @@ def polarized(f: TorusEndomorphism,
         return PolarizedVerdict("no", reason="degree is not q^n for any q >= 2")
     if not serre_test(f, q, precision):
         return PolarizedVerdict("no", q=q, reason="Serre magnitude test rejects")
+    if not _is_semisimple(f):
+        return PolarizedVerdict("no", q=q, reason="M is not semisimple")
     ns = neron_severi(f.torus)
-    action = ns_action(f)
-    eigen = (action - RationalMatrix.identity(action.rows) * q).kernel_basis()
+    shifted = ns_action(f) - RationalMatrix.identity(ns.rho) * q
+    eigen = shifted.kernel_basis()
     if not eigen:
         return PolarizedVerdict("no", q=q, reason="q is not an NS eigenvalue")
-    columns = [ns.from_coordinates(v) for v in eigen]
-    witness = _search_ample_in_subspace(f.torus, ns, columns)
-    if witness is not None:
-        return PolarizedVerdict("yes", q=q, witness=witness)
-    return PolarizedVerdict("inconclusive", q=q,
-                            reason="no ample class found in the q-eigenspace")
+    # L_can = K x + (A - q) y with K the kernel basis; K x is the projection
+    kernel = RationalMatrix.from_columns(eigen)
+    split = RationalMatrix([k + a for k, a in zip(kernel.entries, shifted.entries)])
+    target = ns.coordinates(canonical_ample_class(f.torus))
+    x = split.solve_exact(RationalMatrix([[c] for c in target])).column(0)
+    omega = ns.from_coordinates(kernel.apply(x[:kernel.cols]))
+    form = f.torus.j.transpose() * ns_vector_to_form(f.torus, omega)
+    if not _is_positive_definite(form):
+        return PolarizedVerdict("no", q=q, reason="the q-part of L_can is not ample")
+    return PolarizedVerdict("yes", q=q, witness=_positive_primitive(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +382,6 @@ def full_report(f: TorusEndomorphism,
                      "non-unity-free map; values reported as computed")
     # squarefree part carries the classification (powers of a Salem factor
     # would otherwise fail the 'exactly one root above 1' count)
-    radical = IntPolynomial([1])
-    for factor, _ in data.h1_charpoly.squarefree_decomposition():
-        radical = radical * factor
     report = ClassificationReport(
         surjective=True,
         isogeny=f.is_isogeny,
@@ -412,7 +399,7 @@ def full_report(f: TorusEndomorphism,
         exact_equalities=degrees.exact_equalities,
         entropy=degrees.entropy,
         lefschetz=lefschetz_number(f),
-        h1_poly_class=polynomial_class(radical),
+        h1_poly_class=polynomial_class(_radical(data.h1_charpoly)),
         h1_charpoly=data.h1_charpoly,
         notes=tuple(notes),
     )
@@ -452,7 +439,7 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     violations = []
     base_free, _ = unity_free(f)
     base_amp = amplified(f)
-    base_pol = polarized(f)
+    base_pol = polarized(f, DEFAULT_PRECISION)  # the memo key of full_report
     for k in range(1, kmax + 1):
         g = iterate(f, k)
         free_k, _ = unity_free(g)
@@ -461,7 +448,7 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
         if base_amp.verdict == "yes" and amplified(g).verdict != "yes":
             violations.append(f"amplified lost at iterate {k}")
         if base_pol.verdict == "yes":
-            pol_k = polarized(g)
+            pol_k = polarized(g, DEFAULT_PRECISION)
             if pol_k.verdict != "yes" or pol_k.q != base_pol.q**k:
                 violations.append(f"polarized(q^k) lost at iterate {k}")
     if base_amp.verdict == "yes":

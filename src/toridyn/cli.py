@@ -174,6 +174,14 @@ def cmd_degrees(args):
     return EXIT_OK
 
 
+def _coordinate_strings(points):
+    """Coordinates as strings, one str() per shared Fraction: keyed by id,
+    because hashing a Fraction costs more than formatting it."""
+    names = {}
+    return [[names.get(id(c)) or names.setdefault(id(c), str(c)) for c in p]
+            for p in points]
+
+
 def cmd_fixed_points(args):
     endo, _ = resolve_scenario(args)
     g = iterate(endo, args.iterate) if args.iterate > 1 else endo
@@ -181,10 +189,10 @@ def cmd_fixed_points(args):
     doc = {"iterate": args.iterate, "kind": fps.kind}
     if fps.kind == "finite":
         doc["count"] = len(fps.points)
-        doc["points"] = [[str(c) for c in p] for p in fps.points]
+        doc["points"] = _coordinate_strings(fps.points)
     elif fps.kind == "coset-family":
         doc["subtorus_rank"] = fps.subtorus.rank
-        doc["transversal"] = [[str(c) for c in p] for p in fps.transversal]
+        doc["transversal"] = _coordinate_strings(fps.transversal)
     emit(doc, args.format)
     return EXIT_OK
 

@@ -191,6 +191,7 @@ def is_ample(torus: ComplexTorus, omega) -> bool:
     return _is_positive_definite(s)
 
 
+@lru_cache(maxsize=256)
 def canonical_ample_class(torus: ComplexTorus):
     """A deterministic ample class, available for every rational-J torus:
     average the standard inner product over J to get a J-invariant positive

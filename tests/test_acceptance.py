@@ -50,8 +50,7 @@ def test_criterion_02_e4_automorphism():
     free, u = unity_free(f)
     assert free and u == 0
     degrees = dynamical_degrees(f)
-    # lambda_1 = lambda_2, certified by coinciding intervals and by the
-    # exact reciprocal-factor argument
+    # lambda_1 = lambda_2, certified by the exact reciprocal-factor argument
     assert 1 in degrees.equal_consecutive_pairs
     assert 1 in degrees.exact_equalities
     # oracle: alpha^2 with alpha the largest real root of the analytic

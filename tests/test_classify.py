@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import sympy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toridyn import (DomainError, NotSurjectiveError, amplified,
-                     chain_violations, dynamical_degrees, finite_order,
-                     full_report, is_ample,
-                     iterate, make_endo, make_torus, ns_action,
-                     polarization_q_candidate,
-                     polarized, serre_test, verify_chain, verify_iterates)
+from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
+                     amplified, chain_violations, dynamical_degrees,
+                     eigen_data, exterior_power, finite_order, full_report,
+                     is_ample, iterate, make_endo, make_torus, neron_severi,
+                     ns_action, order_by_name, polarization_q_candidate,
+                     polarized, random_endo, serre_test,
+                     unit_circle_root_count, verify_chain, verify_iterates)
 from toridyn.classify import _integer_nth_root
 from toridyn.scenarios import get_example
 
@@ -108,6 +111,17 @@ def test_degrees_top_is_topological_degree():
     assert d.intervals[-1] == (abs(f.degree_matrix_det), abs(f.degree_matrix_det))
 
 
+@pytest.mark.parametrize("name, pairs", [
+    ("mult_2_1", (1,)), ("mult_2_3", ()), ("gtz_diag", ()), ("shear", (0, 1)),
+    ("salem_surface", ()), ("mult_by_i", (0,)), ("e4_auto", (1, 2))])
+@pytest.mark.parametrize("precision", [Fraction(1, 10**9), Fraction(100)])
+def test_degree_equalities_are_the_exact_ones(name, pairs, precision):
+    # lambda_j = lambda_{j+1} exactly when the (2j+1)-th largest magnitude
+    # is 1; salem_surface's lambda_1 = lambda_2 would need a magnitude 1
+    d = dynamical_degrees(get_example(name).endo, precision)
+    assert d.equal_consecutive_pairs == d.exact_equalities == pairs
+
+
 @pytest.mark.parametrize("precision", [Fraction(0), Fraction(-1, 10)])
 def test_degrees_reject_nonpositive_precision(precision):
     # gtz_diag has n = 2
@@ -191,9 +205,66 @@ def test_amplified_no_for_unity_factor():
     assert v.verdict == "no" and v.path == "not-unity-free"
 
 
+def assert_amplified_witness(f, witness):
+    """The witness is ample and lies in (f^* - 1) NS: it is the wedge image
+    (Lambda^2 M^T - 1) of some rational combination of the NS basis."""
+    assert is_ample(f.torus, witness)
+    ns = neron_severi(f.torus)
+    e2 = exterior_power(f.m.transpose(), 2)
+    shifted = (e2 - RationalMatrix.identity(e2.rows)) * ns.basis
+    shifted.solve_exact(RationalMatrix([[x] for x in witness]))
+
+
+def assert_polarized_witness(f, v):
+    """f^* omega = q omega exactly, and omega is a primitive ample class."""
+    assert all(type(x) is int for x in v.witness)
+    assert is_ample(f.torus, v.witness)
+    image = exterior_power(f.m.transpose(), 2).apply(v.witness)
+    assert image == tuple(v.q * x for x in v.witness)
+
+
 def test_amplified_surface_path():
-    v = amplified(get_example("salem_surface").endo)
-    assert v.verdict in ("yes",)
+    # unity-free with 1 an eigenvalue of f^* on NS, and no H^1 root on the
+    # unit circle: the witness comes from the hyperbolic construction
+    f = get_example("salem_surface").endo
+    v = amplified(f)
+    assert v.verdict == "yes" and v.path == "hyperbolic-witness"
+    assert_amplified_witness(f, v.witness)
+
+
+def test_amplified_no_for_unit_circle_root():
+    # e4_auto is unity-free, but its Salem charpoly has 4 roots on the unit
+    # circle, so no class of the form f^*w - w is ample
+    f = get_example("e4_auto").endo
+    assert unit_circle_root_count(eigen_data(f).h1_charpoly) == 4
+    v = amplified(f)
+    assert v.verdict == "no" and v.path == "unit-circle-eigenvalue"
+
+
+@pytest.mark.parametrize("order,n,height,seed", [
+    ("quadratic(-2)", 2, 1, 6), ("eisenstein", 3, 1, 30)])
+def test_amplified_hyperbolic_witness(order, n, height, seed):
+    f = random_endo(n, order_by_name(order), height, seed)
+    v = amplified(f)
+    assert v.verdict == "yes" and v.path == "hyperbolic-witness"
+    assert_amplified_witness(f, v.witness)
+
+
+@given(st.sampled_from(["gaussian", "eisenstein", "quadratic(-2)"]),
+       st.integers(1, 2), st.integers(1, 2), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_amplified_exactly_when_no_unit_circle_root(order, n, height, seed):
+    f = random_endo(n, order_by_name(order), height, seed)
+    v = amplified(f)
+    circle = unit_circle_root_count(eigen_data(f).h1_charpoly)
+    assert (v.verdict == "yes") == (circle == 0)
+    assert v.verdict == "no" or v.path == "ns-no-unit-eigenvalue" or v.witness
+    if v.witness is not None:
+        assert_amplified_witness(f, v.witness)
+    p = polarized(f)
+    assert p.verdict in ("yes", "no")
+    if p.verdict == "yes":
+        assert_polarized_witness(f, p)
 
 
 def test_amplified_witness_is_ample_when_given():
@@ -209,12 +280,7 @@ def test_polarized_gtz_q5():
     f = get_example("gtz_diag").endo
     v = polarized(f)
     assert v.verdict == "yes" and v.q == 5
-    assert is_ample(f.torus, v.witness)
-    # exact eigenvector property: f* omega = q omega in NS coordinates
-    from toridyn import neron_severi, exterior_power, RationalMatrix
-    e2 = exterior_power(f.m.transpose(), 2)
-    image = e2.apply(v.witness)
-    assert image == tuple(5 * Fraction(x) for x in v.witness)
+    assert_polarized_witness(f, v)
 
 
 def test_polarized_no_for_mult_2_3():
@@ -225,6 +291,45 @@ def test_polarized_no_for_mult_2_3():
 def test_polarized_yes_for_scalar(e_torus):
     v = polarized(make_endo(e_torus, [[3, 0], [0, 3]]))
     assert v.verdict == "yes" and v.q == 9
+
+
+def moduli_all_sqrt(m, q):
+    """Every root of the charpoly of M has |root|^2 = q (sympy, 40 digits)."""
+    x = sympy.Symbol("x")
+    factors = sympy.Poly(m.charpoly(x).as_expr(), x).factor_list()[1]
+    return all(abs(abs(r) ** 2 - q) < 1e-25 for fac, _ in factors
+               for r in sympy.Poly(fac, x).nroots(n=40, maxsteps=200))
+
+
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_polarized_exactly_when_semisimple_with_moduli_sqrt_q(n, height, seed):
+    # NS holds every Hermitian form on these tori, so f is polarized exactly
+    # when M is diagonalizable with every |eigenvalue| = sqrt(q)
+    f = random_endo(n, order_by_name("gaussian"), height, seed)
+    q = polarization_q_candidate(f)
+    m = sympy.Matrix(f.m.to_integer())
+    expected = q is not None and moduli_all_sqrt(m, q) and m.is_diagonalizable()
+    assert (polarized(f).verdict == "yes") == expected
+
+
+def test_polarized_yes_for_negative_scalar_iterate():
+    # the square of this Eisenstein sample is -5 I, which pulls every class
+    # back to 25 times itself
+    g = iterate(random_endo(2, order_by_name("eisenstein"), 2, 38), 2)
+    assert g.m == RationalMatrix.identity(g.torus.rank) * -5
+    v = polarized(g)
+    assert v.verdict == "yes" and v.q == 25
+    assert_polarized_witness(g, v)
+
+
+def test_polarized_no_for_non_semisimple(ee_torus):
+    # 2 + N with N nilpotent on E x E: every |eigenvalue| is sqrt(4), so
+    # q = 4 passes the Serre test, but a polarized map is semisimple
+    f = make_endo(ee_torus, [[2, 0, 1, 0], [0, 2, 0, 1], [0, 0, 2, 0], [0, 0, 0, 2]])
+    assert serre_test(f, 4)
+    v = polarized(f)
+    assert v.verdict == "no" and v.q == 4 and v.reason == "M is not semisimple"
 
 
 # -- reports and chains

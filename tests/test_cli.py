@@ -221,6 +221,15 @@ def test_sweep_small(capsys):
     assert doc["violations"] == [] and sum(doc["cells"].values()) == 5
 
 
+def test_sweep_keeps_polarization_of_a_scalar_iterate(capsys):
+    # the sample's square is -5 I, which is polarized with q = 25
+    code, out, _ = run(capsys, "sweep", "--count", "1", "--dim", "2",
+                       "--order", "eisenstein", "--height", "2", "--seed", "38",
+                       "--iterate", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+
+
 def test_examples_listing(capsys):
     code, out, _ = run(capsys, "examples", "--format", "json")
     assert code == 0
