@@ -17,7 +17,7 @@ from math import lcm
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, smith_form
 from .endo import TorusEndomorphism, fixed_subtorus, iterate, unity_free
-from .torus import Subtorus, make_subtorus
+from .torus import Subtorus, _primitive_integer_vector, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_ORBIT_BOUND = 64
@@ -101,7 +101,6 @@ def fixed_points(f: TorusEndomorphism) -> FixedPointSet:
         if len(points) != expected:
             raise DomainError("fixed point count mismatch")  # pragma: no cover
         return FixedPointSet("finite", points=tuple(points))
-    from .torus import _primitive_integer_vector
     cols = [_primitive_integer_vector(v) for v in free_dirs]
     sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
     return FixedPointSet("coset-family", subtorus=sub, transversal=tuple(points))

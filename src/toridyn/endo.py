@@ -21,7 +21,8 @@ from .errors import (DomainError, InvarianceViolation, InvariantViolation,
 from .exactnum import GaussianRational, IntPolynomial, cyclotomic_root_count
 from .matlin import (RationalMatrix, charpoly, int_charpoly, matmul,
                      restrict_and_quotient)
-from .torus import ComplexTorus, Subtorus, make_subtorus
+from .torus import (ComplexTorus, Subtorus, _primitive_integer_vector,
+                    make_subtorus)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,6 @@ def fixed_subtorus(f: TorusEndomorphism):
     kernel = (mk - RationalMatrix.identity(f.torus.rank)).kernel_basis()
     if not kernel:
         raise InvariantViolation("cyclotomic factor without fixed directions")
-    from .torus import _primitive_integer_vector
     cols = [_primitive_integer_vector(v) for v in kernel]
     sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
     return k, sub

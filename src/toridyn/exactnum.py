@@ -167,30 +167,38 @@ class IntPolynomial:
         return self == rev or self == -rev
 
     def squarefree_decomposition(self):
-        """Yun's algorithm on the primitive part: list of (factor, mult)."""
-        p = self.primitive()
-        if p.degree < 1:
-            return []
-        out = []
-        dp = p.derivative()
-        a = p.gcd(dp)
-        b = p.try_divide(a)
-        c = dp.try_divide(a)
-        i = 1
-        while b.degree >= 1:
-            d = c - b.derivative()
-            g = b.gcd(d)
-            if g.degree >= 1:
-                out.append((g, i))
-            b2 = b.try_divide(g)
-            c = d.try_divide(g)
-            b = b2
-            i += 1
-        return out
+        """Yun's algorithm on the primitive part: tuple of (factor, mult).
+        Memoized: the classification layer decomposes the same H^1
+        charpoly for the radical, the unit-circle count, the magnitudes and
+        the polynomial class."""
+        return _squarefree_decomposition(self)
 
     def serialize(self):
         """Ascending coefficient list as decimal strings."""
         return [str(c) for c in self.coeffs]
+
+
+@lru_cache(maxsize=1024)
+def _squarefree_decomposition(p: IntPolynomial):
+    p = p.primitive()
+    if p.degree < 1:
+        return ()
+    out = []
+    dp = p.derivative()
+    a = p.gcd(dp)
+    b = p.try_divide(a)
+    c = dp.try_divide(a)
+    i = 1
+    while b.degree >= 1:
+        d = c - b.derivative()
+        g = b.gcd(d)
+        if g.degree >= 1:
+            out.append((g, i))
+        b2 = b.try_divide(g)
+        c = d.try_divide(g)
+        b = b2
+        i += 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import ComplexStructureError, DomainError, NotSubtorusError
 from .matlin import (RationalMatrix, Sublattice, bareiss, exterior_basis,
@@ -121,18 +122,12 @@ class NeronSeveriSpace:
 
 
 def _primitive_integer_vector(vec):
-    denoms = [Fraction(x).denominator for x in vec]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(x) * scale) for x in vec]
-    from math import gcd
-    g = gcd(*ints) if any(ints) else 1
-    if g == 0:
-        g = 1
+    fracs = [Fraction(x) for x in vec]
+    scale = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (scale // x.denominator) for x in fracs]
+    g = gcd(*ints) or 1
     sign = -1 if next((x for x in ints if x != 0), 1) < 0 else 1
     return tuple(x // (g * sign) for x in ints)
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=256)

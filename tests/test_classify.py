@@ -16,7 +16,8 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      ns_action, order_by_name, polarization_q_candidate,
                      polarized, random_endo, serre_test,
                      unit_circle_root_count, verify_chain, verify_iterates)
-from toridyn.classify import _integer_nth_root
+from toridyn import classify
+from toridyn.classify import AmplifiedVerdict, _integer_nth_root
 from toridyn.scenarios import get_example
 
 
@@ -46,6 +47,19 @@ def test_ns_action_multiplication_scalar(e_torus):
 def test_ns_action_requires_surjective(e_torus):
     with pytest.raises(NotSurjectiveError):
         ns_action(make_endo(e_torus, [[0, 0], [0, 0]]))
+
+
+@given(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("gaussian", 3),
+                        ("eisenstein", 1), ("eisenstein", 2),
+                        ("quadratic(-2)", 1), ("quadratic(-2)", 2)]),
+       st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_ns_action_matches_solving_the_basis(case, height, seed):
+    order, n = case
+    f = random_endo(n, order_by_name(order), height, seed)
+    ns = neron_severi(f.torus)
+    oracle = ns.basis.solve_exact(exterior_power(f.m.transpose(), 2) * ns.basis)
+    assert ns_action(f) == oracle
 
 
 # -- finite order
@@ -388,3 +402,52 @@ def test_verify_iterates_polarized_powers():
 
 def test_verify_iterates_unity_factor_stable():
     assert verify_iterates(get_example("mult_2_1").endo, 3) == []
+
+
+@pytest.mark.parametrize("name", ["mult_by_i", "e4_auto", "shear", "mult_2_3",
+                                  "gtz_diag", "salem_surface"])
+def test_difference_determinant_is_the_iterate_charpoly_at_one(name):
+    # det(M^m - M^n) = det(M)^n det(M^(m-n) - I), and det(M^j - I) is the
+    # H^1 charpoly of f^j at 1 because M has even size
+    f = get_example(name).endo
+    det = f.degree_matrix_det
+    for j in range(1, 6):
+        h1_at_one = eigen_data(iterate(f, j)).h1_charpoly(1)
+        for n in range(6 - j):
+            assert (f.m ** (n + j) - f.m ** n).det() == det ** n * h1_at_one
+
+
+def test_difference_set_violations_of_a_forced_amplified_verdict(monkeypatch):
+    # no amplified map reaches the difference-set check (amplified implies
+    # unity-free, so det(M^j - I) != 0); forcing "yes" on M = i, M^4 = I,
+    # pins which pairs (m, n) it reports
+    monkeypatch.setattr(classify, "amplified",
+                        lambda f: AmplifiedVerdict("yes", "forced"))
+    f = get_example("mult_by_i").endo
+    assert verify_iterates(f, 8) == [
+        "difference set infinite for m=4, n=0",
+        "difference set infinite for m=5, n=1",
+        "difference set infinite for m=6, n=2",
+        "difference set infinite for m=7, n=3",
+        "difference set infinite for m=8, n=0",
+        "difference set infinite for m=8, n=4",
+    ]
+
+
+@pytest.mark.parametrize("denominator", [2, 3, 5, 6])
+@pytest.mark.parametrize("n, seed", [(1, 3), (2, 11)])
+def test_verify_iterates_checks_the_iterates_of_f(monkeypatch, denominator, n, seed):
+    base = random_endo(n, order_by_name("gaussian"), 2, seed)
+    tau = [Fraction(i + 1, denominator) for i in range(base.torus.rank)]
+    f = make_endo(base.torus, base.m, tau)
+    seen = set()
+    original = classify.unity_free
+
+    def recording(g):
+        seen.add(g)
+        return original(g)
+
+    monkeypatch.setattr(classify, "unity_free", recording)
+    verify_iterates(f, 6)
+    assert seen == {iterate(f, k) for k in range(1, 7)}
+    assert all(0 <= t < 1 for g in seen for t in g.tau)

@@ -230,6 +230,22 @@ def test_sweep_keeps_polarization_of_a_scalar_iterate(capsys):
     assert json.loads(out)["violations"] == []
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (("--count", "25", "--dim", "2", "--iterate", "4", "--height", "3",
+      "--seed", "7"),
+     {"no / no / has-unity / infinite": 1, "no / yes / unity-free / infinite": 24}),
+    (("--count", "30", "--dim", "2", "--order", "eisenstein", "--iterate", "3",
+      "--height", "1", "--seed", "0"),
+     {"no / no / has-unity / finite": 6, "no / no / has-unity / infinite": 5,
+      "no / yes / unity-free / infinite": 16, "yes / yes / unity-free / infinite": 3}),
+])
+def test_sweep_verdicts_are_pinned(capsys, argv, cells):
+    code, out, _ = run(capsys, "sweep", *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cells"] == cells and doc["violations"] == []
+
+
 def test_examples_listing(capsys):
     code, out, _ = run(capsys, "examples", "--format", "json")
     assert code == 0
