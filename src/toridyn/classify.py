@@ -16,9 +16,8 @@ from math import isqrt, lcm
 import mpmath
 
 from .errors import DomainError, NotSurjectiveError
-from .exactnum import (DEFAULT_PRECISION, IntPolynomial, is_kronecker,
-                       polynomial_class, root_magnitudes,
-                       unit_circle_root_count)
+from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
+                       root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, exterior_power
 from .endo import (TorusEndomorphism, eigen_data, iterate, unity_free)
 from .dynamics import lefschetz_number
@@ -72,21 +71,21 @@ def ns_action(f: TorusEndomorphism) -> RationalMatrix:
 def finite_order(f: TorusEndomorphism):
     """Order of f when finite, else None.
 
-    Kronecker charpoly gives the candidate matrix order as the lcm of the
-    cyclotomic factor orders; M^K = I is then verified by exact powering
-    (the charpoly alone cannot rule out unipotent parts), and the torsion
-    translation folds in as the lcm of its denominators."""
+    f can have finite order only when every H^1 eigenvalue is a root of
+    unity; the candidate matrix order k is then the lcm of the cyclotomic
+    factor orders.  f^k is built once: its matrix must be I (the charpoly
+    alone cannot rule out unipotent parts), and its translation folds in
+    as the lcm of its denominators."""
     if not f.surjective:
         raise NotSurjectiveError("order requires det M != 0")
     data = eigen_data(f)
-    if not is_kronecker(data.h1_charpoly):
+    if 2 * data.u_count != f.torus.rank:
         return None
-    k = lcm(*[n for n, _ in data.cyclotomic_factors])
-    if f.m ** k != RationalMatrix.identity(f.torus.rank):
-        return None
+    k = lcm(1, *(n for n, _ in data.cyclotomic_factors))
     g = iterate(f, k)
-    denoms = [t.denominator for t in g.tau]
-    return k * lcm(*denoms) if denoms else k
+    if g.m != RationalMatrix.identity(f.torus.rank):
+        return None
+    return k * lcm(1, *(t.denominator for t in g.tau))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,8 @@ def polarization_q_candidate(f: TorusEndomorphism):
 def serre_test(f: TorusEndomorphism, q: int,
                precision: Fraction = DEFAULT_PRECISION) -> bool:
     """Necessary condition for f^*L = qL with L ample: every certified H^1
-    root magnitude interval must contain sqrt(q)."""
+    root magnitude interval must contain sqrt(q).  Reported by full_report
+    as serre_consistent; polarized does not use it."""
     mags = h1_magnitudes(f, precision)
     return all(e.lower**2 <= q <= e.upper**2 for e in mags.entries)
 
@@ -279,23 +279,20 @@ class PolarizedVerdict:
 
 
 @lru_cache(maxsize=512)
-def polarized(f: TorusEndomorphism,
-              precision: Fraction = DEFAULT_PRECISION) -> PolarizedVerdict:
-    """Is f^*L = qL for an ample class L?  q is pinned by |det M| = q^n and
-    the Serre magnitude test rejects certified mismatches.  Then f is
-    polarized exactly when M is semisimple and the projection w of the
-    canonical class L_can onto ker(A - q) along im(A - q), A = f^* on NS,
-    is ample; w is the witness.  If f^*L = qL with L ample, M / sqrt(q) is
-    unitary for L, so A / q is semisimple with unit-modulus spectrum, and
-    the Cesaro means of (A / q)^k, each at least c L on L_can, converge to
-    that projector."""
+def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
+    """Is f^*L = qL for an ample class L?  q is pinned by |det M| = q^n.
+    Then f is polarized exactly when M is semisimple and the projection w
+    of the canonical class L_can onto ker(A - q) along im(A - q), A = f^*
+    on NS, is ample; w is the witness.  If f^*L = qL with L ample, M /
+    sqrt(q) is unitary for L, so A / q is semisimple with unit-modulus
+    spectrum, and the Cesaro means of (A / q)^k, each at least c L on
+    L_can, converge to that projector.  No magnitude filter comes first:
+    a "yes" forces every H^1 eigenvalue to have modulus sqrt(q)."""
     if not f.surjective:
         raise NotSurjectiveError("polarized requires det M != 0")
     q = polarization_q_candidate(f)
     if q is None:
         return PolarizedVerdict("no", reason="degree is not q^n for any q >= 2")
-    if not serre_test(f, q, precision):
-        return PolarizedVerdict("no", q=q, reason="Serre magnitude test rejects")
     if not _is_semisimple(f):
         return PolarizedVerdict("no", q=q, reason="M is not semisimple")
     ns = neron_severi(f.torus)
@@ -390,7 +387,7 @@ def full_report(f: TorusEndomorphism,
     free, u = unity_free(f)
     order = finite_order(f)
     amp = amplified(f)
-    pol = polarized(f, precision)
+    pol = polarized(f)
     degrees = dynamical_degrees(f, precision)
     q_cand = polarization_q_candidate(f)
     serre_ok = serre_test(f, q_cand, precision) if q_cand is not None else True
@@ -460,7 +457,7 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     violations = []
     base_free, _ = unity_free(f)
     base_amp = amplified(f)
-    base_pol = polarized(f, DEFAULT_PRECISION)  # the memo key of full_report
+    base_pol = polarized(f)
     h1_at_one = []
     g = f
     for k in range(1, kmax + 1):
@@ -474,7 +471,7 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
         if base_amp.verdict == "yes" and amplified(g).verdict != "yes":
             violations.append(f"amplified lost at iterate {k}")
         if base_pol.verdict == "yes":
-            pol_k = polarized(g, DEFAULT_PRECISION)
+            pol_k = polarized(g)
             if pol_k.verdict != "yes" or pol_k.q != base_pol.q**k:
                 violations.append(f"polarized(q^k) lost at iterate {k}")
     if base_amp.verdict == "yes":

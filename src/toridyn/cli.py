@@ -245,11 +245,11 @@ def cmd_quotient(args):
 def cmd_orbit(args):
     endo, sublattices = resolve_scenario(args)
     sub = _named_subtorus(endo, sublattices, args.sublattice)
-    verdict, sequence = subtorus_orbit(endo, sub, args.budget)
+    verdict, examined = subtorus_orbit(endo, sub, args.budget)
     if isinstance(verdict, tuple):
         verdict = f"{verdict[0]}:{verdict[1]}"
     doc = {"sublattice": args.sublattice, "verdict": verdict,
-           "iterations_examined": len(sequence)}
+           "iterations_examined": examined}
     emit(doc, args.format)
     return EXIT_OK
 
@@ -326,15 +326,14 @@ def build_parser():
         p.add_argument("scenario", nargs="?", help="JSON scenario file")
         p.add_argument("--example", help="named built-in example")
         p.add_argument("--format", choices=("json", "text"), default="text")
+
+    for name, text in (("classify", "full classification report"),
+                       ("degrees", "certified dynamical degrees")):
+        p = sub.add_parser(name, help=text)
+        scenario_args(p)
         p.add_argument("--precision", type=_positive_rational,
                        default=DEFAULT_PRECISION,
                        help="certified enclosure width, e.g. 1/1000000000")
-
-    p = sub.add_parser("classify", help="full classification report")
-    scenario_args(p)
-
-    p = sub.add_parser("degrees", help="certified dynamical degrees")
-    scenario_args(p)
 
     p = sub.add_parser("fixed-points", help="fixed points of an iterate")
     scenario_args(p)

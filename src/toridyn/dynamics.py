@@ -5,6 +5,8 @@ Fixed-point congruences are solved through the Smith normal form and
 enumerated in integers over one common denominator.  Orbit graphs are
 exhaustive over the m-torsion lattice and therefore budgeted; they are
 built by whole-array numpy passes, and numpy is imported only then.
+Subtorus orbits are followed on rational spans, one reduced row echelon
+form per step, up to a bound: 'escaping' is a bounded verdict.
 """
 
 from __future__ import annotations
@@ -237,37 +239,32 @@ def _orbit_histograms(f, m, n):
     return histogram(lengths[lengths > 0]), histogram(tail)
 
 
+def _span_key(vectors) -> tuple:
+    """The nonzero rows of the rref of the vectors: a canonical basis of
+    their rational span."""
+    red, _ = RationalMatrix(vectors).rref()
+    return tuple(row for row in red.entries if any(row))
+
+
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
                    bound: int = DEFAULT_ORBIT_BOUND):
-    """Orbit of a subtorus under the saturated lattice image map.
+    """Orbit of a subtorus S, followed on its rational span V: f^k(S) is
+    the saturation of M^k V, so two subtori of the orbit agree exactly
+    when their spans do.
 
-    Returns (verdict, sequence) with verdict one of 'invariant',
-    ('periodic', p), or 'escaping'; escaping is a bounded verdict, not a
-    proof of infinite orbit."""
+    Returns (verdict, examined): verdict 'invariant', ('periodic', p) or
+    'escaping', and the number of subtori examined, the start included.
+    'escaping' is bounded: the orbit did not close within `bound` steps."""
     if not f.surjective:
         raise NotSurjectiveError("subtorus orbits require det M != 0")
-    from .matlin import saturate
-
-    def canonical(lat):
-        # Hermite-like canonical form via rref scaling of the basis columns
-        red, _ = lat.basis.transpose().rref()
-        rows = [tuple(r) for r in red.entries if any(r)]
-        return tuple(rows)
-
-    # M is invertible over Q, so the map on subtori is injective and the
+    # M is invertible over Q, so the map on spans is injective and the
     # first repeat of the orbit is its start
-    start = canonical(sub.lattice)
-    current = sub.lattice
-    sequence = [current]
+    start = current = _span_key(sub.lattice.basis.columns())
     for step in range(1, bound + 1):
-        image_cols = [f.m.apply(current.basis.column(j)) for j in range(current.rank)]
-        current = saturate(RationalMatrix.from_columns(image_cols))
-        sequence.append(current)
-        key = canonical(current)
-        if key == start:
-            verdict = "invariant" if step == 1 else ("periodic", step)
-            return verdict, sequence
-    return "escaping", sequence
+        current = _span_key([f.m.apply(v) for v in current])
+        if current == start:
+            return ("invariant" if step == 1 else ("periodic", step)), step + 1
+    return "escaping", bound + 1
 
 
 @dataclass(frozen=True)

@@ -42,3 +42,28 @@ def diag_endo(torus, values, tau=None):
 def random_integer_matrix(rng: random.Random, size: int, height: int) -> RationalMatrix:
     return frac_matrix([[rng.randint(-height, height) for _ in range(size)]
                         for _ in range(size)])
+
+
+# units (a, b) = a + b*g of the orders whose generator g has finite order
+ORDER_UNITS = {
+    "gaussian": ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    "eisenstein": ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+}
+
+
+def block_unit_endo(order, swap, scalars, units):
+    """diag(scalars) * P * diag(units) on the square of the order's curve,
+    with P the swap of the two factors when `swap` is true; entries are
+    order elements (a, b) = a + b*g.  Such maps have a scalar power when
+    the scalars agree, so their subtorus orbits are periodic and they are
+    often polarized."""
+    torus = cm_power_torus(order, 2)
+    zero, one = (0, 0), (1, 0)
+
+    def blocks(rows):
+        return cm_matrix_endo(torus, order, rows).m
+
+    perm = blocks([[zero, one], [one, zero]] if swap else [[one, zero], [zero, one]])
+    m = (blocks([[scalars[0], zero], [zero, scalars[1]]]) * perm
+         * blocks([[units[0], zero], [zero, units[1]]]))
+    return make_endo(torus, m)

@@ -20,6 +20,8 @@ from toridyn import classify
 from toridyn.classify import AmplifiedVerdict, _integer_nth_root
 from toridyn.scenarios import get_example
 
+from conftest import ORDER_UNITS, block_unit_endo
+
 
 def ns_eigenvalue_multiset(f):
     a = ns_action(f)
@@ -79,6 +81,10 @@ def test_finite_order_with_torsion_translation(e_torus):
 
 def test_finite_order_none_for_expanding(e_torus):
     assert finite_order(make_endo(e_torus, [[2, 0], [0, 2]])) is None
+
+
+def test_finite_order_of_the_zero_dimensional_torus():
+    assert finite_order(make_endo(make_torus([]), [])) == 1
 
 
 def test_finite_order_unipotent_rejected():
@@ -298,8 +304,11 @@ def test_polarized_gtz_q5():
 
 
 def test_polarized_no_for_mult_2_3():
-    v = polarized(get_example("mult_2_3").endo)
-    assert v.verdict == "no"
+    # q = 6 fails the Serre test; the exact steps alone say no
+    f = get_example("mult_2_3").endo
+    v = polarized(f)
+    assert v.verdict == "no" and v.q == 6
+    assert not serre_test(f, 6)
 
 
 def test_polarized_yes_for_scalar(e_torus):
@@ -335,6 +344,35 @@ def test_polarized_yes_for_negative_scalar_iterate():
     v = polarized(g)
     assert v.verdict == "yes" and v.q == 25
     assert_polarized_witness(g, v)
+
+
+@st.composite
+def polarizable_candidates(draw):
+    """Random dim-1 and dim-2 maps, and block permutations times units
+    and scalars, which are polarized when the scalars have equal norm."""
+    name = draw(st.sampled_from(sorted(ORDER_UNITS)))
+    order = order_by_name(name)
+    if draw(st.booleans()):
+        return random_endo(draw(st.integers(1, 2)), order, draw(st.integers(1, 2)),
+                           draw(st.integers(0, 10**6)))
+    scalar = st.sampled_from([(2, 0), (1, 2), (2, 1), (-2, 1), (3, 0)])
+    unit = st.sampled_from(ORDER_UNITS[name])
+    return block_unit_endo(order, draw(st.booleans()), (draw(scalar), draw(scalar)),
+                           (draw(unit), draw(unit)))
+
+
+@given(polarizable_candidates())
+@settings(max_examples=30, deadline=None)
+def test_polarized_does_not_depend_on_precision(f):
+    coarse = full_report(f, Fraction(1, 10))
+    polarized.cache_clear()
+    fine = full_report(f)
+    assert ((coarse.polarized, coarse.polarized_q, coarse.polarized_witness)
+            == (fine.polarized, fine.polarized_q, fine.polarized_witness))
+    if fine.polarized == "yes":
+        # a consequence of the exact verdict
+        assert serre_test(f, fine.polarized_q)
+        assert serre_test(f, fine.polarized_q, Fraction(1, 10))
 
 
 def test_polarized_no_for_non_semisimple(ee_torus):

@@ -116,6 +116,26 @@ def test_precision_must_be_a_positive_rational(capsys, value):
     assert "--precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fixed-points", "--example", "gtz_diag"),
+    ("torsion", "--example", "gtz_diag", "--level", "3"),
+    ("quotient", "--example", "shear", "--sublattice", "first_factor"),
+    ("orbit", "--example", "shear", "--sublattice", "first_factor"),
+])
+def test_precision_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "1/10"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "degrees"])
+def test_precision_is_accepted_by_classify_and_degrees(capsys, command):
+    code, out, _ = run(capsys, command, "--example", "gtz_diag",
+                       "--format", "json", "--precision", "1/10")
+    assert code == 0 and json.loads(out)
+
+
 # -- fixed points
 
 def test_fixed_points_finite(capsys, tmp_path):
@@ -209,6 +229,46 @@ def test_orbit_diagonal_gtz(capsys):
     assert code == 0
     assert json.loads(out)["verdict"] in ("escaping", "invariant") or \
         json.loads(out)["verdict"].startswith("periodic")
+
+
+# (verdict, iterations_examined) of every named sublattice, as the
+# saturating orbit gives them
+EXAMPLE_ORBITS = {
+    ("gtz_diag", "diagonal"): ("escaping", 65),
+    ("gtz_diag", "first_factor"): ("invariant", 2),
+    ("gtz_diag", "second_factor"): ("invariant", 2),
+    ("mult_2_1", "diagonal"): ("escaping", 65),
+    ("mult_2_1", "first_factor"): ("invariant", 2),
+    ("mult_2_1", "second_factor"): ("invariant", 2),
+    ("mult_2_3", "diagonal"): ("escaping", 65),
+    ("mult_2_3", "first_factor"): ("invariant", 2),
+    ("mult_2_3", "second_factor"): ("invariant", 2),
+    ("salem_surface", "diagonal"): ("escaping", 65),
+    ("salem_surface", "first_factor"): ("escaping", 65),
+    ("salem_surface", "second_factor"): ("escaping", 65),
+    ("shear", "diagonal"): ("escaping", 65),
+    ("shear", "first_factor"): ("invariant", 2),
+    ("shear", "second_factor"): ("escaping", 65),
+}
+
+
+@pytest.mark.parametrize("example, sublattice", sorted(EXAMPLE_ORBITS))
+def test_orbit_of_every_named_sublattice_is_pinned(capsys, example, sublattice):
+    code, out, _ = run(capsys, "orbit", "--example", example,
+                       "--sublattice", sublattice, "--format", "json")
+    verdict, examined = EXAMPLE_ORBITS[example, sublattice]
+    assert code == 0
+    assert json.loads(out) == {"sublattice": sublattice, "verdict": verdict,
+                               "iterations_examined": examined}
+
+
+def test_orbit_long_budget_examines_every_image(capsys):
+    code, out, _ = run(capsys, "orbit", "--example", "salem_surface",
+                       "--sublattice", "diagonal", "--budget", "1000",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "escaping" and doc["iterations_examined"] == 1001
 
 
 # -- sweep and examples

@@ -9,12 +9,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toridyn import (DomainError, RationalMatrix, ResourceError, fixed_points,
                      iterate, lefschetz_number, make_endo, make_subtorus,
-                     periodic_count, preper_vs_torsion, subtorus_orbit,
-                     torsion_dynamics)
+                     order_by_name, periodic_count, preper_vs_torsion,
+                     random_endo, saturate, subtorus_orbit, torsion_dynamics)
 from toridyn.scenarios import get_example
+
+from conftest import ORDER_UNITS, block_unit_endo
 
 
 def mult_map(e_torus, a):
@@ -272,6 +276,64 @@ def test_subtorus_orbit_swap_periodic(ee_torus):
     sub = make_subtorus(ee_torus, [[1, 0], [0, 1], [0, 0], [0, 0]])
     verdict, seq = subtorus_orbit(f, sub)
     assert verdict == ("periodic", 2)
+
+
+def saturating_orbit(f, sub, bound):
+    """Reference orbit: every image lattice is saturated, and lattices are
+    compared by the rref of their bases."""
+    def key(lattice):
+        red, _ = lattice.basis.transpose().rref()
+        return tuple(tuple(r) for r in red.entries if any(r))
+
+    start, current = key(sub.lattice), sub.lattice
+    for step in range(1, bound + 1):
+        current = saturate(RationalMatrix.from_columns(
+            [f.m.apply(c) for c in current.basis.columns()]))
+        if key(current) == start:
+            return ("invariant" if step == 1 else ("periodic", step)), step + 1
+    return "escaping", bound + 1
+
+
+@st.composite
+def orbit_cases(draw):
+    """A dim-2 Gaussian or Eisenstein map, either random or a block
+    permutation times units (periodic orbits of period up to 6), and a
+    J-invariant rank-2 subtorus span(v, Jv)."""
+    name = draw(st.sampled_from(sorted(ORDER_UNITS)))
+    order = order_by_name(name)
+    if draw(st.booleans()):
+        f = random_endo(2, order, draw(st.integers(1, 2)), draw(st.integers(0, 10**6)))
+    else:
+        scalar = st.sampled_from([(1, 0), (2, 0), (1, 2), (-2, 1)])
+        unit = st.sampled_from(ORDER_UNITS[name])
+        f = block_unit_endo(order, draw(st.booleans()),
+                            (draw(scalar), draw(scalar)), (draw(unit), draw(unit)))
+    rank = f.torus.rank
+    v = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+             .filter(any))
+    sub = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
+    return f, sub, draw(st.integers(1, 12))
+
+
+@given(orbit_cases())
+@settings(max_examples=60, deadline=None)
+def test_span_orbit_matches_the_saturating_orbit(case):
+    f, sub, bound = case
+    assert subtorus_orbit(f, sub, bound) == saturating_orbit(f, sub, bound)
+
+
+@pytest.mark.parametrize("name, swap, units, expected", [
+    ("gaussian", False, ((1, 0), (0, 1)), ("periodic", 4)),
+    ("gaussian", True, ((1, 0), (0, 1)), ("periodic", 2)),
+    ("eisenstein", False, ((1, 0), (0, 1)), ("periodic", 6)),
+])
+def test_span_orbit_periods_of_block_unit_maps(name, swap, units, expected):
+    f = block_unit_endo(order_by_name(name), swap, ((2, 1), (2, 1)), units)
+    half = f.torus.rank // 2
+    v = [1] + [0] * (half - 1) + [1] + [0] * (half - 1)
+    sub = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
+    examined = expected[1] + 1
+    assert subtorus_orbit(f, sub, 12) == saturating_orbit(f, sub, 12) == (expected, examined)
 
 
 # -- preperiodic vs torsion evidence
