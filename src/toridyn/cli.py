@@ -174,25 +174,24 @@ def cmd_degrees(args):
     return EXIT_OK
 
 
-def _coordinate_strings(points):
-    """Coordinates as strings, one str() per shared Fraction: keyed by id,
-    because hashing a Fraction costs more than formatting it."""
-    names = {}
-    return [[names.get(id(c)) or names.setdefault(id(c), str(c)) for c in p]
-            for p in points]
+def _coordinate_strings(fps):
+    """The rows of a fixed point set as coordinate strings, one str() per
+    distinct numerator."""
+    names = {k: str(Fraction(k, fps.denominator)) for k in set().union(*fps.rows)}
+    return [[names[k] for k in row] for row in fps.rows]
 
 
 def cmd_fixed_points(args):
     endo, _ = resolve_scenario(args)
     g = iterate(endo, args.iterate) if args.iterate > 1 else endo
-    fps = fixed_points(g)
+    fps = fixed_points(g, args.budget)
     doc = {"iterate": args.iterate, "kind": fps.kind}
     if fps.kind == "finite":
-        doc["count"] = len(fps.points)
-        doc["points"] = _coordinate_strings(fps.points)
+        doc["count"] = fps.count()
+        doc["points"] = _coordinate_strings(fps)
     elif fps.kind == "coset-family":
         doc["subtorus_rank"] = fps.subtorus.rank
-        doc["transversal"] = _coordinate_strings(fps.transversal)
+        doc["transversal"] = _coordinate_strings(fps)
     emit(doc, args.format)
     return EXIT_OK
 
@@ -338,6 +337,7 @@ def build_parser():
     p = sub.add_parser("fixed-points", help="fixed points of an iterate")
     scenario_args(p)
     p.add_argument("--iterate", type=_positive_int, default=1)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("torsion", help="orbit graph on m-torsion")
     scenario_args(p)

@@ -2,19 +2,23 @@
 orbit graphs, and subtorus orbit behaviour.
 
 Fixed-point congruences are solved through the Smith normal form and
-enumerated in integers over one common denominator.  Orbit graphs are
-exhaustive over the m-torsion lattice and therefore budgeted; they are
-built by whole-array numpy passes, and numpy is imported only then.
+enumerated as plain integer rows over one common denominator, without
+numpy; the number of points is known from the Smith factors and budgeted
+before any row is built.  Orbit graphs are exhaustive over the m-torsion
+lattice and therefore budgeted; they are built by whole-array numpy
+passes over all m^d nodes, and numpy is imported only then.
 Subtorus orbits are followed on rational spans, one reduced row echelon
 form per step, up to a bound: 'escaping' is a bounded verdict.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import islice
+from math import lcm, prod
+from operator import eq
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, smith_form
@@ -38,30 +42,51 @@ class FixedPointSet:
     kind 'finite': exactly |det(M - I)| rational points, lexicographically
     sorted with coordinates in [0, 1).  kind 'coset-family': a fixed
     subtorus plus a finite transversal of rational translates.  kind
-    'empty': the congruence is inconsistent (pure translation)."""
+    'empty': the congruence is inconsistent (pure translation).
+
+    The points (or the transversal) are stored as `rows`, sorted integer
+    numerators over the common `denominator`; `points` and `transversal`
+    read them as Fractions, one shared Fraction per distinct numerator."""
 
     kind: str
-    points: tuple = ()
+    denominator: int = 1
+    rows: tuple = ()
     subtorus: Subtorus | None = None
-    transversal: tuple = ()
+
+    def _fractions(self):
+        shared = {k: Fraction(k, self.denominator) for k in set().union(*self.rows)}
+        return tuple(tuple(shared[k] for k in row) for row in self.rows)
+
+    @cached_property
+    def points(self) -> tuple:
+        return self._fractions() if self.kind == "finite" else ()
+
+    @cached_property
+    def transversal(self) -> tuple:
+        return self._fractions() if self.kind == "coset-family" else ()
 
     def count(self):
         if self.kind == "finite":
-            return len(self.points)
+            return len(self.rows)
         if self.kind == "empty":
             return 0
         return None  # infinite
 
 
-def _solve_congruence(m_minus_i: RationalMatrix, rhs):
-    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (points,
-    free_directions) where free_directions are integer kernel generators,
-    or None when inconsistent.
+def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
+    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, rows,
+    free_directions): the solutions as sorted integer rows x D over one
+    common denominator D, and integer kernel generators.  Returns None
+    when inconsistent, and raises ResourceError before any enumeration
+    when there would be more than `budget` rows.
 
     With U (M - I) V = diag(d_i) and c = U rhs, y = V^{-1} x solves
     d_i y_i = c_i, so y_i = (c_i + j) / d_i for 0 <= j < |d_i|.  Every
-    option is written over one common denominator D and x D = V (y D)
-    is enumerated mod D in integers."""
+    option is written over one common denominator D and x D = V (y D) is
+    enumerated mod D in integers, one output coordinate at a time over
+    the grid of options.  The options of y are distinct mod 1 and V is
+    unimodular, so x = V y is a bijection of (Q/Z)^d and no row repeats;
+    equal adjacent sorted rows are rejected all the same."""
     d = m_minus_i.rows
     dec = smith_form(m_minus_i)
     c = [Fraction(ci) for ci in dec.u.apply(rhs)]
@@ -69,43 +94,47 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs):
     free = [i for i, di in enumerate(factors) if di == 0]
     if any(c[i].denominator != 1 for i in free):
         return None
+    count = prod(di for di in factors if di)
+    if count > budget:
+        raise ResourceError(f"fixed point set has {count} points, budget {budget}")
     denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
-    columns = []  # per coordinate i: column i of V times each y_i D
+    coords = [[0] for _ in range(d)]  # coords[r][g]: coordinate r of grid point g
     for i, (di, ci) in enumerate(zip(factors, c)):
         if di == 0:
-            columns.append([(0,) * d])
-            continue
+            continue  # a free direction: y_i = 0 on the transversal
         step = denom // di
         base = ci.numerator * (step // ci.denominator)
-        col = dec.v.column(i)
-        columns.append([tuple(e * (base + j * step) for e in col)
-                        for j in range(di)])
-    out = {tuple(sum(t) % denom for t in zip(*choice))
-           for choice in itertools.product(*columns)}
-    # sorting the numerators sorts the points, since D is common
-    shared = {k: Fraction(k, denom) for k in set().union(*out)}
-    points = [tuple(shared[k] for k in x) for x in sorted(out)]
-    kernel_dirs = [dec.v.column(i) for i in free]
-    return points, kernel_dirs
+        options = [base + j * step for j in range(di)]
+        for r, e in enumerate(dec.v.column(i)):
+            shifts = [e * o % denom for o in options]
+            coords[r] = [(s + t) % denom for s in coords[r] for t in shifts]
+    # sorting the numerators sorts the points, since D is common; the
+    # rank-0 torus has one point, the empty row
+    rows = sorted(zip(*coords)) or [()]
+    if any(map(eq, rows, islice(rows, 1, None))):
+        raise DomainError("repeated fixed point")  # pragma: no cover
+    return denom, tuple(rows), [dec.v.column(i) for i in free]
 
 
-def fixed_points(f: TorusEndomorphism) -> FixedPointSet:
-    """Solves (M - I) x = -tau (mod 1) by Smith reduction."""
+def fixed_points(f: TorusEndomorphism,
+                 budget: int = DEFAULT_NODE_BUDGET) -> FixedPointSet:
+    """Solves (M - I) x = -tau (mod 1) by Smith reduction.  Listing more
+    than `budget` points (or transversal points) raises ResourceError."""
     d = f.torus.rank
     m_minus_i = f.m - RationalMatrix.identity(d)
     rhs = tuple(-t for t in f.tau)
-    solved = _solve_congruence(m_minus_i, rhs)
+    solved = _solve_congruence(m_minus_i, rhs, budget)
     if solved is None:
         return FixedPointSet("empty")
-    points, free_dirs = solved
+    denom, rows, free_dirs = solved
     if not free_dirs:
         expected = abs(m_minus_i.det().numerator)
-        if len(points) != expected:
+        if len(rows) != expected:
             raise DomainError("fixed point count mismatch")  # pragma: no cover
-        return FixedPointSet("finite", points=tuple(points))
+        return FixedPointSet("finite", denom, rows)
     cols = [_primitive_integer_vector(v) for v in free_dirs]
     sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
-    return FixedPointSet("coset-family", subtorus=sub, transversal=tuple(points))
+    return FixedPointSet("coset-family", denom, rows, sub)
 
 
 def periodic_count(f: TorusEndomorphism, k: int):
@@ -176,11 +205,6 @@ def _orbit_histograms(f, m, n):
     suffices whenever n < 2^31."""
     import numpy as np
 
-    def histogram(values):
-        counts = np.bincount(values)
-        keys = np.flatnonzero(counts)
-        return dict(zip(keys.tolist(), counts[keys].tolist()))
-
     d = f.torus.rank
     dtype = np.int32 if n < 2**31 else np.int64
     mint = [[x % m for x in row] for row in f.m.to_integer()]
@@ -208,25 +232,23 @@ def _orbit_histograms(f, m, n):
         np.subtract.at(indeg, targets, 1)
         frontier = np.unique(targets[indeg[targets] == 0])
     del indeg
-    # tails: one more than the successor's, filled in rounds over the
-    # nodes still unknown
-    tail = np.full(n, -1, dtype)
-    tail[on_cycle] = 0
+    # tails: the nodes whose successor became known in the previous round
+    # are exactly those of the next tail length
+    known = on_cycle.copy()
+    tails = [int(np.count_nonzero(on_cycle))]
     unknown = np.flatnonzero(~on_cycle)
     while unknown.size:
-        nxt = tail[succ[unknown]]
-        known = nxt >= 0
-        tail[unknown[known]] = nxt[known] + 1
-        unknown = unknown[~known]
-    # cycle lengths: label each cycle node by the least compact index on
-    # its cycle (pointer doubling), then count the labels
-    cyc = np.flatnonzero(on_cycle).astype(dtype)
-    del on_cycle
-    position = np.zeros(n, dtype)
-    position[cyc] = np.arange(cyc.size, dtype=dtype)
-    jump = position[succ[cyc]]
-    del position
-    label = np.arange(cyc.size, dtype=dtype)
+        hit = known[succ[unknown]]
+        known[unknown[hit]] = True
+        tails.append(int(np.count_nonzero(hit)))
+        unknown = unknown[~hit]
+    del known, unknown
+    # cycle lengths: label each cycle node by the least index on its cycle
+    # (pointer doubling), then count the labels; a tail node points at
+    # itself, so it keeps its own label and adds no round
+    jump = np.where(on_cycle, succ, np.arange(n, dtype=dtype))
+    del succ
+    label = np.arange(n, dtype=dtype)
     # a window of 2^r nodes that misses some cycle's least index moves a
     # label in the next round, so a round that moves none is the last
     while True:
@@ -235,8 +257,10 @@ def _orbit_histograms(f, m, n):
             break
         label = merged
         jump = jump[jump]
-    lengths = np.bincount(label)
-    return histogram(lengths[lengths > 0]), histogram(tail)
+    lengths = np.bincount(label[on_cycle])
+    cycles = np.bincount(lengths[lengths > 0])
+    keys = np.flatnonzero(cycles)
+    return dict(zip(keys.tolist(), cycles[keys].tolist())), dict(enumerate(tails))
 
 
 def _span_key(vectors) -> tuple:

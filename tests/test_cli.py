@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, scenario files, output formats, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import mpmath
@@ -161,6 +162,58 @@ def test_fixed_points_coset_family(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "coset-family" and doc["subtorus_rank"] == 2
+
+
+J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+      ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+
+
+def _diagonal(*entries):
+    return [[str(a) if i == j else "0" for j in range(len(entries))]
+            for i, a in enumerate(entries)]
+
+
+@pytest.mark.parametrize("j, m, tau, k", [
+    (DOUBLING["torus"]["J"], _diagonal(3, 3), ["1/2", "0"], 1),
+    (DOUBLING["torus"]["J"], _diagonal(3, 3), ["1/3", "0"], 1),
+    (DOUBLING["torus"]["J"], [["2", "-1"], ["1", "2"]], ["1/5", "2/5"], 2),
+    (J4, _diagonal(2, 2, 5, 5), ["1/6", "1/3", "2/5", "1/2"], 1),
+    (J4, _diagonal(-1, -1, -2, -2), ["1/2", "1/3", "0", "5/6"], 2),
+    (J4, _diagonal(1, 1, 3, 3), ["0", "0", "1/6", "5/6"], 1),
+    (J4, _diagonal(1, 1, 3, 3), ["0", "0", "1/5", "1/2"], 2),
+])
+def test_fixed_points_strings_are_str_of_the_points(capsys, tmp_path, j, m, tau, k):
+    from toridyn.cli import load_scenario_file
+    from toridyn.dynamics import fixed_points
+    from toridyn.endo import iterate
+    path = write_scenario(tmp_path, {"torus": {"J": j},
+                                     "endomorphism": {"M": m, "tau": tau}})
+    fp = fixed_points(iterate(load_scenario_file(path)[0], k))
+    key = "points" if fp.kind == "finite" else "transversal"
+    values = getattr(fp, key)
+    assert values and all(type(c) is Fraction for x in values for c in x)
+    expected = [[str(c) for c in x] for x in values]
+    code, out, _ = run(capsys, "fixed-points", path, "--iterate", str(k),
+                       "--format", "json")
+    assert code == 0 and json.loads(out)[key] == expected
+    code, out, _ = run(capsys, "fixed-points", path, "--iterate", str(k))
+    assert code == 0 and f"{key}: {expected}" in out.splitlines()
+
+
+def test_fixed_points_budget_is_checked_before_enumeration(capsys):
+    # |det(M^6 - I)| = 244,117,120 points would not fit in memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", "--example", "gtz_diag",
+                         "--iterate", "6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.startswith("error[resource]: ")
+    code, _, err = run(capsys, "fixed-points", "--example", "gtz_diag",
+                       "--iterate", "3", "--budget", "1000")
+    assert code == 4 and "18056" in err
+    code, out, _ = run(capsys, "fixed-points", "--example", "gtz_diag",
+                       "--iterate", "3", "--budget", "18056", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == 18056
 
 
 # -- torsion

@@ -100,6 +100,15 @@ def test_fixed_points_common_denominator_brute_force(e_torus):
     assert len(expected) == 4
 
 
+def test_fixed_points_budget():
+    f = iterate(get_example("gtz_diag").endo, 2)  # 640 points
+    with pytest.raises(ResourceError):
+        fixed_points(f, budget=639)
+    fp = fixed_points(f, budget=640)
+    assert fp.count() == len(fp.rows) == 640
+    assert all(0 <= k < fp.denominator for row in fp.rows for k in row)
+
+
 def test_fixed_points_pure_translation_empty(e_torus):
     f = make_endo(e_torus, [[1, 0], [0, 1]], tau=[Fraction(1, 3), 0])
     assert fixed_points(f).kind == "empty"
@@ -226,14 +235,17 @@ def test_torsion_dynamics_tails(e_torus):
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported by the first torsion graph, not by the package
+    # numpy is imported by the first torsion graph, not by the package or
+    # by fixed points
     code = ("import sys, toridyn, toridyn.cli; print('numpy' in sys.modules); "
+            "toridyn.fixed_points(toridyn.get_example('gtz_diag').endo); "
+            "print('numpy' in sys.modules); "
             "toridyn.torsion_dynamics(toridyn.get_example('mult_by_i').endo, 2); "
             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_torsion_dynamics_budget(e_torus):
