@@ -178,7 +178,7 @@ def _coordinate_strings(fps):
     """The rows of a fixed point set as coordinate strings, one str() per
     distinct numerator."""
     names = {k: str(Fraction(k, fps.denominator)) for k in set().union(*fps.rows)}
-    return [[names[k] for k in row] for row in fps.rows]
+    return [list(map(names.__getitem__, row)) for row in fps.rows]
 
 
 def cmd_fixed_points(args):

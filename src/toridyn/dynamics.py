@@ -55,7 +55,7 @@ class FixedPointSet:
 
     def _fractions(self):
         shared = {k: Fraction(k, self.denominator) for k in set().union(*self.rows)}
-        return tuple(tuple(shared[k] for k in row) for row in self.rows)
+        return tuple(tuple(map(shared.__getitem__, row)) for row in self.rows)
 
     @cached_property
     def points(self) -> tuple:

@@ -7,7 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from toridyn.cli import main
+from toridyn import fixed_points, iterate
+from toridyn.cli import load_scenario_file, main
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, gaussian_order
 
 
@@ -183,9 +184,6 @@ def _diagonal(*entries):
     (J4, _diagonal(1, 1, 3, 3), ["0", "0", "1/5", "1/2"], 2),
 ])
 def test_fixed_points_strings_are_str_of_the_points(capsys, tmp_path, j, m, tau, k):
-    from toridyn.cli import load_scenario_file
-    from toridyn.dynamics import fixed_points
-    from toridyn.endo import iterate
     path = write_scenario(tmp_path, {"torus": {"J": j},
                                      "endomorphism": {"M": m, "tau": tau}})
     fp = fixed_points(iterate(load_scenario_file(path)[0], k))
