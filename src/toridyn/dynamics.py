@@ -73,6 +73,18 @@ class FixedPointSet:
         return None  # infinite
 
 
+def _smith_reduce(m_minus_i: RationalMatrix, rhs):
+    """(V, c, factors) with U (M - I) V = diag(factors) and c = U rhs, or
+    None when (M - I) x = rhs (mod Z^d) is inconsistent: some factor is
+    0 while its c_i is not an integer."""
+    dec = smith_form(m_minus_i)
+    c = [Fraction(ci) for ci in dec.u.apply(rhs)]
+    factors = [abs(dec.d[i, i].numerator) for i in range(m_minus_i.rows)]
+    if any(di == 0 and ci.denominator != 1 for di, ci in zip(factors, c)):
+        return None
+    return dec.v, c, factors
+
+
 def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, rows,
     free_directions): the solutions as sorted integer rows x D over one
@@ -87,25 +99,22 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     the grid of options.  The options of y are distinct mod 1 and V is
     unimodular, so x = V y is a bijection of (Q/Z)^d and no row repeats;
     equal adjacent sorted rows are rejected all the same."""
-    d = m_minus_i.rows
-    dec = smith_form(m_minus_i)
-    c = [Fraction(ci) for ci in dec.u.apply(rhs)]
-    factors = [abs(dec.d[i, i].numerator) for i in range(d)]
-    free = [i for i, di in enumerate(factors) if di == 0]
-    if any(c[i].denominator != 1 for i in free):
+    reduced = _smith_reduce(m_minus_i, rhs)
+    if reduced is None:
         return None
+    v, c, factors = reduced
     count = prod(di for di in factors if di)
     if count > budget:
         raise ResourceError(f"fixed point set has {count} points, budget {budget}")
     denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
-    coords = [[0] for _ in range(d)]  # coords[r][g]: coordinate r of grid point g
+    coords = [[0] for _ in factors]  # coords[r][g]: coordinate r of grid point g
     for i, (di, ci) in enumerate(zip(factors, c)):
         if di == 0:
             continue  # a free direction: y_i = 0 on the transversal
         step = denom // di
         base = ci.numerator * (step // ci.denominator)
         options = [base + j * step for j in range(di)]
-        for r, e in enumerate(dec.v.column(i)):
+        for r, e in enumerate(v.column(i)):
             shifts = [e * o % denom for o in options]
             coords[r] = [(s + t) % denom for s in coords[r] for t in shifts]
     # sorting the numerators sorts the points, since D is common; the
@@ -113,7 +122,7 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     rows = sorted(zip(*coords)) or [()]
     if any(map(eq, rows, islice(rows, 1, None))):
         raise DomainError("repeated fixed point")  # pragma: no cover
-    return denom, tuple(rows), [dec.v.column(i) for i in free]
+    return denom, tuple(rows), [v.column(i) for i, di in enumerate(factors) if di == 0]
 
 
 def fixed_points(f: TorusEndomorphism,
@@ -145,13 +154,13 @@ def periodic_count(f: TorusEndomorphism, k: int):
     if k < 1:
         raise DomainError("period must be >= 1")
     g = iterate(f, k)
-    det = (g.m - RationalMatrix.identity(f.torus.rank)).det().numerator
+    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
+    det = m_minus_i.det().numerator
     if det != 0:
         return abs(det)
-    fp = fixed_points(g)
-    if fp.kind == "empty":
-        return 0
-    return "infinite"
+    # a consistent congruence has a free direction, so its solutions are
+    # cosets of a positive-dimensional subtorus; none is listed
+    return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,17 @@ def test_periodic_count_infinite_on_unity_factor():
     assert periodic_count(f, 1) == "infinite"
 
 
+def test_periodic_count_lists_no_transversal(ee_torus):
+    # [1] x [1002]: the transversal has 1001^2 > DEFAULT_NODE_BUDGET points,
+    # but deciding 'infinite' against 0 needs only the Smith form
+    m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1002, 0], [0, 0, 0, 1002]]
+    assert periodic_count(make_endo(ee_torus, m), 1) == "infinite"
+    shifted = make_endo(ee_torus, m, tau=[Fraction(1, 2), 0, 0, 0])
+    assert periodic_count(shifted, 1) == 0
+    with pytest.raises(ResourceError):
+        fixed_points(make_endo(ee_torus, m))
+
+
 def test_periodic_count_rotation(e_torus):
     # multiplication by i: f^4 = id, every point periodic
     f = make_endo(e_torus, e_torus.j.to_integer())
