@@ -22,7 +22,8 @@ from operator import eq
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, smith_form
-from .endo import TorusEndomorphism, fixed_subtorus, iterate, unity_free
+from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
+                   unity_free)
 from .torus import Subtorus, _primitive_integer_vector, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -153,13 +154,14 @@ def periodic_count(f: TorusEndomorphism, k: int):
         raise NotSurjectiveError("periodic counts require det M != 0")
     if k < 1:
         raise DomainError("period must be >= 1")
-    g = iterate(f, k)
-    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
-    det = m_minus_i.det().numerator
+    # M has even size, so det(M^k - I) is the H^1 charpoly of f^k at 1
+    det = (eigen_data(f, k) if k > 1 else eigen_data(f)).h1_charpoly(1)
     if det != 0:
         return abs(det)
     # a consistent congruence has a free direction, so its solutions are
     # cosets of a positive-dimensional subtorus; none is listed
+    g = iterate(f, k)
+    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
     return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
 
 
@@ -234,12 +236,19 @@ def _orbit_histograms(f, m, n):
     # cycle nodes: peel nodes of in-degree 0 until none is left
     indeg = np.bincount(succ, minlength=n)
     on_cycle = np.ones(n, bool)
+    # each frontier holds every new in-degree-0 node once, deduplicated
+    # without sorting: a peeled node is never a target again, so its indeg
+    # slot is free scratch; each candidate writes its position there, and
+    # of equal candidates only the one written last reads its own back
     frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
         on_cycle[frontier] = False
         targets = succ[frontier]
         np.subtract.at(indeg, targets, 1)
-        frontier = np.unique(targets[indeg[targets] == 0])
+        candidates = targets[indeg[targets] == 0]
+        position = -1 - np.arange(candidates.size)
+        indeg[candidates] = position
+        frontier = candidates[indeg[candidates] == position]
     del indeg
     # tails: the nodes whose successor became known in the previous round
     # are exactly those of the next tail length

@@ -11,7 +11,7 @@ downstream verdicts are conjugation-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
@@ -33,6 +33,14 @@ class TorusEndomorphism:
     torus: ComplexTorus
     m: RationalMatrix
     tau: tuple
+
+    # every lru_cache lookup hashes the map; the entries are hashed once
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.torus, self.m, self.tau))
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def degree_matrix_det(self) -> int:
@@ -159,25 +167,74 @@ class EigenData:
     analytic: tuple  # GaussianRational coefficients, ascending
     u_count: int
     cyclotomic_factors: tuple  # ((n, multiplicity) in h1_charpoly, ...)
+    # (s, Gaussian-integer (re, im) coefficients of the charpoly of s(A + iB))
+    scaled_analytic: tuple = field(compare=False, repr=False)
+
+
+def _root_power_poly(coeffs, k: int):
+    """Ascending (re, im) coefficients of the monic polynomial whose roots
+    are the k-th powers of the roots of the monic polynomial `coeffs` over
+    Z[i], by Newton's identities: the power sums p_m of its roots, then
+    b_j = -(p_jk + sum_(i<j) b_i p_(j-i)k) / j for x^n + b_1 x^(n-1) + ...
+    The b_j are algebraic integers in Q(i), so every division is exact."""
+    n = len(coeffs) - 1
+    c = coeffs[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
+    p = [(n, 0)]
+    for m in range(1, n * k + 1):
+        re, im = c[m] if m <= n else (0, 0)
+        re, im = m * re, m * im
+        for i in range(1, min(m, n + 1)):
+            a, b = c[i]
+            x, y = p[m - i]
+            re += a * x - b * y
+            im += a * y + b * x
+        p.append((-re, -im))
+    out = [(1, 0)]
+    for j in range(1, n + 1):
+        re, im = p[j * k]
+        for i in range(1, j):
+            a, b = out[i]
+            x, y = p[(j - i) * k]
+            re += a * x - b * y
+            im += a * y + b * x
+        if re % j or im % j:
+            raise InvariantViolation("power-sum division is not exact")
+        out.append((-re // j, -im // j))
+    return out[::-1]
 
 
 @lru_cache(maxsize=512)
-def eigen_data(f: TorusEndomorphism) -> EigenData:
-    h1 = charpoly(f.m)
-    s, gamma = _scaled_analytic_charpoly(f.m, f.torus.j)
-    # exact h1 = Gamma * conj(Gamma); the scaled product has s^(2n-k) h1_k at x^k
+def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
+    """Eigen data of f^k.  For k > 1 it is derived from f's: both charpolys
+    of f^k have the k-th powers of the roots of f's, the analytic one
+    taken on s(A + iB) with scale s^k, and f^k is never built.  The cache
+    keys eigen_data(f, 1) apart from eigen_data(f), so k = 1 is passed
+    by omission."""
+    if k < 1:
+        raise DomainError("iteration count must be >= 1")
+    if k == 1:
+        h1 = charpoly(f.m)
+        s, gamma = _scaled_analytic_charpoly(f.m, f.torus.j)
+    else:
+        base = eigen_data(f)
+        h1 = IntPolynomial(re for re, _ in _root_power_poly(
+            [(c, 0) for c in base.h1_charpoly.coeffs], k))
+        s, gamma = base.scaled_analytic
+        s, gamma = s**k, _root_power_poly(gamma, k)
+    # exact h1 = Gamma * conj(Gamma); the scaled product has s^(2n-j) h1_j at x^j
     n = len(gamma) - 1
     product = [[0, 0] for _ in range(2 * n + 1)]
     for i, (a, b) in enumerate(gamma):
-        for k, (c, d) in enumerate(gamma):
-            product[i + k][0] += a * c + b * d
-            product[i + k][1] += b * c - a * d
-    if any(im or re != h1[k] * s ** (2 * n - k) for k, (re, im) in enumerate(product)):
+        for j, (c, d) in enumerate(gamma):
+            product[i + j][0] += a * c + b * d
+            product[i + j][1] += b * c - a * d
+    if any(im or re != h1[j] * s ** (2 * n - j) for j, (re, im) in enumerate(product)):
         raise InvariantViolation("h1 charpoly is not analytic x conjugate")
     count, factors = cyclotomic_root_count(h1) if h1.degree > 0 else (0, [])
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, _gaussian_coeffs(s, gamma), count // 2, tuple(factors))
+    return EigenData(h1, _gaussian_coeffs(s, gamma), count // 2, tuple(factors),
+                     (s, tuple(gamma)))
 
 
 def unity_free(f: TorusEndomorphism):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import ComplexStructureError, DomainError, NotSubtorusError
@@ -26,6 +26,14 @@ class ComplexTorus:
 
     n: int
     j: RationalMatrix
+
+    # every lru_cache lookup hashes the torus; J is hashed once
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.j))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:

@@ -15,7 +15,8 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      is_ample, iterate, make_endo, make_torus, neron_severi,
                      ns_action, order_by_name, polarization_q_candidate,
                      polarized, random_endo, serre_test,
-                     unit_circle_root_count, verify_chain, verify_iterates)
+                     unit_circle_root_count, unity_free, verify_chain,
+                     verify_iterates)
 from toridyn import classify
 from toridyn.classify import AmplifiedVerdict, _integer_nth_root
 from toridyn.scenarios import get_example
@@ -472,20 +473,62 @@ def test_difference_set_violations_of_a_forced_amplified_verdict(monkeypatch):
     ]
 
 
+def composed_iterates_reference(f, kmax):
+    """verify_iterates as a loop that builds every iterate f^k and decides
+    unity-free, amplified and polarized on it."""
+    violations = []
+    base_free, _ = unity_free(f)
+    base_amp = amplified(f)
+    base_pol = polarized(f)
+    h1_at_one = []
+    for k in range(1, kmax + 1):
+        g = iterate(f, k)
+        free_k, _ = unity_free(g)
+        h1_at_one.append(eigen_data(g).h1_charpoly(1))
+        if free_k != base_free:
+            violations.append(f"unity-free changed at iterate {k}")
+        if base_amp.verdict == "yes" and amplified(g).verdict != "yes":
+            violations.append(f"amplified lost at iterate {k}")
+        if base_pol.verdict == "yes":
+            pol_k = polarized(g)
+            if pol_k.verdict != "yes" or pol_k.q != base_pol.q**k:
+                violations.append(f"polarized(q^k) lost at iterate {k}")
+    if base_amp.verdict == "yes":
+        for m_idx in range(1, kmax + 1):
+            for n_idx in range(m_idx):
+                if h1_at_one[m_idx - n_idx - 1] == 0:
+                    violations.append(
+                        f"difference set infinite for m={m_idx}, n={n_idx}")
+    return violations
+
+
 @pytest.mark.parametrize("denominator", [2, 3, 5, 6])
 @pytest.mark.parametrize("n, seed", [(1, 3), (2, 11)])
-def test_verify_iterates_checks_the_iterates_of_f(monkeypatch, denominator, n, seed):
+def test_verify_iterates_matches_the_composed_iterates(denominator, n, seed):
     base = random_endo(n, order_by_name("gaussian"), 2, seed)
     tau = [Fraction(i + 1, denominator) for i in range(base.torus.rank)]
     f = make_endo(base.torus, base.m, tau)
-    seen = set()
-    original = classify.unity_free
+    assert verify_iterates(f, 6) == composed_iterates_reference(f, 6)
 
-    def recording(g):
-        seen.add(g)
-        return original(g)
 
-    monkeypatch.setattr(classify, "unity_free", recording)
-    verify_iterates(f, 6)
-    assert seen == {iterate(f, k) for k in range(1, 7)}
-    assert all(0 <= t < 1 for g in seen for t in g.tau)
+@pytest.mark.parametrize("name", ["mult_by_i", "mult_2_1", "gtz_diag", "shear",
+                                  "salem_surface", "mult_2_3"])
+def test_verify_iterates_matches_the_composed_iterates_on_examples(name):
+    f = get_example(name).endo
+    assert verify_iterates(f, 6) == composed_iterates_reference(f, 6)
+
+
+@given(st.sampled_from(["gaussian", "eisenstein", "quadratic(-2)"]),
+       st.integers(1, 3), st.integers(1, 6), st.integers(0, 10**6),
+       st.lists(st.fractions(-3, 3, max_denominator=6), min_size=12, max_size=12))
+@settings(max_examples=30, deadline=None)
+def test_iterate_data_is_derived_from_f(order, n, k, seed, tau):
+    # the charpolys of f^k have the k-th powers of f's roots, and f^k acts
+    # on NS as the k-th power of f's action
+    base = random_endo(n, order_by_name(order), 2, seed)
+    f = make_endo(base.torus, base.m, tau[:base.torus.rank])
+    g = iterate(f, k)
+    derived = eigen_data(f, k)
+    assert derived == eigen_data(g)
+    assert derived.analytic == eigen_data(g).analytic
+    assert ns_action(f) ** k == ns_action(g)

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, scenario files, output formats, exit codes."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -355,6 +356,23 @@ def test_sweep_verdicts_are_pinned(capsys, argv, cells):
     doc = json.loads(out)
     assert code == 0
     assert doc["cells"] == cells and doc["violations"] == []
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--dim", "2", "--order", "eisenstein", "--iterate", "6"),
+     "37e2e3993713984856d3303074cdeb877c8c7b49fd0aaa5669c6dd2d461fa799"),
+    (("--dim", "1", "--iterate", "6"),
+     "19b5b3002fca88b771afba5eaa301177f3e45df4da7bcaf2949cea95fa56369d"),
+    (("--dim", "3", "--iterate", "3"),
+     "17f41fca154f1a211d717e291f388e3a702ae4a0fb0aa11e7826c4fc1c5c4e71"),
+])
+def test_sweep_json_bytes_are_pinned(capsys, argv, digest):
+    # recorded from the verify_iterates that built and classified every
+    # iterate f^k; iterate data derived from f's must not change a byte
+    code, out, _ = run(capsys, "sweep", *argv, "--count", "25", "--height", "2",
+                       "--seed", "3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_examples_listing(capsys):

@@ -16,7 +16,8 @@ from toridyn import (DomainError, RationalMatrix, ResourceError, fixed_points,
                      iterate, lefschetz_number, make_endo, make_subtorus,
                      order_by_name, periodic_count, preper_vs_torsion,
                      random_endo, saturate, subtorus_orbit, torsion_dynamics)
-from toridyn.scenarios import get_example
+from toridyn.dynamics import _smith_reduce
+from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
 from conftest import ORDER_UNITS, block_unit_endo
 
@@ -155,6 +156,42 @@ def test_periodic_count_rotation(e_torus):
     assert periodic_count(f, 4) == "infinite"
 
 
+def smith_periodic_count(f, k):
+    """The count from the composed iterate: det(M^k - I) by elimination,
+    and the Smith form when it is 0."""
+    g = iterate(f, k)
+    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
+    det = m_minus_i.det().numerator
+    if det != 0:
+        return abs(det)
+    return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
+
+
+@given(st.sampled_from(["gaussian", "eisenstein"]), st.integers(1, 2),
+       st.integers(1, 6), st.integers(0, 10**6),
+       st.lists(st.fractions(0, 1, max_denominator=6), min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_periodic_count_matches_the_composed_iterate(order, n, k, seed, tau):
+    base = random_endo(n, order_by_name(order), 2, seed)
+    f = make_endo(base.torus, base.m, tau[:base.torus.rank])
+    assert periodic_count(f, k) == smith_periodic_count(f, k)
+
+
+@pytest.mark.parametrize("order, unit", [("gaussian", (1, 0)), ("gaussian", (0, 1)),
+                                         ("eisenstein", (1, 1))])
+@pytest.mark.parametrize("tau", [None, (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(2, 3))])
+def test_periodic_count_matches_the_composed_iterate_on_units(order, unit, tau):
+    # 1, i and 1 + w have orders 1, 4 and 6, so det(M^k - I) = 0 at some
+    # k <= 6; for M = I, f^k is the translation by k tau, which has no
+    # fixed point unless k tau is integral
+    cm = order_by_name(order)
+    f = cm_matrix_endo(cm_power_torus(cm, 1), cm, [[unit]])
+    if tau is not None:
+        f = make_endo(f.torus, f.m, tau + (0,) * (f.torus.rank - 2))
+    for k in range(1, 7):
+        assert periodic_count(f, k) == smith_periodic_count(f, k)
+
+
 # -- torsion orbit graphs
 
 def brute_force_graph(f, m):
@@ -226,6 +263,16 @@ def test_torsion_dynamics_long_tails_past_2_16_nodes(e_torus):
                              budget=2**18)
     assert graph.node_count == 2**18
     assert graph.tail_histogram == {0: 1, **{t: 2**(t - 1) for t in range(1, 2 * k + 1)}}
+    assert graph.cycle_histogram == {1: 1}
+
+
+def test_torsion_dynamics_doubling_on_2_power_torsion(e_torus):
+    # doubling on (Z/2^k)^2: a point of 2-adic valuation v < k has tail
+    # k - v, and 3 * 4^(t-1) points have tail t; every peeling frontier
+    # has repeated targets (x and x + 2^(k-1) share 2x)
+    k = 8
+    graph = torsion_dynamics(mult_map(e_torus, 2), 2**k)
+    assert graph.tail_histogram == {0: 1, **{t: 3 * 4**(t - 1) for t in range(1, k + 1)}}
     assert graph.cycle_histogram == {1: 1}
 
 
