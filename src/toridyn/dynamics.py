@@ -2,11 +2,11 @@
 orbit graphs, and subtorus orbit behaviour.
 
 Fixed-point congruences are solved through the Smith normal form and
-enumerated as plain integer rows over one common denominator, without
-numpy; the number of points is known from the Smith factors and budgeted
-before any row is built.  Orbit graphs are exhaustive over the m-torsion
-lattice and therefore budgeted; they are built by whole-array numpy
-passes over all m^d nodes, and numpy is imported only then.
+enumerated as plain integer rows over one common denominator; the number
+of points is known from the Smith factors and budgeted before any row is
+built.  Orbit graphs on the m-torsion lattice are counted, not built:
+their cycle and tail histograms follow from Smith forms of powers of f
+reduced mod m, and the node budget bounds the trial division this needs.
 Subtorus orbits are followed on rational spans, one reduced row echelon
 form per step, up to a bound: 'escaping' is a bounded verdict.
 """
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import eq
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .matlin import RationalMatrix, smith_form
+from .matlin import RationalMatrix, matmul, smith_form
 from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
                    unity_free)
 from .torus import Subtorus, _primitive_integer_vector, make_subtorus
@@ -167,7 +167,8 @@ def periodic_count(f: TorusEndomorphism, k: int):
 
 @dataclass(frozen=True)
 class TorsionOrbitGraph:
-    """Exhaustive functional graph of f on the m-torsion points."""
+    """Cycle and tail histograms of the functional graph of f on the
+    m-torsion points."""
 
     level: int
     node_count: int
@@ -186,8 +187,8 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     """Orbit graph of x -> M x + m*tau on (Z/m)^{2n}.
 
     Torsion points a = x/m; f(a) has coordinates (M x + m tau)/m, so the
-    translation must have denominators dividing m.  Nodes are mixed-radix
-    integers, last coordinate fastest."""
+    translation must have denominators dividing m.  The budget bounds
+    m^d, and with it every number the counts factor by trial division."""
     if m < 1:
         raise DomainError("torsion level must be >= 1")
     for t in f.tau:
@@ -197,88 +198,79 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     n_nodes = m**d
     if n_nodes > budget:
         raise ResourceError(f"torsion graph needs {n_nodes} nodes, budget {budget}")
-    try:
-        cycle_hist, tail_hist = _orbit_histograms(f, m, n_nodes)
-    except MemoryError:
-        raise ResourceError(
-            f"torsion graph of {n_nodes} nodes does not fit in memory") from None
+    cycle_hist, tail_hist = _orbit_histograms(f, m)
     return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
 
 
-def _orbit_histograms(f, m, n):
+def _prime_factors(n: int) -> set:
+    """The primes dividing n >= 1, by trial division."""
+    primes, p = set(), 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1 + p % 2
+    return primes | {n} if n > 1 else primes
+
+
+def _orbit_histograms(f, m):
     """(cycle length -> cycles, tail length -> nodes) of the orbit graph
-    on n = m^d nodes, by whole-array numpy passes.
+    on (Z/m)^d, counted from Smith forms of d x d matrices mod m.
 
-    Every value stays below n: a term is a residue times an entry of M
-    reduced mod m, so at most (m-1)^2, and a partial sum is reduced mod m
-    after each term, so it is at most m^2 - m.  The rank d is 0 (no
-    arithmetic at all) or at least 2, where m^2 <= m^d = n; so int32
-    suffices whenever n < 2^31."""
-    import numpy as np
-
+    With U A V = diag(d_i), A x = c has prod gcd(d_i, m) solutions when
+    each gcd(d_i, m) divides (U c)_i, and none otherwise.  The periodic
+    nodes are a coset of E = M^N (Z/m)^d, N the step where |ker M^t|
+    stops growing, and the nodes of tail at most t number |E| |ker M^t|.
+    Fix(k) counts the solutions of (M^k - I) x = -c_k, f^k = (M^k, c_k).
+    The order L of f on the periodic coset divides lcm(p^j - 1 : p | m,
+    j <= d) times a power of rad(m), and Fix over the divisors of L gives
+    the nodes of each exact period."""
     d = f.torus.rank
-    dtype = np.int32 if n < 2**31 else np.int64
-    mint = [[x % m for x in row] for row in f.m.to_integer()]
-    shift = [int(t * m) % m for t in f.tau]
-    residues = np.arange(m, dtype=dtype)
-    # successor map, one output coordinate at a time: its value over the
-    # whole grid is a broadcast sum of d residue vectors, one per axis
-    succ = np.zeros(n, dtype)
-    for i in range(d):
-        acc = np.full((1,) * d, shift[i], dtype)
-        for j in range(d):
-            axis = [1] * d
-            axis[j] = m
-            acc = acc + (residues * mint[i][j] % m).reshape(axis)
-            acc %= m
-        acc *= m**(d - 1 - i)
-        succ += acc.reshape(n)
-    # cycle nodes: peel nodes of in-degree 0 until none is left
-    indeg = np.bincount(succ, minlength=n)
-    on_cycle = np.ones(n, bool)
-    # each frontier holds every new in-degree-0 node once, deduplicated
-    # without sorting: a peeled node is never a target again, so its indeg
-    # slot is free scratch; each candidate writes its position there, and
-    # of equal candidates only the one written last reads its own back
-    frontier = np.flatnonzero(indeg == 0)
-    while frontier.size:
-        on_cycle[frontier] = False
-        targets = succ[frontier]
-        np.subtract.at(indeg, targets, 1)
-        candidates = targets[indeg[targets] == 0]
-        position = -1 - np.arange(candidates.size)
-        indeg[candidates] = position
-        frontier = candidates[indeg[candidates] == position]
-    del indeg
-    # tails: the nodes whose successor became known in the previous round
-    # are exactly those of the next tail length
-    known = on_cycle.copy()
-    tails = [int(np.count_nonzero(on_cycle))]
-    unknown = np.flatnonzero(~on_cycle)
-    while unknown.size:
-        hit = known[succ[unknown]]
-        known[unknown[hit]] = True
-        tails.append(int(np.count_nonzero(hit)))
-        unknown = unknown[~hit]
-    del known, unknown
-    # cycle lengths: label each cycle node by the least index on its cycle
-    # (pointer doubling), then count the labels; a tail node points at
-    # itself, so it keeps its own label and adds no round
-    jump = np.where(on_cycle, succ, np.arange(n, dtype=dtype))
-    del succ
-    label = np.arange(n, dtype=dtype)
-    # a window of 2^r nodes that misses some cycle's least index moves a
-    # label in the next round, so a round that moves none is the last
-    while True:
-        merged = np.minimum(label, label[jump])
-        if np.array_equal(merged, label):
-            break
-        label = merged
-        jump = jump[jump]
-    lengths = np.bincount(label[on_cycle])
-    cycles = np.bincount(lengths[lengths > 0])
-    keys = np.flatnonzero(cycles)
-    return dict(zip(keys.tolist(), cycles[keys].tolist())), dict(enumerate(tails))
+    aug = [[x % m for x in row] + [int(t * m) % m]
+           for row, t in zip(f.m.to_integer(), f.tau)] + [[0] * d + [1]]
+
+    def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
+        result = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+        for bit in bin(k)[2:]:
+            result = [[x % m for x in row] for row in matmul(result, result)]
+            if bit == "1":
+                result = [[x % m for x in row] for row in matmul(result, aug)]
+        return result
+
+    def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
+        top = power(k)[:d]
+        dec = smith_form([[x - s * (i == j) for j, x in enumerate(row[:d])]
+                          for i, row in enumerate(top)])
+        gs = [gcd(x, m) for x in dec.invariant_factors]
+        uc = dec.u.apply([-s * row[d] for row in top])
+        return 0 if any(x % g for x, g in zip(uc, gs)) else prod(gs)
+
+    kernels = [1, solutions(1, 0)]  # |ker M^t| until it stops growing
+    while kernels[-1] != kernels[-2]:
+        kernels.append(solutions(len(kernels), 0))
+    periodic = m**d // kernels[-1]
+    tails = {t: periodic * (kernels[t] - kernels[t - 1]) if t else periodic
+             for t in range(len(kernels) - 1)}
+    primes = _prime_factors(m)
+    orders = [p**j - 1 for p in primes for j in range(1, d + 1)]
+    order = lcm(1, *orders)
+    while solutions(order, 1) != periodic:
+        order *= prod(primes)
+    divisors = [1]
+    for r in primes.union(*map(_prime_factors, orders)):
+        # strip r, then put back the least power of it that L needs
+        powers = [1]
+        while order % r == 0:
+            order //= r
+            powers.append(powers[-1] * r)
+        e = next(e for e, q in enumerate(powers) if solutions(order * q, 1) == periodic)
+        order *= powers[e]
+        divisors = [k * q for k in divisors for q in powers[:e + 1]]
+    exact = {}  # period -> nodes of exactly that period
+    for k in sorted(divisors):
+        exact[k] = solutions(k, 1) - sum(v for j, v in exact.items() if k % j == 0)
+    return {k: v // k for k, v in exact.items() if v}, tails
 
 
 def _span_key(vectors) -> tuple:

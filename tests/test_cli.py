@@ -233,13 +233,16 @@ def test_torsion_budget_exhausted(capsys):
     assert "error[resource]" in err
 
 
-def test_torsion_unallocatable_graph_is_a_resource_error(capsys):
-    # 10^14 nodes pass this budget but cannot be allocated; the request
-    # fails at once without touching memory
+def test_torsion_graph_of_10_14_nodes_is_counted_exactly(capsys):
+    # x -> ix on (Z/10^7)^2: 1 - i has norm 2, so 2 points are fixed, 4
+    # have period dividing 2 and every other point lies on a 4-cycle
     code, out, err = run(capsys, "torsion", "--example", "mult_by_i",
-                         "--level", str(10**7), "--budget", str(10**14))
-    assert code == 4 and out == ""
-    assert err.startswith("error[resource]: ")
+                         "--level", str(10**7), "--budget", str(10**14),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["cycle_histogram"] == {"1": 2, "2": 1, "4": 24999999999999}
+    assert doc["tail_histogram"] == {"0": 10**14}
 
 
 def test_parser_is_reused_across_calls(capsys):

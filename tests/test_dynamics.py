@@ -2,6 +2,7 @@
 subtorus orbits."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from toridyn import (DomainError, RationalMatrix, ResourceError, fixed_points,
                      iterate, lefschetz_number, make_endo, make_subtorus,
@@ -239,9 +242,24 @@ def test_torsion_dynamics_matches_brute_force(e_torus):
     f = make_endo(e_torus, [[2, 1], [-1, 2]], tau=[Fraction(1, 2), 0])
     for m in (2, 4, 6):
         assert_matches_brute_force(f, m)
+    # pure translations: their order is a power of p, so the order search
+    # multiplies by rad(m) more than once
+    for m, tau in ((9, (Fraction(1, 9), 0)), (27, (Fraction(1, 27), 0)),
+                   (27, (Fraction(2, 9), Fraction(1, 27)))):
+        assert_matches_brute_force(make_endo(e_torus, [[1, 0], [0, 1]], tau), m)
+    # rank 2 at odd prime-power and mixed levels, with and without tails
+    for a, tau, m in (([[1, -1], [1, 1]], (Fraction(1, 3), 0), 9),
+                      ([[2, 1], [-1, 2]], None, 9),
+                      ([[3, 0], [0, 3]], (Fraction(1, 4), Fraction(1, 3)), 12),
+                      ([[0, -1], [1, 0]], (Fraction(1, 2), 0), 12),
+                      ([[2, -1], [1, 2]], (Fraction(1, 5), Fraction(2, 3)), 15),
+                      ([[1, -2], [2, 1]], None, 25),
+                      ([[1, -1], [1, 1]], (Fraction(1, 25), 0), 25)):
+        assert_matches_brute_force(make_endo(e_torus, a, tau), m)
 
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 
 
 @pytest.mark.parametrize("name, m, tau", [
@@ -249,6 +267,11 @@ HALF = Fraction(1, 2)
     ("gtz_diag", 8, (0, HALF, HALF, 0)), ("gtz_diag", 10, (HALF, HALF, 0, 0)),
     ("mult_2_3", 4, None), ("mult_2_3", 6, (HALF, 0, 0, HALF)),
     ("mult_2_3", 8, None), ("mult_2_3", 8, (0, HALF, HALF, HALF)),
+    # unipotent: the order is a power of p, which the rad(m) loop must
+    # reach and the stripping must keep whole
+    ("shear", 4, None), ("shear", 4, (0, HALF, HALF, 0)),
+    ("shear", 8, None), ("shear", 8, (Fraction(1, 8), 0, 0, HALF)),
+    ("shear", 9, None), ("shear", 9, (0, 0, THIRD, Fraction(1, 9))),
 ])
 def test_torsion_dynamics_rank4_matches_brute_force(name, m, tau):
     endo = get_example(name).endo
@@ -276,6 +299,24 @@ def test_torsion_dynamics_doubling_on_2_power_torsion(e_torus):
     assert graph.cycle_histogram == {1: 1}
 
 
+def test_torsion_dynamics_of_10_12_nodes_against_sympy_smith_forms():
+    # gtz_diag on (Z/997)^4, about 9.9e11 nodes, is counted without a node
+    # list; tau = 0, so the nodes of period dividing k are ker(M^k - I)
+    m = 997
+    f = get_example("gtz_diag").endo
+    graph = torsion_dynamics(f, m, budget=10**12)
+    assert graph.cycle_histogram == {1: 1, 498: 1996, 996: 992020982}
+    assert graph.tail_histogram == {0: 988053892081}
+    assert sum(graph.tail_histogram.values()) == m**4
+    assert sum(l * c for l, c in graph.cycle_histogram.items()) == graph.tail_histogram[0]
+    a = sympy.Matrix(f.m.to_integer())
+    for k in graph.cycle_histogram:
+        snf = smith_normal_form((a**k - sympy.eye(4)).applyfunc(lambda x: x % m),
+                                domain=sympy.ZZ)
+        kernel = math.prod(math.gcd(int(snf[i, i]), m) for i in range(4))
+        assert sum(l * c for l, c in graph.cycle_histogram.items() if k % l == 0) == kernel
+
+
 def test_torsion_dynamics_doubling_level3(e_torus):
     # doubling is a bijection on 3-torsion: 1 fixed point + 4 two-cycles
     graph = torsion_dynamics(mult_map(e_torus, 2), 3)
@@ -293,8 +334,8 @@ def test_torsion_dynamics_tails(e_torus):
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported by the first torsion graph, not by the package or
-    # by fixed points
+    # numpy is not a runtime dependency: neither the package, fixed points
+    # nor a torsion graph imports it
     code = ("import sys, toridyn, toridyn.cli; print('numpy' in sys.modules); "
             "toridyn.fixed_points(toridyn.get_example('gtz_diag').endo); "
             "print('numpy' in sys.modules); "
@@ -303,7 +344,7 @@ def test_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_torsion_dynamics_budget(e_torus):
