@@ -418,7 +418,7 @@ def full_report(f: TorusEndomorphism,
         h1_charpoly=data.h1_charpoly,
         notes=tuple(notes),
     )
-    for violation in chain_violations(report):
+    for violation in verify_chain(f, report):
         raise DomainError(f"implication chain violated: {violation}")  # pragma: no cover
     return report
 
@@ -427,15 +427,16 @@ def full_report(f: TorusEndomorphism,
 # Implication chain and iterate stability
 
 
-def chain_violations(report: ClassificationReport):
-    """polarized => amplified => unity-free => infinite order; inconclusive
-    never counts as a violation."""
+def chain_violations(polarized: str, amplified: str, unity_free: bool,
+                     finite_order: int | None):
+    """polarized => amplified => unity-free => infinite order, on verdicts
+    as a report holds them; inconclusive never counts as a violation."""
     out = []
-    if report.polarized == "yes" and report.amplified == "no":
+    if polarized == "yes" and amplified == "no":
         out.append("polarized but not amplified")
-    if report.amplified == "yes" and not report.unity_free:
+    if amplified == "yes" and not unity_free:
         out.append("amplified but not unity-free")
-    if report.unity_free and report.finite_order is not None:
+    if unity_free and finite_order is not None:
         out.append("unity-free but finite order")
     return out
 
@@ -443,7 +444,8 @@ def chain_violations(report: ClassificationReport):
 def verify_chain(f: TorusEndomorphism, report: ClassificationReport | None = None):
     if report is None:
         report = full_report(f)
-    return chain_violations(report)
+    return chain_violations(report.polarized, report.amplified,
+                            report.unity_free, report.finite_order)
 
 
 def verify_iterates(f: TorusEndomorphism, kmax: int):

@@ -28,8 +28,8 @@ from .torus import make_torus, make_subtorus
 from .endo import eigen_split, iterate, make_endo, unity_free
 from .dynamics import (DEFAULT_NODE_BUDGET, DEFAULT_ORBIT_BOUND, fixed_points,
                        subtorus_orbit, torsion_dynamics)
-from .classify import (chain_violations, dynamical_degrees, full_report,
-                       verify_iterates)
+from .classify import (amplified, chain_violations, dynamical_degrees,
+                       finite_order, full_report, polarized, verify_iterates)
 from .scenarios import get_example, order_by_name, named_examples, random_endo
 
 EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
@@ -259,13 +259,14 @@ def cmd_sweep(args):
     violations = []
     for idx in range(args.count):
         f = random_endo(args.dim, order, args.height, args.seed + idx)
-        report = full_report(f)
-        cell = (report.polarized, report.amplified,
-                "unity-free" if report.unity_free else "has-unity",
-                "finite" if report.finite_order is not None else "infinite")
+        free, _ = unity_free(f)
+        period = finite_order(f)
+        amp, pol = amplified(f).verdict, polarized(f).verdict
+        cell = (pol, amp, "unity-free" if free else "has-unity",
+                "finite" if period is not None else "infinite")
         cells[cell] = cells.get(cell, 0) + 1
-        bad = chain_violations(report)
-        if args.dim == 2 and report.unity_free and report.amplified == "no":
+        bad = chain_violations(pol, amp, free, period)
+        if args.dim == 2 and free and amp == "no":
             bad.append("surface unity-free but not amplified")
         bad.extend(verify_iterates(f, args.iterate))
         if bad:

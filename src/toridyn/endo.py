@@ -246,14 +246,13 @@ def unity_free(f: TorusEndomorphism):
     return data.u_count == 0, data.u_count
 
 
-def minimal_unity_iterate(f: TorusEndomorphism, data: EigenData | None = None) -> int | None:
+def minimal_unity_iterate(f: TorusEndomorphism) -> int | None:
     """lcm of the orders n of cyclotomic factors of the H^1 charpoly, or
     None when there is no root-of-unity eigenvalue."""
-    if data is None:
-        data = eigen_data(f)
-    if not data.cyclotomic_factors:
+    factors = eigen_data(f).cyclotomic_factors
+    if not factors:
         return None
-    return lcm(*[n for n, _ in data.cyclotomic_factors])
+    return lcm(*[n for n, _ in factors])
 
 
 def fixed_subtorus(f: TorusEndomorphism):

@@ -183,14 +183,11 @@ def _is_positive_definite(s) -> bool:
 
 def is_ample(torus: ComplexTorus, omega) -> bool:
     """Ample-cone membership of an NS vector: the symmetric form
-    S(x, y) = E(Jx, y) must be positive definite (exact leading minors)."""
-    ns = neron_severi(torus)
-    if not ns.contains(omega):
-        raise DomainError("vector is not of type (1,1)")
-    e = ns_vector_to_form(torus, omega)
-    s = torus.j.transpose() * e
+    S(x, y) = E(Jx, y) must be positive definite (exact leading minors).
+    As J^2 = -I, S = J^T E is symmetric exactly when E is in NS."""
+    s = torus.j.transpose() * ns_vector_to_form(torus, omega)
     if s.transpose() != s:
-        raise DomainError("associated form is not symmetric; not type (1,1)")
+        raise DomainError("vector is not of type (1,1)")
     return _is_positive_definite(s)
 
 

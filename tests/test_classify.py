@@ -393,7 +393,7 @@ def test_full_report_mult_2_3():
     assert r.finite_order is None
     assert r.unity_free and r.u_f == 0
     assert r.amplified == "yes" and r.polarized == "no"
-    assert chain_violations(r) == []
+    assert chain_violations(r.polarized, r.amplified, r.unity_free, r.finite_order) == []
 
 
 def test_full_report_notes_on_unity_factor():

@@ -361,21 +361,59 @@ def test_sweep_verdicts_are_pinned(capsys, argv, cells):
     assert doc["cells"] == cells and doc["violations"] == []
 
 
-@pytest.mark.parametrize("argv, digest", [
+PINNED_SWEEPS = [
     (("--dim", "2", "--order", "eisenstein", "--iterate", "6"),
      "37e2e3993713984856d3303074cdeb877c8c7b49fd0aaa5669c6dd2d461fa799"),
     (("--dim", "1", "--iterate", "6"),
      "19b5b3002fca88b771afba5eaa301177f3e45df4da7bcaf2949cea95fa56369d"),
     (("--dim", "3", "--iterate", "3"),
      "17f41fca154f1a211d717e291f388e3a702ae4a0fb0aa11e7826c4fc1c5c4e71"),
-])
+    (("--dim", "2", "--order", "eisenstein", "--iterate", "6", "--format", "text"),
+     "d08b8a13d4b044185a055b9414cc67e7056f1fa4ae15287367942edd19ad87c4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SWEEPS)
 def test_sweep_json_bytes_are_pinned(capsys, argv, digest):
-    # recorded from the verify_iterates that built and classified every
-    # iterate f^k; iterate data derived from f's must not change a byte
-    code, out, _ = run(capsys, "sweep", *argv, "--count", "25", "--height", "2",
-                       "--seed", "3", "--format", "json")
+    # recorded when verify_iterates built and classified every iterate f^k
+    # (JSON) and when the sweep built a full report per sample (text)
+    code, out, _ = run(capsys, "sweep", "--count", "25", "--height", "2",
+                       "--seed", "3", "--format", "json", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SWEEPS)
+def test_sweep_computes_no_report_fields_it_does_not_print(
+        capsys, monkeypatch, argv, digest):
+    # a sweep prints four verdicts per sample; degrees, the Serre test,
+    # the Lefschetz number and the polynomial class are never computed
+    import toridyn.classify as classify
+
+    def not_printed(*args, **kwargs):
+        raise AssertionError("a sweep computed a value it does not print")
+
+    for name in ("dynamical_degrees", "serre_test", "lefschetz_number",
+                 "polynomial_class"):
+        monkeypatch.setattr(classify, name, not_printed)
+    test_sweep_json_bytes_are_pinned(capsys, argv, digest)
+
+
+def test_sweep_reports_a_chain_violation_as_a_failure(capsys, monkeypatch):
+    # an amplified verdict on a map with roots of unity breaks the chain;
+    # the sweep lists it and exits 1 rather than stopping at the sample
+    import toridyn.cli as cli
+    from toridyn.classify import AmplifiedVerdict
+
+    monkeypatch.setattr(cli, "amplified", lambda f: AmplifiedVerdict("yes", "forced"))
+    code, out, err = run(capsys, "sweep", "--count", "25", "--dim", "2",
+                         "--iterate", "4", "--height", "3", "--seed", "7",
+                         "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and err == ""
+    assert doc["cells"] == {"no / yes / has-unity / infinite": 1,
+                            "no / yes / unity-free / infinite": 24}
+    assert [v["failures"] for v in doc["violations"]] == [["amplified but not unity-free"]]
 
 
 def test_examples_listing(capsys):
