@@ -175,10 +175,9 @@ def cmd_degrees(args):
 
 
 def _coordinate_strings(fps):
-    """The rows of a fixed point set as coordinate strings, one str() per
-    distinct numerator."""
-    names = {k: str(Fraction(k, fps.denominator)) for k in set().union(*fps.rows)}
-    return [list(map(names.__getitem__, row)) for row in fps.rows]
+    """The rows of a fixed point set as lists of coordinate strings, one
+    str() per distinct numerator."""
+    return list(map(list, fps.rows_as(str)))
 
 
 def cmd_fixed_points(args):

@@ -1,27 +1,30 @@
 """Fixed points, periodic point counts, Lefschetz numbers, torsion-level
 orbit graphs, and subtorus orbit behaviour.
 
-Fixed-point congruences are solved through the Smith normal form and
-enumerated as plain integer rows over one common denominator; the number
-of points is known from the Smith factors and budgeted before any row is
-built.  Orbit graphs on the m-torsion lattice are counted, not built:
-their cycle and tail histograms follow from Smith forms of powers of f
-reduced mod m, and the node budget bounds the trial division this needs.
-Subtorus orbits are followed on rational spans, one reduced row echelon
-form per step, up to a bound: 'escaping' is a bounded verdict.
+Fixed-point congruences are solved through the Smith normal form: the
+solutions form a coset of a lattice mod a common denominator D, listed in
+lexicographic order as plain integer rows from a triangular (Hermite)
+basis of that lattice.  The number of points is known from the Smith
+factors and budgeted before any row is built.  Orbit graphs on the
+m-torsion lattice are counted, not built: their cycle and tail histograms
+follow from Smith forms of powers of f reduced mod m, and the node budget
+bounds the trial division this needs.  Subtorus orbits are followed on
+integer bases, each image tested for inclusion in the start span against
+one integer-scaled reduced row echelon form, up to a bound: 'escaping' is
+a bounded verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import islice
 from math import gcd, lcm, prod
-from operator import eq
+from operator import lt
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .matlin import RationalMatrix, matmul, smith_form
+from .matlin import RationalMatrix, bareiss, matmul, smith_form
 from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
                    unity_free)
 from .torus import Subtorus, _primitive_integer_vector, make_subtorus
@@ -45,26 +48,32 @@ class FixedPointSet:
     subtorus plus a finite transversal of rational translates.  kind
     'empty': the congruence is inconsistent (pure translation).
 
-    The points (or the transversal) are stored as `rows`, sorted integer
-    numerators over the common `denominator`; `points` and `transversal`
-    read them as Fractions, one shared Fraction per distinct numerator."""
+    The points (or the transversal) are stored as `rows`, strictly
+    increasing integer numerators over the common `denominator`; `points`
+    and `transversal` read them as Fractions through `rows_as`."""
 
     kind: str
     denominator: int = 1
     rows: tuple = ()
     subtorus: Subtorus | None = None
 
-    def _fractions(self):
-        shared = {k: Fraction(k, self.denominator) for k in set().union(*self.rows)}
-        return tuple(tuple(map(shared.__getitem__, row)) for row in self.rows)
+    def rows_as(self, convert):
+        """The rows with each numerator k read as convert(k / denominator),
+        converted once per distinct numerator and mapped column by column;
+        an iterable of tuples."""
+        columns = list(zip(*self.rows))
+        if not columns:
+            return self.rows  # no rows, or the one empty row of rank 0
+        values = {k: convert(Fraction(k, self.denominator)) for k in set().union(*columns)}
+        return zip(*(map(values.__getitem__, column) for column in columns))
 
     @cached_property
     def points(self) -> tuple:
-        return self._fractions() if self.kind == "finite" else ()
+        return tuple(self.rows_as(Fraction)) if self.kind == "finite" else ()
 
     @cached_property
     def transversal(self) -> tuple:
-        return self._fractions() if self.kind == "coset-family" else ()
+        return tuple(self.rows_as(Fraction)) if self.kind == "coset-family" else ()
 
     def count(self):
         if self.kind == "finite":
@@ -88,18 +97,18 @@ def _smith_reduce(m_minus_i: RationalMatrix, rhs):
 
 def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, rows,
-    free_directions): the solutions as sorted integer rows x D over one
-    common denominator D, and integer kernel generators.  Returns None
-    when inconsistent, and raises ResourceError before any enumeration
-    when there would be more than `budget` rows.
+    free_directions): the solutions as strictly increasing integer rows
+    x D over one common denominator D, and integer kernel generators.
+    Returns None when inconsistent, and raises ResourceError before any
+    enumeration when there would be more than `budget` rows.
 
     With U (M - I) V = diag(d_i) and c = U rhs, y = V^{-1} x solves
-    d_i y_i = c_i, so y_i = (c_i + j) / d_i for 0 <= j < |d_i|.  Every
-    option is written over one common denominator D and x D = V (y D) is
-    enumerated mod D in integers, one output coordinate at a time over
-    the grid of options.  The options of y are distinct mod 1 and V is
-    unimodular, so x = V y is a bijection of (Q/Z)^d and no row repeats;
-    equal adjacent sorted rows are rejected all the same."""
+    d_i y_i = c_i, so y_i = (c_i + j) / d_i for 0 <= j < |d_i|, and y_i = 0
+    on the transversal in a free direction (d_i = 0).  Over the common
+    denominator D the numerators x D = V (y D) mod D form the coset p + L
+    in [0, D)^d, p = V (c_i D / d_i)_i and L = V diag(D / d_i) Z^d + D Z^d,
+    D / d_i read as D in a free direction.  V is unimodular, so L has
+    index prod d_i in Z^d / D Z^d and no numerator row repeats."""
     reduced = _smith_reduce(m_minus_i, rhs)
     if reduced is None:
         return None
@@ -108,22 +117,68 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     if count > budget:
         raise ResourceError(f"fixed point set has {count} points, budget {budget}")
     denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
-    coords = [[0] for _ in factors]  # coords[r][g]: coordinate r of grid point g
-    for i, (di, ci) in enumerate(zip(factors, c)):
-        if di == 0:
-            continue  # a free direction: y_i = 0 on the transversal
-        step = denom // di
-        base = ci.numerator * (step // ci.denominator)
-        options = [base + j * step for j in range(di)]
-        for r, e in enumerate(v.column(i)):
-            shifts = [e * o % denom for o in options]
-            coords[r] = [(s + t) % denom for s in coords[r] for t in shifts]
-    # sorting the numerators sorts the points, since D is common; the
-    # rank-0 torus has one point, the empty row
-    rows = sorted(zip(*coords)) or [()]
-    if any(map(eq, rows, islice(rows, 1, None))):
-        raise DomainError("repeated fixed point")  # pragma: no cover
-    return denom, tuple(rows), [v.column(i) for i, di in enumerate(factors) if di == 0]
+    steps = [denom // di if di else denom for di in factors]
+    point = v.apply([ci * step for ci, step in zip(c, steps)])  # c_i D / d_i is integral
+    basis = _hermite_basis((v * RationalMatrix.diagonal(steps)).columns(), denom)
+    rows = _coset_rows(basis, point, denom)
+    if not all(map(lt, rows, islice(rows, 1, None))):
+        raise DomainError("fixed point rows are not strictly increasing")  # pragma: no cover
+    return denom, rows, [v.column(i) for i, di in enumerate(factors) if di == 0]
+
+
+def _hermite_basis(generators, denom):
+    """An upper-triangular basis of the lattice spanned by the integer
+    rows `generators` (d of them, of length d) and denom Z^d, entries
+    reduced mod denom: row k is zero before column k, and its pivot h_k
+    divides denom (h_k = denom when the generators vanish there mod denom).
+    Modular Hermite normal form (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4), by Euclid's algorithm on rows: every step is
+    unimodular, and denom Z^d lies in the lattice, so reducing mod denom
+    keeps it."""
+    rows = [[x % denom for x in g] for g in generators]
+    basis = []
+    for k in range(len(rows)):
+        pivot = [0] * len(rows)
+        pivot[k] = denom
+        rest = []
+        for row in rows:
+            while row[k]:
+                q = pivot[k] // row[k]
+                pivot, row = row, [(x - q * y) % denom for x, y in zip(pivot, row)]
+            rest.append(row)
+        basis.append(pivot)
+        rows = rest
+    return basis
+
+
+def _coset_rows(basis, point, denom):
+    """The points of point + L in [0, denom)^d as a tuple of integer rows
+    in strictly increasing lexicographic order, L the lattice of the
+    triangular `basis` from _hermite_basis.
+
+    Coordinate k is chosen column by column: the lattice vectors that vanish
+    before column k have k-th coordinates h_k Z, so a partial point w takes
+    x_k = (w_k mod h_k) + j h_k for 0 <= j < denom / h_k, and row k of the
+    basis moves w there.  Each level keeps the order of the one before and
+    adds increasing x_k, so the rows come out sorted; a level with
+    h_k = denom has one option and is skipped."""
+    d = len(point)
+    columns = [[x % denom] for x in point]  # columns[t][n]: coordinate t of point n
+    for k, row in enumerate(basis):
+        h = row[k]
+        if h == denom:
+            continue
+        options = range(denom // h)
+        lifts = [(w % h - w) // h for w in columns[k]]  # w_k + lift h = w_k mod h
+        columns[:k] = [[x for x in col for _ in options] for col in columns[:k]]
+        columns[k] = [w % h + j * h for w in columns[k] for j in options]
+        for t in range(k + 1, d):
+            e = row[t]
+            shifts = [j * e for j in options]
+            columns[t] = [(base + s) % denom
+                          for base in [w + a * e for w, a in zip(columns[t], lifts)]
+                          for s in shifts]
+    return tuple(zip(*columns)) or ((),)  # the rank-0 torus has one point
 
 
 def fixed_points(f: TorusEndomorphism,
@@ -230,14 +285,17 @@ def _orbit_histograms(f, m):
     aug = [[x % m for x in row] + [int(t * m) % m]
            for row, t in zip(f.m.to_integer(), f.tau)] + [[0] * d + [1]]
 
-    def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
-        result = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
-        for bit in bin(k)[2:]:
-            result = [[x % m for x in row] for row in matmul(result, result)]
-            if bit == "1":
-                result = [[x % m for x in row] for row in matmul(result, aug)]
-        return result
+    def product(a, b):
+        return [[x % m for x in row] for row in matmul(a, b)]
 
+    squares = [aug]  # squares[i] = aug^(2^i) mod m, shared by every power
+
+    def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
+        while len(squares) < k.bit_length():
+            squares.append(product(squares[-1], squares[-1]))
+        return reduce(product, (a for i, a in enumerate(squares) if k >> i & 1))
+
+    @cache  # the order search and the divisor sum ask for some Fix(k) twice
     def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
         top = power(k)[:d]
         dec = smith_form([[x - s * (i == j) for j, x in enumerate(row[:d])]
@@ -273,11 +331,20 @@ def _orbit_histograms(f, m):
     return {k: v // k for k, v in exact.items() if v}, tails
 
 
-def _span_key(vectors) -> tuple:
-    """The nonzero rows of the rref of the vectors: a canonical basis of
-    their rational span."""
-    red, _ = RationalMatrix(vectors).rref()
-    return tuple(row for row in red.entries if any(row))
+def _span_test(vectors):
+    """A membership test for the rational span of the integer `vectors`.
+    With p R the integer-scaled reduced row echelon form of their rows,
+    pivot columns c_r, a vector v lies in the span exactly when
+    p v = sum_r v[c_r] (p R)_r: the right side is p times the one vector
+    of the span that agrees with v on the pivot columns."""
+    rows = [list(v) for v in vectors]
+    pivots, p, _ = bareiss(rows, jordan=True)
+    top = rows[:len(pivots)]
+
+    def contains(v):
+        return all(p * x == sum(v[c] * row[j] for c, row in zip(pivots, top))
+                   for j, x in enumerate(v))
+    return contains
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
@@ -291,12 +358,15 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
     'escaping' is bounded: the orbit did not close within `bound` steps."""
     if not f.surjective:
         raise NotSurjectiveError("subtorus orbits require det M != 0")
-    # M is invertible over Q, so the map on spans is injective and the
-    # first repeat of the orbit is its start
-    start = current = _span_key(sub.lattice.basis.columns())
+    # M^k V has the dimension of V, so it is V as soon as it lies in V:
+    # each step pushes the integer basis forward and tests inclusion
+    basis = sub.lattice.basis.columns()
+    in_start = _span_test(basis)
+    m_t = f.m.transpose().entries
+    current = basis
     for step in range(1, bound + 1):
-        current = _span_key([f.m.apply(v) for v in current])
-        if current == start:
+        current = matmul(current, m_t)  # rows M v
+        if all(map(in_start, current)):
             return ("invariant" if step == 1 else ("periodic", step)), step + 1
     return "escaping", bound + 1
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, ResourceError
 from .matlin import RationalMatrix
@@ -107,7 +108,10 @@ def quadratic_order(d: int) -> CMOrder:
     return CMOrder(f"quadratic(-{d})", w, j, (d, 0, 1))
 
 
+@lru_cache(maxsize=None)
 def order_by_name(name: str) -> CMOrder:
+    """The order named `name`, built and validated once per name; a
+    CMOrder is frozen, so callers share it."""
     if name == "gaussian":
         return gaussian_order()
     if name == "eisenstein":

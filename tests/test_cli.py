@@ -326,6 +326,49 @@ def test_orbit_long_budget_examines_every_image(capsys):
     assert doc["verdict"] == "escaping" and doc["iterations_examined"] == 1001
 
 
+# -- pinned dynamics bytes
+
+# (1+2i, 1; 0, 2+i) over the Gaussian order on E x E, translated by a
+# vector of denominator 6
+TAU6_SCENARIO = {
+    "torus": {"J": J4},
+    "endomorphism": {"M": [["1", "-2", "1", "0"], ["2", "1", "0", "1"],
+                           ["0", "0", "2", "-1"], ["0", "0", "1", "2"]],
+                     "tau": ["1/6", "5/6", "1/3", "1/2"]},
+}
+
+# stdout digests recorded when fixed points were enumerated over a grid of
+# Smith-form options and sorted, each torsion power was raised from the
+# identity and orbit spans were compared by Fraction rrefs; None stands
+# for the path of TAU6_SCENARIO
+PINNED_DYNAMICS = [
+    (("fixed-points", "--example", "gtz_diag", "--iterate", "3", "--format", "json"),
+     "53be7611de93f919a5b3e1d9bb3e91bceec7f891956f8c071f5132f86ae12b06"),
+    (("fixed-points", "--example", "gtz_diag", "--iterate", "3", "--format", "text"),
+     "524f0bb48862820467c5e1bcf15a5ebecb6b6fb069648ff582b64e52daf16785"),
+    (("fixed-points", "--example", "mult_2_1", "--format", "json"),
+     "93d4a13b05a6756787bd0109f321ddf3374159e05b21b7f7b3d57151580097b9"),
+    (("fixed-points", "--example", "mult_2_1", "--format", "text"),
+     "16e9c8d78f25b75b7b82724f340c73a6974f322213b49fda7a7e0653bb19d5aa"),
+    (("fixed-points", None, "--iterate", "2", "--format", "json"),
+     "8dad0f9d334524688cfb0d4a56a7f97abebdc28bb580e813591b4c5d9bfb5017"),
+    (("fixed-points", None, "--iterate", "2", "--format", "text"),
+     "b3c308de7f46f5f2c5b1aa5d5373a8667b631547c877eb93c4f8c5f8b2c42e54"),
+    (("torsion", "--example", "gtz_diag", "--level", "31", "--format", "json"),
+     "1998ef0b85c72b8552cbcfdf8149687bdd7ee95f18204e07d2d5c8ca3bbb4783"),
+    (("orbit", "--example", "gtz_diag", "--sublattice", "diagonal", "--format", "json"),
+     "8e131e0b73fe0a080bfb59ec1e2fecc04055122f4550869aa932cd8260c816bf"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DYNAMICS)
+def test_dynamics_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    path = write_scenario(tmp_path, TAU6_SCENARIO)
+    code, out, _ = run(capsys, *(path if a is None else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- sweep and examples
 
 def test_sweep_small(capsys):

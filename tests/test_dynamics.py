@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -124,6 +124,67 @@ def test_fixed_points_coset_family():
     assert fp.kind == "coset-family"
     assert fp.subtorus.rank == 2
     assert fp.count() is None
+
+
+def grid_fixed_points(f, budget):
+    """Reference enumeration: (kind, denominator, rows) from the full grid
+    of Smith-form options y_i = (c_i + j) / d_i, each mapped through V mod
+    D and sorted; None when there are more than `budget` rows."""
+    d = f.torus.rank
+    reduced = _smith_reduce(f.m - RationalMatrix.identity(d), tuple(-t for t in f.tau))
+    if reduced is None:
+        return "empty", 1, ()
+    v, c, factors = reduced
+    if math.prod(di for di in factors if di) > budget:
+        return None
+    denom = math.lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
+    coords = [[0] for _ in factors]
+    for i, (di, ci) in enumerate(zip(factors, c)):
+        if di == 0:
+            continue
+        step = denom // di
+        options = [ci.numerator * (step // ci.denominator) + j * step for j in range(di)]
+        for r, e in enumerate(v.column(i)):
+            shifts = [e * o % denom for o in options]
+            coords[r] = [(s + t) % denom for s in coords[r] for t in shifts]
+    kind = "coset-family" if 0 in factors else "finite"
+    return kind, denom, tuple(sorted(zip(*coords)))
+
+
+@st.composite
+def fixed_point_maps(draw):
+    """An iterate f^k, k <= 3, of a rank-2 or rank-4 Gaussian or Eisenstein
+    map translated by a vector of denominator 1, 2, 3, 5, 6 or 7.  The map
+    is random, or diagonal over units and small scalars so that roots of
+    unity give coset families and, with a translation, empty sets."""
+    name, n = draw(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("eisenstein", 1)]))
+    order = order_by_name(name)
+    if draw(st.booleans()):
+        base = random_endo(n, order, 1, draw(st.integers(0, 10**6)))
+    else:
+        entry = st.sampled_from(ORDER_UNITS[name] + ((2, 0), (1, 1), (0, 2), (-1, 2)))
+        b = [[draw(entry) if i == j else (0, 0) for j in range(n)] for i in range(n)]
+        base = cm_matrix_endo(cm_power_torus(order, n), order, b)
+    den = draw(st.sampled_from([1, 2, 3, 5, 6, 7]))
+    tau = [Fraction(draw(st.integers(0, den - 1)), den) for _ in range(base.torus.rank)]
+    return iterate(make_endo(base.torus, base.m, tau), draw(st.integers(1, 3)))
+
+
+@given(fixed_point_maps())
+@example(get_example("gtz_diag").endo)
+@example(get_example("mult_2_1").endo)
+@example(make_endo(get_example("mult_2_1").endo.torus, get_example("mult_2_1").endo.m,
+                   (0, 0, Fraction(1, 6), 0)))
+@settings(max_examples=150, deadline=None)
+def test_fixed_points_match_the_sorted_smith_grid(f):
+    budget = 5000
+    expected = grid_fixed_points(f, budget)
+    if expected is None:
+        with pytest.raises(ResourceError):
+            fixed_points(f, budget)
+        return
+    fp = fixed_points(f, budget)
+    assert (fp.kind, fp.denominator, fp.rows) == expected
 
 
 # -- periodic counts
@@ -445,6 +506,53 @@ def test_span_orbit_periods_of_block_unit_maps(name, swap, units, expected):
     sub = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
     examined = expected[1] + 1
     assert subtorus_orbit(f, sub, 12) == saturating_orbit(f, sub, 12) == (expected, examined)
+
+
+def span_key(vectors):
+    """The nonzero rows of the rref of the vectors: a canonical basis of
+    their rational span."""
+    red, _ = RationalMatrix(vectors).rref()
+    return tuple(row for row in red.entries if any(row))
+
+
+def span_key_orbit(f, sub, bound):
+    """Reference orbit: the span followed by one rational rref per step and
+    compared with the start's."""
+    start = current = span_key(sub.lattice.basis.columns())
+    for step in range(1, bound + 1):
+        current = span_key([f.m.apply(v) for v in current])
+        if current == start:
+            return ("invariant" if step == 1 else ("periodic", step)), step + 1
+    return "escaping", bound + 1
+
+
+def test_span_orbit_of_a_span_with_a_non_integral_rref():
+    # span(v, Jv) with v = (2, 0, 1, 0) reduces to rows (1, 0, 1/2, 0) and
+    # (0, 1, 0, 1/2); the map is (x, y) -> (2+i)(i y, x)
+    f = block_unit_endo(order_by_name("gaussian"), True, ((2, 1), (2, 1)), ((1, 0), (0, 1)))
+    v = [2, 0, 1, 0]
+    sub = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
+    assert any(type(x) is Fraction for row in span_key(sub.lattice.basis.columns())
+               for x in row)
+    for bound in (1, 12):
+        assert subtorus_orbit(f, sub, bound) == span_key_orbit(f, sub, bound)
+    assert subtorus_orbit(f, sub, 12) == (("periodic", 2), 3)
+
+
+def test_span_orbit_of_a_three_cycle_of_factors():
+    # (x, y, z) -> ((1+2i) z, (1+2i) x, i (1+2i) y) on E^3 cycles the
+    # factors, and M^3 = i (1+2i)^3 is scalar: the span of two factors and
+    # the diagonal of two both return after exactly 3 steps
+    g = order_by_name("gaussian")
+    s, zero = (1, 2), (0, 0)
+    f = cm_matrix_endo(cm_power_torus(g, 3), g,
+                       [[zero, zero, s], [s, zero, zero], [zero, (-2, 1), zero]])
+    first_two = make_subtorus(f.torus, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                        [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+    v = [1, 0, 1, 0, 0, 0]
+    mixed = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
+    for sub in (first_two, mixed):
+        assert subtorus_orbit(f, sub, 16) == span_key_orbit(f, sub, 16) == (("periodic", 3), 4)
 
 
 # -- preperiodic vs torsion evidence
