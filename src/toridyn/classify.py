@@ -18,10 +18,11 @@ import mpmath
 from .errors import DomainError, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
-from .matlin import RationalMatrix, exterior_power
-from .endo import (TorusEndomorphism, eigen_data, iterate, unity_free)
+from .matlin import RationalMatrix, _quotient
+from .endo import (TorusEndomorphism, _frame_blocks, eigen_data, iterate,
+                   unity_free)
 from .dynamics import lefschetz_number
-from .torus import (ComplexTorus, _is_positive_definite,
+from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
                     form_to_ns_vector, neron_severi, ns_vector_to_form)
 
@@ -35,33 +36,21 @@ def h1_magnitudes(f: TorusEndomorphism, precision=DEFAULT_PRECISION):
 # NS action
 
 
-@lru_cache(maxsize=256)
-def _ns_coordinate_map(torus: ComplexTorus):
-    """(R, B_R^-1): the rho independent rows R of the NS basis B (the pivot
-    columns of B^T) and the inverse of B restricted to them.  An NS vector
-    v = Bc has coordinates c = B_R^-1 v_R."""
-    basis = neron_severi(torus).basis
-    rows = tuple(basis.transpose().rref()[1])
-    return rows, RationalMatrix([basis.row(i) for i in rows]).inverse()
-
-
 @lru_cache(maxsize=512)
 def ns_action(f: TorusEndomorphism) -> RationalMatrix:
-    """Action A of f^* on the Neron-Severi space, in the NS basis B: the
-    image Lambda^2(M^T) B is read in the per-torus coordinate map, then
-    B A = Lambda^2(M^T) B is checked exactly.  B has full column rank, so
-    A is the unique solution."""
+    """Action A of f^* on NS in the coordinates of neron_severi.  f^*E is
+    M^T E M; in the frame P it takes the block form B to M_P^T B M_P,
+    M_P = P^-1 M P.  Column c of A reads the image of the c-th unit block
+    form at the slots, each entry a sum of <= 4 products of s M_P over s^2."""
     if not f.surjective:
         raise NotSurjectiveError("NS action requires det M != 0")
     ns = neron_severi(f.torus)
-    if ns.rho == 0:
-        return RationalMatrix([])
-    rows, inverse = _ns_coordinate_map(f.torus)
-    image = exterior_power(f.m.transpose(), 2) * ns.basis
-    action = inverse * RationalMatrix([image.row(i) for i in rows])
-    if ns.basis * action != image:
-        raise DomainError("inconsistent linear system")
-    return action
+    s, a, b = _frame_blocks(f.m, f.torus.j)
+    mp = ([ra + [-x for x in rb] for ra, rb in zip(a, b)]
+          + [rb + ra for ra, rb in zip(a, b)])
+    return RationalMatrix._of(
+        [[_quotient(sum(sign * mp[i][r] * mp[j][c] for (i, j), sign in unit),
+                    s * s) for unit in ns.units] for r, c in ns.slots])
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +445,10 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     of f^j.
 
     The data of f^k comes from f's: eigen_data(f, k) gives unity-free and
-    h1_k(1), and f^k acts on NS as A^k, A = ns_action(f), because Lambda^2
-    is multiplicative; the exact check B A = Lambda^2(M^T) B on f covers
-    every power.  Amplified stays yes by rule (a) when det(A^k - I) != 0;
-    f^k is built only otherwise, and for polarized.  At k = 1 every check
-    holds by definition."""
+    h1_k(1), and f^k acts on NS as A^k, A = ns_action(f), because
+    (M^k)^T E M^k is f^* applied k times.  Amplified stays yes by rule (a)
+    when det(A^k - I) != 0; f^k is built only otherwise, and for
+    polarized.  At k = 1 every check holds by definition."""
     if not f.surjective:
         raise NotSurjectiveError("iterate verification requires det M != 0")
     violations = []

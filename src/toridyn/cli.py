@@ -39,14 +39,17 @@ EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL =
 # Scenario parsing
 
 
-def _parse_rational(text, where):
+def _parse_rational(text, where, integer=False):
     try:
-        return Fraction(str(text))
+        value = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: {text!r} is not an exact rational") from None
+    if integer and value.denominator != 1:
+        raise ParseError(f"{where}: {text!r} is not an integer")
+    return value
 
 
-def _parse_matrix(rows, where):
+def _parse_matrix(rows, where, integer=False):
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) for r in rows)):
         raise ParseError(f"{where}: expected a list of rows")
@@ -55,7 +58,7 @@ def _parse_matrix(rows, where):
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(f"{where}: row {i} has length {len(row)}, expected {width}")
-        out.append([_parse_rational(x, f"{where}[{i}][{j}]")
+        out.append([_parse_rational(x, f"{where}[{i}][{j}]", integer)
                     for j, x in enumerate(row)])
     return RationalMatrix(out)
 
@@ -78,17 +81,20 @@ def load_scenario_file(path):
         m = _parse_matrix(endo_doc["M"], "endomorphism.M")
     except (KeyError, TypeError):
         raise ParseError(f"{path}: missing torus.J or endomorphism.M") from None
-    tau = None
-    if endo_doc.get("tau") is not None:
+    tau = endo_doc.get("tau")
+    if tau is not None:
+        if not isinstance(tau, list):
+            raise ParseError("endomorphism.tau: expected a list")
         tau = tuple(_parse_rational(x, f"endomorphism.tau[{i}]")
-                    for i, x in enumerate(endo_doc["tau"]))
+                    for i, x in enumerate(tau))
+    named = doc.get("sublattices") or {}
+    if not isinstance(named, dict):
+        raise ParseError("sublattices: expected an object")
     torus = make_torus(j)
     endo = make_endo(torus, m, tau)
-    sublattices = {}
-    for name, cols in (doc.get("sublattices") or {}).items():
-        mat = _parse_matrix(cols, f"sublattices.{name}")
-        # scenario files list generators as rows for readability
-        sublattices[name] = tuple(tuple(int(x) for x in row) for row in mat.entries)
+    # scenario files list generators as rows for readability
+    sublattices = {name: _parse_matrix(cols, f"sublattices.{name}", integer=True).entries
+                   for name, cols in named.items()}
     return endo, sublattices
 
 

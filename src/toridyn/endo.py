@@ -21,8 +21,8 @@ from .errors import (DomainError, InvarianceViolation, InvariantViolation,
 from .exactnum import GaussianRational, IntPolynomial, cyclotomic_root_count
 from .matlin import (RationalMatrix, charpoly, int_charpoly, matmul,
                      restrict_and_quotient)
-from .torus import (ComplexTorus, Subtorus, _primitive_integer_vector,
-                    make_subtorus)
+from .torus import (ComplexTorus, Subtorus, _complex_basis,
+                    _primitive_integer_vector, make_subtorus)
 
 
 @dataclass(frozen=True)
@@ -107,42 +107,15 @@ def gauss_poly_conj(p):
     return tuple(c.conjugate() for c in p)
 
 
-@lru_cache(maxsize=256)
-def _complex_basis(j: RationalMatrix):
-    """(idx, d, q) with v_k = e_idx[k] chosen so that the columns
-    P = (v_1..v_n, Jv_1..Jv_n) are a Q-basis, and q = d * P^-1 integral.
-
-    span(v, Jv) is J-invariant, so a unit vector outside it adds two
-    dimensions and the greedy choice always completes when J^2 = -I."""
-    size = j.rows
-    units = RationalMatrix.identity(size).columns()
-    idx = []
-    for k in range(size):
-        trial = idx + [k]
-        cols = [units[i] for i in trial] + [j.column(i) for i in trial]
-        if RationalMatrix.from_columns(cols).rank() == len(cols):
-            idx = trial
-    if 2 * len(idx) != size:
-        raise InvariantViolation("J admits no basis of the form (v, Jv)")
-    p = RationalMatrix.from_columns([units[i] for i in idx] + [j.column(i) for i in idx])
-    d, q = p.inverse().scaled_rows()
-    return tuple(idx), d, q
-
-
-def _scaled_analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
-    """(s, coeffs): ascending Gaussian-integer (re, im) coefficients of the
-    charpoly of s(A + iB), where P^-1 M P = [[A, -B], [B, A]] in the basis
-    P of _complex_basis.  The analytic charpoly is coeffs[k] / s^(n-k).
-
-    With w_k = v_k - iJv_k, Jw = iw and Mw_k = sum_l (A + iB)_lk w_l, so
-    A + iB is M on the +i eigenspace of J."""
-    if j.rows == 0:
-        return 1, [(1, 0)]
-    idx, d, q = _complex_basis(j)
+def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
+    """(s, sA, sB), integer rows with P^-1 M P = [[A, -B], [B, A]] in the
+    frame P = (V, JV) of _complex_basis, for M commuting with J.  With
+    w_k = v_k - iJv_k, Jw = iw and Mw_k = sum_l (A + iB)_lk w_l, so A + iB
+    is M on the +i eigenspace of J: the analytic representation."""
+    idx, d, q, _ = _complex_basis(j)
     dm, mrows = m.scaled_rows()
     y = matmul(q, [[row[k] for k in idx] for row in mrows])  # d dm P^-1 M V
-    n = len(idx)
-    return d * dm, int_charpoly(y[:n], y[n:])
+    return d * dm, y[:len(idx)], y[len(idx):]
 
 
 def _gaussian_coeffs(s: int, coeffs):
@@ -154,7 +127,8 @@ def _gaussian_coeffs(s: int, coeffs):
 def analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
     """Ascending Gaussian-rational coefficients of the charpoly of the
     analytic representation."""
-    return _gaussian_coeffs(*_scaled_analytic_charpoly(m, j))
+    s, a, b = _frame_blocks(m, j)
+    return _gaussian_coeffs(s, int_charpoly(a, b))
 
 
 @dataclass(frozen=True)
@@ -214,7 +188,8 @@ def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
         raise DomainError("iteration count must be >= 1")
     if k == 1:
         h1 = charpoly(f.m)
-        s, gamma = _scaled_analytic_charpoly(f.m, f.torus.j)
+        s, a, b = _frame_blocks(f.m, f.torus.j)
+        gamma = int_charpoly(a, b)
     else:
         base = eigen_data(f)
         h1 = IntPolynomial(re for re, _ in _root_power_poly(

@@ -9,7 +9,7 @@ is not, and every true division goes through `Fraction`.  Elimination
 is one fraction-free routine (Bareiss 1968) on the integer matrix D*A, D
 the lcm of the denominators; the characteristic polynomial is
 Faddeev-LeVerrier with exact integer division on D*A.  Dimensions in this
-artifact stay small (ambient rank <= 8, exterior squares <= 28) so dense
+artifact stay small (ambient rank <= 16, Neron-Severi rank <= 64) so dense
 arithmetic is the right tool.
 """
 
@@ -385,10 +385,6 @@ def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
         raise DomainError("exterior power index out of range")
     subsets = list(combinations(range(d), k))
     e = a.entries
-    if k == 2:
-        return RationalMatrix._of(
-            [[e[i][j] * e[p][q] - e[i][q] * e[p][j] for j, q in subsets]
-             for i, p in subsets], a.is_integral())
     return RationalMatrix._of(
         [[RationalMatrix._of([[e[i][j] for j in cols] for i in rows], a.is_integral()).det()
           for cols in subsets] for rows in subsets], a.is_integral())

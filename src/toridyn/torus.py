@@ -1,11 +1,11 @@
 """Complex tori with rational complex structure.
 
-Subtori, quotient tori, Neron-Severi spaces (the rational +1-eigenspace of
-the induced J-action on the second exterior power of the dual lattice) and
-exact ample-cone membership.  Rational J restricts the model to tori of
-CM type; this covers every worked example the library targets, and all
-verdicts that would need an irrational period matrix report inconclusive
-instead of guessing.
+Subtori, quotient tori, the frame P = (v, Jv) in which J is
+[[0, -I], [I, 0]], Neron-Severi spaces (the J-invariant alternating forms
+on the lattice, read off that frame) and exact ample-cone membership.
+Rational J restricts the model to tori of CM type; this covers every
+worked example the library targets, and all verdicts that would need an
+irrational period matrix report inconclusive instead of guessing.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .errors import ComplexStructureError, DomainError, NotSubtorusError
+from .errors import (ComplexStructureError, DomainError, InvariantViolation,
+                     NotSubtorusError)
 from .matlin import (RationalMatrix, Sublattice, bareiss, exterior_basis,
-                     exterior_power, restrict_and_quotient, saturate)
+                     restrict_and_quotient, saturate)
 
 
 @dataclass(frozen=True)
@@ -105,28 +106,62 @@ def quotient_torus(torus: ComplexTorus, sub: Subtorus):
     return make_torus(j_q), proj
 
 
+@lru_cache(maxsize=256)
+def _complex_basis(j: RationalMatrix):
+    """(idx, d, q, P): the columns P = (v_1..v_n, Jv_1..Jv_n), v_k = e_idx[k],
+    are a Q-basis in which J is [[0, -I], [I, 0]], and q = d * P^-1 is integral.
+
+    span(v, Jv) is J-invariant, so a unit vector outside it adds two
+    dimensions and the greedy choice always completes when J^2 = -I."""
+    size = j.rows
+    units = RationalMatrix.identity(size).columns()
+    idx, frame = [], []
+    for k in range(size):
+        trial = idx + [k]
+        cols = [units[i] for i in trial] + [j.column(i) for i in trial]
+        if RationalMatrix.from_columns(cols).rank() == len(cols):
+            idx, frame = trial, cols
+    if 2 * len(idx) != size:
+        raise InvariantViolation("J admits no basis of the form (v, Jv)")
+    p = RationalMatrix(zip(*frame))
+    d, q = p.inverse().scaled_rows()
+    return tuple(idx), d, q, p
+
+
 @dataclass(frozen=True)
 class NeronSeveriSpace:
-    """Rational basis of the (1,1)-part of the second exterior power of the
-    dual lattice; ambient space for line-bundle classes."""
+    """The J-invariant alternating forms E on the lattice (Birkenhake-Lange,
+    ch. 2).  In the frame P of _complex_basis, E is J-invariant exactly when
+    P^T E P = [[X, Y], [-Y, X]] with X antisymmetric and Y symmetric, so
+    rho = n^2.  The coordinates of E are the entries X_kl (k < l) and Y_kl
+    (k <= l) of P^T E P; vectors are in the wedge basis of ns_vector_to_form."""
 
     parent: ComplexTorus
-    basis: RationalMatrix  # C(2n,2) x rho, columns are NS classes
+    slots: tuple  # (row, column) of each coordinate in P^T E P
+    units: tuple  # per coordinate, the ((i, j), +-1) entries of its block form
     rho: int
 
-    def contains(self, omega) -> bool:
-        vec = [Fraction(x) for x in omega]
-        aug = RationalMatrix([list(row) + [v]
-                              for row, v in zip(self.basis.entries, vec)])
-        return aug.rank() == self.rho
+    @cached_property
+    def basis(self) -> RationalMatrix:
+        """C(2n,2) x rho; column c, from_coordinates of the c-th unit vector,
+        may be rational."""
+        identity = RationalMatrix.identity(self.rho).entries
+        return RationalMatrix(map(self.from_coordinates, identity)).transpose()
 
     def coordinates(self, omega) -> tuple:
-        """Coordinates of an NS vector in this basis."""
-        sol = self.basis.solve_exact(RationalMatrix([[Fraction(x)] for x in omega]))
-        return sol.column(0)
+        """The slots of P^T E P, E the form of omega, which may lie outside NS."""
+        p = _complex_basis(self.parent.j)[3]
+        form = p.transpose() * ns_vector_to_form(self.parent, omega) * p
+        return tuple(form[s] for s in self.slots)
 
     def from_coordinates(self, coords) -> tuple:
-        return self.basis.apply(coords)
+        """The NS vector of P^-T B P^-1, B the block form of the coordinates."""
+        block = {ij: sign * c for unit, c in zip(self.units, coords) for ij, sign in unit}
+        rank = range(self.parent.rank)
+        _, d, q, _ = _complex_basis(self.parent.j)
+        p_inv = RationalMatrix._of(q, True) * Fraction(1, d)
+        form = RationalMatrix([[block.get((i, j), 0) for j in rank] for i in rank])
+        return form_to_ns_vector(self.parent, p_inv.transpose() * form * p_inv)
 
 
 def _primitive_integer_vector(vec):
@@ -140,16 +175,15 @@ def _primitive_integer_vector(vec):
 
 @lru_cache(maxsize=256)
 def neron_severi(torus: ComplexTorus) -> NeronSeveriSpace:
-    """Rational kernel of (Lambda^2(J^T) - I), returned with a primitive
-    integer basis."""
-    if torus.n == 0:
-        return NeronSeveriSpace(torus, RationalMatrix([]), 0)
-    ext = exterior_power(torus.j.transpose(), 2)
-    kernel = (ext - RationalMatrix.identity(ext.rows)).kernel_basis()
-    if not kernel:
-        return NeronSeveriSpace(torus, RationalMatrix.zero(ext.rows, 0), 0)
-    cols = [_primitive_integer_vector(v) for v in kernel]
-    return NeronSeveriSpace(torus, RationalMatrix.from_columns(cols), len(cols))
+    """NS of the torus, which takes no computation: the slots X_kl (k < l)
+    and Y_kl (k <= l) and the unit forms of [[X, Y], [-Y, X]], n x n blocks."""
+    n = torus.n
+    x = {(k, l): {(k, l): 1, (l, k): -1, (n + k, n + l): 1, (n + l, n + k): -1}
+         for k in range(n) for l in range(k + 1, n)}
+    y = {(k, n + l): {(k, n + l): 1, (l, n + k): 1, (n + k, l): -1, (n + l, k): -1}
+         for k in range(n) for l in range(k, n)}
+    units = tuple(tuple(u.items()) for u in (x | y).values())  # Y_kk has two entries
+    return NeronSeveriSpace(torus, tuple(x | y), units, n * n)
 
 
 def ns_vector_to_form(torus: ComplexTorus, omega) -> RationalMatrix:

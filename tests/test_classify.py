@@ -1,6 +1,8 @@
 """Classification layer: NS actions, finite order, dynamical degrees,
 polarized/amplified verdicts, Serre test, full reports and chains."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
-                     amplified, chain_violations, dynamical_degrees,
+                     amplified, chain_violations, charpoly, dynamical_degrees,
                      eigen_data, exterior_power, finite_order, full_report,
                      is_ample, iterate, make_endo, make_torus, neron_severi,
                      ns_action, order_by_name, polarization_q_candidate,
@@ -19,7 +21,7 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      verify_iterates)
 from toridyn import classify
 from toridyn.classify import AmplifiedVerdict, _integer_nth_root
-from toridyn.scenarios import get_example
+from toridyn.scenarios import get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
 
@@ -532,3 +534,32 @@ def test_iterate_data_is_derived_from_f(order, n, k, seed, tau):
     assert derived == eigen_data(g)
     assert derived.analytic == eigen_data(g).analytic
     assert ns_action(f) ** k == ns_action(g)
+
+
+PINNED_VERDICT_CASES = [("gaussian", 1, 3), ("gaussian", 2, 3), ("gaussian", 3, 2),
+                        ("eisenstein", 1, 2), ("eisenstein", 2, 1),
+                        ("quadratic(-2)", 1, 2), ("quadratic(-2)", 2, 1),
+                        ("quadratic(-5)", 1, 2)]
+
+
+def pinned_verdict_maps():
+    for order, n, height in PINNED_VERDICT_CASES:
+        for seed in range(20):
+            yield random_endo(n, order_by_name(order), height, seed)
+    for name in sorted(named_examples()):
+        yield get_example(name).endo
+
+
+def test_amplified_and_polarized_verdicts_are_pinned():
+    # recorded when NS was the kernel of Lambda^2(J^T) - I with a primitive
+    # integer basis; verdicts, witnesses and the spectrum of f^* on NS do
+    # not depend on the basis of NS
+    rows = []
+    for f in pinned_verdict_maps():
+        amp, pol = amplified(f), polarized(f)
+        poly = charpoly(ns_action(f))  # an IntPolynomial when A is integral
+        rows.append([[amp.verdict, amp.path, amp.witness],
+                     [pol.verdict, pol.q, pol.witness, pol.reason],
+                     [str(c) for c in getattr(poly, "coeffs", poly)]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "c7f99f5f9bce5069ce7dc6d8b812e1f3de25524be5894c3505c5998eb3e4be04"

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from toridyn import fixed_points, iterate
+from toridyn import fixed_points, full_report, iterate
 from toridyn.cli import load_scenario_file, main
-from toridyn.scenarios import cm_matrix_endo, cm_power_torus, gaussian_order
+from toridyn.scenarios import (cm_matrix_endo, cm_power_torus, gaussian_order,
+                               get_example, named_examples)
 
 
 def run(capsys, *argv):
@@ -282,8 +284,8 @@ def test_orbit_diagonal_gtz(capsys):
     code, out, _ = run(capsys, "orbit", "--example", "gtz_diag",
                        "--sublattice", "diagonal", "--format", "json")
     assert code == 0
-    assert json.loads(out)["verdict"] in ("escaping", "invariant") or \
-        json.loads(out)["verdict"].startswith("periodic")
+    assert json.loads(out) == {"sublattice": "diagonal", "verdict": "escaping",
+                               "iterations_examined": 65}
 
 
 # (verdict, iterations_examined) of every named sublattice, as the
@@ -442,6 +444,28 @@ def test_sweep_computes_no_report_fields_it_does_not_print(
     test_sweep_json_bytes_are_pinned(capsys, argv, digest)
 
 
+def test_reports_and_sweeps_take_no_exterior_power(capsys, monkeypatch):
+    # NS and the action of f^* on it are read off the frame (v, Jv); the
+    # caches are emptied so that nothing is reused from an earlier call
+    reports = {name: full_report(get_example(name).endo).to_dict()
+               for name in sorted(named_examples())}
+
+    def no_exterior_power(*args):
+        raise AssertionError("an exterior power was computed")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toridyn"]
+    for module in modules:
+        if hasattr(module, "exterior_power"):
+            monkeypatch.setattr(module, "exterior_power", no_exterior_power)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    for name, report in reports.items():
+        assert full_report(get_example(name).endo).to_dict() == report
+    for argv, digest in PINNED_SWEEPS:
+        test_sweep_json_bytes_are_pinned(capsys, argv, digest)
+
+
 def test_sweep_reports_a_chain_violation_as_a_failure(capsys, monkeypatch):
     # an amplified verdict on a map with roots of unity breaks the chain;
     # the sweep lists it and exits 1 rather than stopping at the sample
@@ -466,6 +490,38 @@ def test_examples_listing(capsys):
 
 
 # -- error paths
+
+HALF_GENERATORS = {
+    "torus": {"J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    "endomorphism": {"M": [["2", "0", "0", "0"], ["0", "2", "0", "0"],
+                           ["0", "0", "3", "0"], ["0", "0", "0", "3"]]},
+    "sublattices": {"half": [["1/2", "0", "1", "0"], ["0", "1/2", "0", "1"]]},
+}
+
+
+@pytest.mark.parametrize("command", ["orbit", "quotient"])
+def test_parse_error_fractional_sublattice_generator(capsys, tmp_path, command):
+    # int() truncated 1/2 to 0, which made these generators span the
+    # second factor: orbit said invariant, quotient gave x - 3
+    path = write_scenario(tmp_path, HALF_GENERATORS)
+    code, out, err = run(capsys, command, path, "--sublattice", "half")
+    assert (code, out) == (2, "")
+    assert err == "error[parse]: sublattices.half[0][0]: '1/2' is not an integer\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(DOUBLING, endomorphism={"M": [["2", "0"], ["0", "2"]], "tau": 5}),
+     "endomorphism.tau: expected a list"),
+    (dict(DOUBLING, sublattices=[[["1", "0"], ["0", "1"]]]),
+     "sublattices: expected an object"),
+])
+def test_parse_error_malformed_tau_or_sublattices(capsys, tmp_path, doc, message):
+    # these ended in exit 5, a TypeError and an AttributeError
+    code, out, err = run(capsys, "classify", write_scenario(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error[parse]: {message}\n"
+
 
 def test_parse_error_bad_json(capsys, tmp_path):
     path = tmp_path / "bad.json"

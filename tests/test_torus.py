@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toridyn import (ComplexStructureError, DomainError, NotSubtorusError,
-                     RationalMatrix, canonical_ample_class, charpoly, is_ample,
-                     make_subtorus, make_torus, neron_severi, ns_vector_to_form,
-                     form_to_ns_vector, quotient_torus)
+                     RationalMatrix, canonical_ample_class, charpoly,
+                     cm_power_torus, is_ample, make_endo, make_subtorus,
+                     make_torus, neron_severi, ns_action, ns_vector_to_form,
+                     form_to_ns_vector, order_by_name, quotient_torus)
 
 from conftest import J2, J4, frac_matrix
 
@@ -102,11 +105,55 @@ def test_ns_vector_form_round_trip(ee_torus):
 
 
 def test_ns_contains_and_coordinates(ee_torus):
+    # an NS vector is rebuilt from its coordinates, a class outside NS is not
     ns = neron_severi(ee_torus)
     vec = tuple(2 * x for x in ns.basis.column(0))
-    assert ns.contains(vec)
     coords = ns.coordinates(vec)
+    assert coords == (2, 0, 0, 0)
     assert ns.from_coordinates(coords) == tuple(Fraction(x) for x in vec)
+    omega = canonical_ample_class(ee_torus)
+    assert ns.from_coordinates(ns.coordinates(omega)) == omega
+
+
+# the scenario orders' powers, a product of curves whose J is not the
+# standard one, and the torus of rank 0
+NS_TORI = ([cm_power_torus(order_by_name(name), n)
+            for name in ("gaussian", "eisenstein", "quadratic(-2)", "quadratic(-5)")
+            for n in (1, 2)]
+           + [cm_power_torus(order_by_name("gaussian"), 3),
+              make_torus([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, -2], [0, 0, 1, -1]]),
+              make_torus([])])
+
+
+@st.composite
+def ns_coordinates(draw):
+    torus = draw(st.sampled_from(NS_TORI))
+    rho = torus.n ** 2
+    coords = draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                           min_size=rho, max_size=rho))
+    return torus, tuple(coords)
+
+
+@given(ns_coordinates())
+@settings(max_examples=80, deadline=None)
+def test_ns_coordinates_are_the_invariant_forms(case):
+    # every coordinate vector gives an alternating form with J^T E J = E,
+    # and reading the slots of P^T E P gives the coordinates back
+    torus, coords = case
+    ns = neron_severi(torus)
+    assert ns.rho == torus.n ** 2 == len(ns.slots)
+    vec = ns.from_coordinates(coords)
+    e = ns_vector_to_form(torus, vec)
+    assert e.transpose() == -e
+    assert torus.j.transpose() * e * torus.j == e
+    assert ns.coordinates(vec) == coords
+
+
+def test_ns_of_the_rank_0_torus_is_empty():
+    torus = make_torus([])
+    ns = neron_severi(torus)
+    assert ns.rho == 0 and ns.basis == RationalMatrix([])
+    assert ns_action(make_endo(torus, [])) == RationalMatrix([])
 
 
 # -- ample classes
@@ -124,15 +171,10 @@ def test_negative_of_ample_is_not_ample(ee_torus):
 
 
 def test_is_ample_rejects_non_ns_vector(ee_torus):
+    # e_0 ^ e_2 is not J-invariant: E(Je_0, Je_2) = E(e_1, e_3) = 0
     ns = neron_severi(ee_torus)
-    # perturb off the NS subspace (wedge dim 6, NS rank 4)
-    outside = None
-    for k in range(6):
-        cand = tuple(1 if i == k else 0 for i in range(6))
-        if not ns.contains(cand):
-            outside = cand
-            break
-    assert outside is not None
+    outside = (0, 1, 0, 0, 0, 0)
+    assert ns.from_coordinates(ns.coordinates(outside)) != outside
     with pytest.raises(DomainError):
         is_ample(ee_torus, outside)
 
