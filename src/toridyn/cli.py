@@ -180,10 +180,20 @@ def cmd_degrees(args):
     return EXIT_OK
 
 
-def _coordinate_strings(fps):
-    """The rows of a fixed point set as lists of coordinate strings, one
-    str() per distinct numerator."""
-    return list(map(list, fps.rows_as(str)))
+def _emit_with_rows(doc, key, fps, fmt):
+    """emit() of doc with `key` set to the rows of a fixed point set as
+    coordinate strings, for a key that sorts after every key of doc.  No
+    row is built: each distinct numerator becomes a token once (json.dumps
+    of its str() for JSON, repr for text), and the row array is joined from
+    the zipped token columns."""
+    token, sep = (json.dumps, ",") if fmt == "json" else (repr, ", ")
+    rows = fps.rows_as(lambda x: token(str(x)))
+    array = "[[" + f"]{sep}[".join(map(sep.join, rows)) + "]]"  # never empty
+    if fmt == "json":
+        head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        print(f'{head[:-1]},"{key}":{array}}}')
+    else:
+        print(f"{_default_text(doc)}\n{key}: {array}")
 
 
 def cmd_fixed_points(args):
@@ -193,11 +203,12 @@ def cmd_fixed_points(args):
     doc = {"iterate": args.iterate, "kind": fps.kind}
     if fps.kind == "finite":
         doc["count"] = fps.count()
-        doc["points"] = _coordinate_strings(fps)
+        _emit_with_rows(doc, "points", fps, args.format)
     elif fps.kind == "coset-family":
         doc["subtorus_rank"] = fps.subtorus.rank
-        doc["transversal"] = _coordinate_strings(fps)
-    emit(doc, args.format)
+        _emit_with_rows(doc, "transversal", fps, args.format)
+    else:
+        emit(doc, args.format)
     return EXIT_OK
 
 

@@ -2,10 +2,12 @@
 orbit graphs, and subtorus orbit behaviour.
 
 Fixed-point congruences are solved through the Smith normal form: the
-solutions form a coset of a lattice mod a common denominator D, listed in
-lexicographic order as plain integer rows from a triangular (Hermite)
-basis of that lattice.  The number of points is known from the Smith
-factors and budgeted before any row is built.  Orbit graphs on the
+solutions form a coset of a lattice mod a common denominator D, listed as
+integer columns, one per coordinate, from a triangular (Hermite) basis of
+that lattice; the rows they form are in lexicographic order.  The number
+of points is |det(M - I)| when that is nonzero, budgeted before the Smith
+form, and otherwise known from the Smith factors and budgeted before any
+column is built.  Orbit graphs on the
 m-torsion lattice are counted, not built: their cycle and tail histograms
 follow from Smith forms of powers of f reduced mod m, and the node budget
 bounds the trial division this needs.  Subtorus orbits are followed on
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import islice
+from itertools import chain, islice, product, repeat, starmap
 from math import gcd, lcm, prod
-from operator import lt
+from operator import add, lt, mod, mul
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, bareiss, matmul, smith_form
@@ -48,24 +50,31 @@ class FixedPointSet:
     subtorus plus a finite transversal of rational translates.  kind
     'empty': the congruence is inconsistent (pure translation).
 
-    The points (or the transversal) are stored as `rows`, strictly
-    increasing integer numerators over the common `denominator`; `points`
-    and `transversal` read them as Fractions through `rows_as`."""
+    The points (or the transversal) are stored as `columns`: column t
+    holds the integer numerator of coordinate t of every point, over the
+    common `denominator`, and the rows they form are strictly increasing.
+    `rows` (integer tuples), `points` and `transversal` (Fraction tuples)
+    are derived from the columns when first asked for."""
 
     kind: str
     denominator: int = 1
-    rows: tuple = ()
+    columns: tuple = ()
     subtorus: Subtorus | None = None
 
     def rows_as(self, convert):
         """The rows with each numerator k read as convert(k / denominator),
         converted once per distinct numerator and mapped column by column;
         an iterable of tuples."""
-        columns = list(zip(*self.rows))
-        if not columns:
+        if not self.columns:
             return self.rows  # no rows, or the one empty row of rank 0
-        values = {k: convert(Fraction(k, self.denominator)) for k in set().union(*columns)}
-        return zip(*(map(values.__getitem__, column) for column in columns))
+        values = {k: convert(Fraction(k, self.denominator)) for k in set().union(*self.columns)}
+        return zip(*(map(values.__getitem__, column) for column in self.columns))
+
+    @cached_property
+    def rows(self) -> tuple:
+        if self.kind == "empty":
+            return ()
+        return tuple(zip(*self.columns)) or ((),)  # the rank-0 torus has one point
 
     @cached_property
     def points(self) -> tuple:
@@ -77,7 +86,7 @@ class FixedPointSet:
 
     def count(self):
         if self.kind == "finite":
-            return len(self.rows)
+            return len(self.columns[0]) if self.columns else 1
         if self.kind == "empty":
             return 0
         return None  # infinite
@@ -96,11 +105,11 @@ def _smith_reduce(m_minus_i: RationalMatrix, rhs):
 
 
 def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
-    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, rows,
-    free_directions): the solutions as strictly increasing integer rows
-    x D over one common denominator D, and integer kernel generators.
-    Returns None when inconsistent, and raises ResourceError before any
-    enumeration when there would be more than `budget` rows.
+    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, columns,
+    free_directions): the solutions as the columns of strictly increasing
+    integer rows x D over one common denominator D, and integer kernel
+    generators.  Returns None when inconsistent, and raises ResourceError
+    before any enumeration when there would be more than `budget` rows.
 
     With U (M - I) V = diag(d_i) and c = U rhs, y = V^{-1} x solves
     d_i y_i = c_i, so y_i = (c_i + j) / d_i for 0 <= j < |d_i|, and y_i = 0
@@ -115,15 +124,15 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     v, c, factors = reduced
     count = prod(di for di in factors if di)
     if count > budget:
-        raise ResourceError(f"fixed point set has {count} points, budget {budget}")
+        raise ResourceError(f"fixed point transversal has {count} points, budget {budget}")
     denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
     steps = [denom // di if di else denom for di in factors]
     point = v.apply([ci * step for ci, step in zip(c, steps)])  # c_i D / d_i is integral
     basis = _hermite_basis((v * RationalMatrix.diagonal(steps)).columns(), denom)
-    rows = _coset_rows(basis, point, denom)
-    if not all(map(lt, rows, islice(rows, 1, None))):
+    columns = _coset_columns(basis, point, denom)
+    if not all(map(lt, zip(*columns), islice(zip(*columns), 1, None))):
         raise DomainError("fixed point rows are not strictly increasing")  # pragma: no cover
-    return denom, rows, [v.column(i) for i, di in enumerate(factors) if di == 0]
+    return denom, columns, [v.column(i) for i, di in enumerate(factors) if di == 0]
 
 
 def _hermite_basis(generators, denom):
@@ -151,34 +160,36 @@ def _hermite_basis(generators, denom):
     return basis
 
 
-def _coset_rows(basis, point, denom):
-    """The points of point + L in [0, denom)^d as a tuple of integer rows
-    in strictly increasing lexicographic order, L the lattice of the
-    triangular `basis` from _hermite_basis.
+def _coset_columns(basis, point, denom):
+    """The points of point + L in [0, denom)^d, L the lattice of the
+    triangular `basis` from _hermite_basis, as d tuples: column t holds
+    coordinate t of every point, and the rows they form are in strictly
+    increasing lexicographic order.
 
     Coordinate k is chosen column by column: the lattice vectors that vanish
     before column k have k-th coordinates h_k Z, so a partial point w takes
     x_k = (w_k mod h_k) + j h_k for 0 <= j < denom / h_k, and row k of the
-    basis moves w there.  Each level keeps the order of the one before and
-    adds increasing x_k, so the rows come out sorted; a level with
-    h_k = denom has one option and is skipped."""
-    d = len(point)
-    columns = [[x % denom] for x in point]  # columns[t][n]: coordinate t of point n
+    basis, added lift = -(w_k // h_k) + j times, moves w there.  Each level
+    keeps the order of the one before and adds increasing x_k, so the rows
+    come out sorted; a level with h_k = denom has one option and is
+    skipped."""
+    columns = [(x % denom,) for x in point]
     for k, row in enumerate(basis):
         h = row[k]
         if h == denom:
             continue
-        options = range(denom // h)
-        lifts = [(w % h - w) // h for w in columns[k]]  # w_k + lift h = w_k mod h
-        columns[:k] = [[x for x in col for _ in options] for col in columns[:k]]
-        columns[k] = [w % h + j * h for w in columns[k] for j in options]
-        for t in range(k + 1, d):
-            e = row[t]
-            shifts = [j * e for j in options]
-            columns[t] = [(base + s) % denom
-                          for base in [w + a * e for w, a in zip(columns[t], lifts)]
-                          for s in shifts]
-    return tuple(zip(*columns)) or ((),)  # the rank-0 torus has one point
+        n = denom // h
+        lifts = [-(w // h) for w in columns[k]]
+        columns[k] = tuple(chain.from_iterable(
+            map(range, [w % h for w in columns[k]], repeat(denom), repeat(h))))
+        for t, (column, e) in enumerate(zip(columns, row)):
+            if t < k:  # row k is zero here: each point repeats n times
+                columns[t] = tuple(chain.from_iterable(map(repeat, column, repeat(n))))
+            elif t > k:  # every moved w_t plus every shift j e, mod denom
+                bases = map(add, column, map(mul, lifts, repeat(e)))
+                sums = starmap(add, product(bases, map(mul, range(n), repeat(e))))
+                columns[t] = tuple(map(mod, sums, repeat(denom)))
+    return tuple(columns)
 
 
 def fixed_points(f: TorusEndomorphism,
@@ -187,19 +198,24 @@ def fixed_points(f: TorusEndomorphism,
     than `budget` points (or transversal points) raises ResourceError."""
     d = f.torus.rank
     m_minus_i = f.m - RationalMatrix.identity(d)
+    # det != 0 makes |det| the number of points: refuse it before the
+    # Smith form, whose coefficients swell on large entries
+    det = abs(m_minus_i.det().numerator)
+    if det > budget:
+        raise ResourceError(f"fixed point set has {det} points, budget {budget}")
     rhs = tuple(-t for t in f.tau)
     solved = _solve_congruence(m_minus_i, rhs, budget)
     if solved is None:
         return FixedPointSet("empty")
-    denom, rows, free_dirs = solved
+    denom, columns, free_dirs = solved
     if not free_dirs:
-        expected = abs(m_minus_i.det().numerator)
-        if len(rows) != expected:
+        fps = FixedPointSet("finite", denom, columns)
+        if fps.count() != det:
             raise DomainError("fixed point count mismatch")  # pragma: no cover
-        return FixedPointSet("finite", denom, rows)
+        return fps
     cols = [_primitive_integer_vector(v) for v in free_dirs]
     sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
-    return FixedPointSet("coset-family", denom, rows, sub)
+    return FixedPointSet("coset-family", denom, columns, sub)
 
 
 def periodic_count(f: TorusEndomorphism, k: int):

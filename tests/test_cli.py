@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from toridyn import fixed_points, full_report, iterate
-from toridyn.cli import load_scenario_file, main
+from toridyn.cli import _default_text, load_scenario_file, main
 from toridyn.scenarios import (cm_matrix_endo, cm_power_torus, gaussian_order,
                                get_example, named_examples)
 
@@ -185,20 +185,27 @@ def _diagonal(*entries):
     (J4, _diagonal(-1, -1, -2, -2), ["1/2", "1/3", "0", "5/6"], 2),
     (J4, _diagonal(1, 1, 3, 3), ["0", "0", "1/6", "5/6"], 1),
     (J4, _diagonal(1, 1, 3, 3), ["0", "0", "1/5", "1/2"], 2),
+    (J4, _diagonal(1, 1, 3, 3), ["1/2", "0", "0", "0"], 1),
 ])
 def test_fixed_points_strings_are_str_of_the_points(capsys, tmp_path, j, m, tau, k):
     path = write_scenario(tmp_path, {"torus": {"J": j},
                                      "endomorphism": {"M": m, "tau": tau}})
     fp = fixed_points(iterate(load_scenario_file(path)[0], k))
-    key = "points" if fp.kind == "finite" else "transversal"
-    values = getattr(fp, key)
-    assert values and all(type(c) is Fraction for x in values for c in x)
-    expected = [[str(c) for c in x] for x in values]
+    assert all(type(c) is Fraction for x in fp.points + fp.transversal for c in x)
+    assert fp.points or fp.transversal or fp.kind == "empty"
+    # the document as rendered from str() of every coordinate
+    doc = {"iterate": k, "kind": fp.kind}
+    if fp.kind == "finite":
+        doc.update(count=fp.count(), points=[[str(c) for c in x] for x in fp.points])
+    elif fp.kind == "coset-family":
+        doc.update(subtorus_rank=fp.subtorus.rank,
+                   transversal=[[str(c) for c in x] for x in fp.transversal])
     code, out, _ = run(capsys, "fixed-points", path, "--iterate", str(k),
                        "--format", "json")
-    assert code == 0 and json.loads(out)[key] == expected
+    assert code == 0
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     code, out, _ = run(capsys, "fixed-points", path, "--iterate", str(k))
-    assert code == 0 and f"{key}: {expected}" in out.splitlines()
+    assert code == 0 and out == _default_text(doc) + "\n"
 
 
 def test_fixed_points_budget_is_checked_before_enumeration(capsys):
@@ -215,6 +222,27 @@ def test_fixed_points_budget_is_checked_before_enumeration(capsys):
     code, out, _ = run(capsys, "fixed-points", "--example", "gtz_diag",
                        "--iterate", "3", "--budget", "18056", "--format", "json")
     assert code == 0 and json.loads(out)["count"] == 18056
+
+
+def test_fixed_points_budget_is_checked_before_the_smith_form(capsys):
+    # the entries of M^2000 - I have 2,322 bits, and their Smith form
+    # takes seconds; |det(M^2000 - I)| alone refuses the listing
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", "--example", "gtz_diag",
+                         "--iterate", "2000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.startswith("error[resource]: fixed point set has ")
+
+
+def test_fixed_points_budget_names_the_transversal(capsys, tmp_path):
+    path = write_scenario(tmp_path, {"torus": {"J": J4},
+                                     "endomorphism": {"M": _diagonal(1, 1, 3, 3)}})
+    code, out, err = run(capsys, "fixed-points", path, "--budget", "3")
+    assert code == 4 and out == ""
+    assert err == "error[resource]: fixed point transversal has 4 points, budget 3\n"
+    code, out, _ = run(capsys, "fixed-points", path, "--budget", "4", "--format", "json")
+    assert code == 0 and len(json.loads(out)["transversal"]) == 4
 
 
 # -- torsion
@@ -342,7 +370,9 @@ TAU6_SCENARIO = {
 # stdout digests recorded when fixed points were enumerated over a grid of
 # Smith-form options and sorted, each torsion power was raised from the
 # identity and orbit spans were compared by Fraction rrefs; None stands
-# for the path of TAU6_SCENARIO
+# for the path of TAU6_SCENARIO.  The last two, gtz_diag --iterate 4
+# (409,600 points, 12,963,896 JSON bytes), were recorded when fixed points
+# were listed row by row from a Hermite basis
 PINNED_DYNAMICS = [
     (("fixed-points", "--example", "gtz_diag", "--iterate", "3", "--format", "json"),
      "53be7611de93f919a5b3e1d9bb3e91bceec7f891956f8c071f5132f86ae12b06"),
@@ -360,6 +390,10 @@ PINNED_DYNAMICS = [
      "1998ef0b85c72b8552cbcfdf8149687bdd7ee95f18204e07d2d5c8ca3bbb4783"),
     (("orbit", "--example", "gtz_diag", "--sublattice", "diagonal", "--format", "json"),
      "8e131e0b73fe0a080bfb59ec1e2fecc04055122f4550869aa932cd8260c816bf"),
+    (("fixed-points", "--example", "gtz_diag", "--iterate", "4", "--format", "json"),
+     "7682cb5574d5b8b05b792016754260a0ecd72546dc10b4af41324abe51e65802"),
+    (("fixed-points", "--example", "gtz_diag", "--iterate", "4", "--format", "text"),
+     "a89f17fefbd485a8773e51151e7d26e003b616c58e17a319a30335ef08bdb0af"),
 ]
 
 
