@@ -10,8 +10,8 @@ from .exactnum import (DEFAULT_PRECISION, CertifiedMagnitudeMultiset,
                        polynomial_class, root_magnitudes,
                        unit_circle_root_count)
 from .matlin import (RationalMatrix, SmithDecomposition, Sublattice, charpoly,
-                     completion_basis, exterior_basis, exterior_power,
-                     restrict_and_quotient, saturate, smith_form)
+                     exterior_basis, exterior_power, restrict_and_quotient,
+                     saturate, smith_form)
 from .torus import (ComplexTorus, NeronSeveriSpace, Subtorus,
                     canonical_ample_class, form_to_ns_vector, is_ample,
                     make_subtorus, make_torus, neron_severi, ns_vector_to_form,

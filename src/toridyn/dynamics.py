@@ -11,9 +11,9 @@ column is built.  Orbit graphs on the
 m-torsion lattice are counted, not built: their cycle and tail histograms
 follow from Smith forms of powers of f reduced mod m, and the node budget
 bounds the trial division this needs.  Subtorus orbits are followed on
-integer bases, each image tested for inclusion in the start span against
-one integer-scaled reduced row echelon form, up to a bound: 'escaping' is
-a bounded verdict.
+integer bases, each image tested for inclusion in the start span by the
+rows of the start lattice's Smith coordinates that annihilate it, up to a
+bound: 'escaping' is a bounded verdict.
 """
 
 from __future__ import annotations
@@ -26,13 +26,20 @@ from math import gcd, lcm, prod
 from operator import add, lt, mod, mul
 
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .matlin import RationalMatrix, bareiss, matmul, smith_form
+from .matlin import RationalMatrix, matmul, smith_form
 from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
                    unity_free)
 from .torus import Subtorus, _primitive_integer_vector, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_ORBIT_BOUND = 64
+
+
+def _count_text(n: int) -> str:
+    """A count for a budget message: its digits when it fits in 64 bits,
+    else its bit length, as str() refuses an int of more digits than
+    sys.get_int_max_str_digits()."""
+    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit number of"
 
 
 def lefschetz_number(f: TorusEndomorphism) -> int:
@@ -124,7 +131,8 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     v, c, factors = reduced
     count = prod(di for di in factors if di)
     if count > budget:
-        raise ResourceError(f"fixed point transversal has {count} points, budget {budget}")
+        raise ResourceError(
+            f"fixed point transversal has {_count_text(count)} points, budget {budget}")
     denom = lcm(1, *(di * ci.denominator for di, ci in zip(factors, c) if di))
     steps = [denom // di if di else denom for di in factors]
     point = v.apply([ci * step for ci, step in zip(c, steps)])  # c_i D / d_i is integral
@@ -202,7 +210,7 @@ def fixed_points(f: TorusEndomorphism,
     # Smith form, whose coefficients swell on large entries
     det = abs(m_minus_i.det().numerator)
     if det > budget:
-        raise ResourceError(f"fixed point set has {det} points, budget {budget}")
+        raise ResourceError(f"fixed point set has {_count_text(det)} points, budget {budget}")
     rhs = tuple(-t for t in f.tau)
     solved = _solve_congruence(m_minus_i, rhs, budget)
     if solved is None:
@@ -268,7 +276,7 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     d = f.torus.rank
     n_nodes = m**d
     if n_nodes > budget:
-        raise ResourceError(f"torsion graph needs {n_nodes} nodes, budget {budget}")
+        raise ResourceError(f"torsion graph needs {_count_text(n_nodes)} nodes, budget {budget}")
     cycle_hist, tail_hist = _orbit_histograms(f, m)
     return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
 
@@ -347,22 +355,6 @@ def _orbit_histograms(f, m):
     return {k: v // k for k, v in exact.items() if v}, tails
 
 
-def _span_test(vectors):
-    """A membership test for the rational span of the integer `vectors`.
-    With p R the integer-scaled reduced row echelon form of their rows,
-    pivot columns c_r, a vector v lies in the span exactly when
-    p v = sum_r v[c_r] (p R)_r: the right side is p times the one vector
-    of the span that agrees with v on the pivot columns."""
-    rows = [list(v) for v in vectors]
-    pivots, p, _ = bareiss(rows, jordan=True)
-    top = rows[:len(pivots)]
-
-    def contains(v):
-        return all(p * x == sum(v[c] * row[j] for c, row in zip(pivots, top))
-                   for j, x in enumerate(v))
-    return contains
-
-
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
                    bound: int = DEFAULT_ORBIT_BOUND):
     """Orbit of a subtorus S, followed on its rational span V: f^k(S) is
@@ -376,10 +368,9 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
         raise NotSurjectiveError("subtorus orbits require det M != 0")
     # M^k V has the dimension of V, so it is V as soon as it lies in V:
     # each step pushes the integer basis forward and tests inclusion
-    basis = sub.lattice.basis.columns()
-    in_start = _span_test(basis)
+    in_start = sub.lattice.spans_vector
     m_t = f.m.transpose().entries
-    current = basis
+    current = sub.lattice.basis.columns()
     for step in range(1, bound + 1):
         current = matmul(current, m_t)  # rows M v
         if all(map(in_start, current)):

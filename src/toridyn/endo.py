@@ -138,11 +138,15 @@ class EigenData:
     analytic side."""
 
     h1_charpoly: IntPolynomial
-    analytic: tuple  # GaussianRational coefficients, ascending
     u_count: int
     cyclotomic_factors: tuple  # ((n, multiplicity) in h1_charpoly, ...)
     # (s, Gaussian-integer (re, im) coefficients of the charpoly of s(A + iB))
     scaled_analytic: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def analytic(self) -> tuple:
+        """GaussianRational coefficients of the analytic charpoly, ascending."""
+        return _gaussian_coeffs(*self.scaled_analytic)
 
 
 def _root_power_poly(coeffs, k: int):
@@ -208,8 +212,7 @@ def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
     count, factors = cyclotomic_root_count(h1) if h1.degree > 0 else (0, [])
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, _gaussian_coeffs(s, gamma), count // 2, tuple(factors),
-                     (s, tuple(gamma)))
+    return EigenData(h1, count // 2, tuple(factors), (s, tuple(gamma)))
 
 
 def unity_free(f: TorusEndomorphism):

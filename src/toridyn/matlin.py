@@ -5,17 +5,19 @@ lattice saturation, exterior powers, and restriction/quotient along
 invariant sublattices.  The core is integer-first: a matrix stores plain
 `int` entries wherever the value is integral and a `Fraction` only where it
 is not, and every true division goes through `Fraction`.  Elimination
-(determinant, rank, reduced row echelon form, kernels, solving, inverses)
-is one fraction-free routine (Bareiss 1968) on the integer matrix D*A, D
-the lcm of the denominators; the characteristic polynomial is
-Faddeev-LeVerrier with exact integer division on D*A.  Dimensions in this
+(determinant, rank, kernels, solving, inverses) is one fraction-free
+routine (Bareiss 1968) on the integer matrix D*A, D the lcm of the
+denominators; the characteristic polynomial is Faddeev-LeVerrier with
+exact integer division on D*A.  A sublattice keeps the Smith transform of
+its generators and its inverse, so span membership, restriction and
+quotient are integer products with no elimination.  Dimensions in this
 artifact stay small (ambient rank <= 16, Neron-Severi rank <= 64) so dense
 arithmetic is the right tool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -278,13 +280,6 @@ class RationalMatrix:
         pivots, p, _ = bareiss(mat, jordan=True)
         return mat[:len(pivots)], pivots, p
 
-    def rref(self):
-        """Reduced row echelon form and pivot column indices."""
-        top, pivots, p = self._reduced()
-        red = [[_quotient(x, p) for x in row] for row in top]
-        red += [[0] * self.cols for _ in range(self.rows - len(pivots))]
-        return RationalMatrix._of(red), pivots
-
     def rank(self) -> int:
         _, mat = self.scaled_rows()
         return len(bareiss(mat)[0])
@@ -502,84 +497,70 @@ def smith_form(a) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """Primitive sublattice of Z^ambient_rank given by an integer basis
-    matrix whose columns are a basis (all Smith invariant factors 1)."""
+    """Primitive sublattice of Z^ambient_rank with an integer basis, kept
+    with Smith coordinates: `completion` is a unimodular matrix whose
+    first rank columns are `basis`, and `coordinates` is its inverse.  As
+    coordinates * completion = I, rows rank.. of `coordinates` send the
+    basis to zero and the other columns of `completion` to independent
+    vectors, so they annihilate exactly the rational span."""
 
     ambient_rank: int
     basis: RationalMatrix
+    coordinates: RationalMatrix = field(compare=False, repr=False)
+    completion: RationalMatrix = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.basis.rows != self.ambient_rank:
             raise DomainError("sublattice basis has wrong ambient rank")
-        if not self.basis.is_integral():
+        if not all(m.is_integral() for m in (self.basis, self.coordinates, self.completion)):
             raise DomainError("sublattice basis must be integral")
-        if self.basis.rank() != self.basis.cols:
-            raise DomainError("sublattice basis is rank deficient")
-        if any(f != 1 for f in smith_form(self.basis).invariant_factors):
+        # the basis starts a unimodular matrix: it has full rank, and its
+        # Smith invariant factors are all 1
+        r = self.basis.cols
+        if (self.coordinates * self.completion != RationalMatrix.identity(self.ambient_rank)
+                or [row[:r] for row in self.completion.entries] != list(self.basis.entries)):
             raise DomainError("sublattice basis is not primitive")
 
     @property
     def rank(self) -> int:
         return self.basis.cols
 
-    def contains_vector(self, vec) -> bool:
-        """Integer vector membership in the sublattice."""
-        try:
-            sol = self.basis.solve_exact(
-                RationalMatrix([[Fraction(x)] for x in vec]))
-        except DomainError:
-            return False
-        return sol.is_integral()
-
     def spans_vector(self, vec) -> bool:
         """Membership of vec in the rational span."""
-        aug = RationalMatrix([list(row) + [Fraction(v)]
-                              for row, v in zip(self.basis.entries, vec)])
-        return aug.rank() == self.basis.cols
+        return not any(self.coordinates.apply(vec)[self.rank:])
 
 
 def saturate(s) -> Sublattice:
     """Primitive hull: basis of span_Q(S) intersected with Z^d.
 
-    With U S V = D (Smith), the first r columns of U^-1 are a primitive
-    basis of the saturation."""
+    With U S V = D (Smith), U S = D V^-1 has zero rows past r = rank S, so
+    rows r.. of U annihilate span_Q(S), and the first r columns of U^-1
+    are a primitive basis of the saturation."""
     mat = s if isinstance(s, RationalMatrix) else RationalMatrix(s)
-    if mat.rank() != mat.cols or mat.cols == 0:
-        raise DomainError("saturation requires full column rank")
     dec = smith_form(mat)
+    # the rank is the number of nonzero invariant factors
+    if mat.cols == 0 or sum(map(bool, dec.invariant_factors)) != mat.cols:
+        raise DomainError("saturation requires full column rank")
     uinv = dec.u.inverse()
-    basis = RationalMatrix([[uinv[i, j] for j in range(mat.cols)]
-                            for i in range(mat.rows)])
-    return Sublattice(mat.rows, basis)
-
-
-def completion_basis(w: Sublattice) -> RationalMatrix:
-    """Unimodular d x d integer matrix whose first rank(W) columns generate
-    the same lattice as W's basis."""
-    dec = smith_form(w.basis)
-    return dec.u.inverse()
+    basis = RationalMatrix._of([row[:mat.cols] for row in uinv.entries], True)
+    return Sublattice(mat.rows, basis, dec.u, uinv)
 
 
 def restrict_and_quotient(a: RationalMatrix, w: Sublattice):
-    """Blocks of A in a basis completing W: (A_W, A_Q, change-of-basis B)
-    with B^-1 A B = [[A_W, *], [0, A_Q]].  Raises InvarianceViolation with a
-    witness column when A does not preserve span(W)."""
+    """Blocks of A in the completion B of W: (A_W, A_Q, B) with
+    B^-1 A B = [[A_W, *], [0, A_Q]].  Column j of the lower left block is
+    the annihilator of span(W) applied to A b_j, so A preserves span(W)
+    exactly when that block is zero; otherwise InvarianceViolation is
+    raised with the first basis column b_j it moves out as witness."""
     if not a.is_square() or a.rows != w.ambient_rank:
         raise DomainError("matrix/sublattice dimension mismatch")
-    for j in range(w.rank):
-        img = a.apply(w.basis.column(j))
-        if not w.spans_vector(img):
+    conj = (w.coordinates * a * w.completion).entries
+    r = w.rank
+    for j in range(r):
+        if any(row[j] for row in conj[r:]):
             raise InvarianceViolation(
                 f"A * basis column {j} leaves the rational span of W",
                 witness=w.basis.column(j))
-    b = completion_basis(w)
-    conj = b.inverse() * a * b
-    r = w.rank
-    d = a.rows
-    for i in range(r, d):
-        for j in range(r):
-            if conj[i, j] != 0:
-                raise InvarianceViolation("conjugated matrix is not block triangular")
-    a_w = RationalMatrix([[conj[i, j] for j in range(r)] for i in range(r)])
-    a_q = RationalMatrix([[conj[i, j] for j in range(r, d)] for i in range(r, d)])
-    return a_w, a_q, b
+    a_w = RationalMatrix([row[:r] for row in conj[:r]])
+    a_q = RationalMatrix([row[r:] for row in conj[r:]])
+    return a_w, a_q, w.completion

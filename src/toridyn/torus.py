@@ -95,14 +95,14 @@ def quotient_torus(torus: ComplexTorus, sub: Subtorus):
 
     The quotient basis comes from completing the subtorus basis to a basis
     of the ambient lattice; the induced complex structure is the lower
-    diagonal block of J in that basis."""
+    diagonal block of J in that basis, and the projection is the last rows
+    of the inverse completion."""
     if sub.parent is not torus and sub.parent != torus:
         raise DomainError("subtorus does not belong to this torus")
     if sub.rank == torus.rank:
         return ComplexTorus(0, RationalMatrix([])), RationalMatrix([])
-    _, j_q, b = restrict_and_quotient(torus.j, sub.lattice)
-    binv = b.inverse()
-    proj = RationalMatrix([binv.row(i) for i in range(sub.rank, torus.rank)])
+    _, j_q, _ = restrict_and_quotient(torus.j, sub.lattice)
+    proj = RationalMatrix(sub.lattice.coordinates.entries[sub.rank:])
     return make_torus(j_q), proj
 
 

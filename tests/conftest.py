@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from toridyn import (RationalMatrix, cm_matrix_endo, cm_power_torus,
                      gaussian_order, make_endo, make_torus)
@@ -9,6 +10,18 @@ from toridyn import (RationalMatrix, cm_matrix_endo, cm_power_torus,
 
 def frac_matrix(rows):
     return RationalMatrix([[Fraction(x) for x in row] for row in rows])
+
+
+def lattice_contains(lattice, vec):
+    """Integer membership of vec in a sublattice, decided by sympy: the
+    basis has full column rank, so vec lies in the lattice exactly when
+    basis * x = vec has a solution and it is integral."""
+    basis = sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in lattice.basis.entries])
+    try:
+        x, _ = basis.gauss_jordan_solve(sympy.Matrix([sympy.Rational(str(v)) for v in vec]))
+    except ValueError:  # no solution: vec is outside the rational span
+        return False
+    return all(c.is_integer for c in x)
 
 
 J2 = [[0, -1], [1, 0]]

@@ -245,6 +245,35 @@ def test_fixed_points_budget_names_the_transversal(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["transversal"]) == 4
 
 
+def _gaussian_diagonal(*values):
+    """M = diag(a_1 + b_1 i, ...) on E_i^n: the block [[a, -b], [b, a]] for
+    each (a, b)."""
+    rows = [["0"] * (2 * len(values)) for _ in range(2 * len(values))]
+    for k, (a, b) in enumerate(values):
+        rows[2 * k][2 * k:2 * k + 2] = [str(a), str(-b)]
+        rows[2 * k + 1][2 * k:2 * k + 2] = [str(b), str(a)]
+    return rows
+
+
+@pytest.mark.parametrize("argv, m, message", [
+    (["fixed-points", "--example", "gtz_diag", "--iterate", "4000"], None,
+     "fixed point set has a 18576-bit number of points"),
+    (["fixed-points"], _gaussian_diagonal((10**1100, 1), (10**1100, 2)),
+     "fixed point set has a 14617-bit number of points"),
+    (["fixed-points"], _gaussian_diagonal((1, 0), (10**2200, 1)),
+     "fixed point transversal has a 14617-bit number of points"),
+    (["torsion", "--example", "gtz_diag", "--level", str(10**1200)], None,
+     "torsion graph needs a 15946-bit number of nodes"),
+])
+def test_budget_refusals_past_the_digit_limit_give_the_bit_length(capsys, tmp_path,
+                                                                  argv, m, message):
+    # each count has more than the 4,300 digits str() will write
+    if m is not None:
+        argv = argv + [write_scenario(tmp_path, {"torus": {"J": J4}, "endomorphism": {"M": m}})]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", f"error[resource]: {message}, budget 1000000\n")
+
+
 # -- torsion
 
 def test_torsion_graph(capsys, tmp_path):

@@ -15,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from toridyn import (DomainError, RationalMatrix, ResourceError, fixed_points,
-                     iterate, lefschetz_number, make_endo, make_subtorus,
-                     order_by_name, periodic_count, preper_vs_torsion,
-                     random_endo, saturate, subtorus_orbit, torsion_dynamics)
+from toridyn import (DomainError, InvarianceViolation, RationalMatrix,
+                     ResourceError, fixed_points, iterate, lefschetz_number,
+                     make_endo, make_subtorus, order_by_name, periodic_count,
+                     preper_vs_torsion, random_endo, restrict_and_quotient,
+                     saturate, subtorus_orbit, torsion_dynamics)
 from toridyn.dynamics import _smith_reduce
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
@@ -449,18 +450,46 @@ def test_subtorus_orbit_swap_periodic(ee_torus):
     assert verdict == ("periodic", 2)
 
 
+def example_subtorus(name, lattice):
+    scenario = get_example(name)
+    f = scenario.endo
+    return f, make_subtorus(f.torus, RationalMatrix.from_columns(
+        scenario.sublattices[lattice]))
+
+
+def test_span_questions_take_no_elimination(monkeypatch):
+    # a sublattice keeps its Smith coordinates, so once det M is known an
+    # orbit, a restriction and a span test are integer products alone
+    gtz, diagonal = example_subtorus("gtz_diag", "diagonal")
+    mult, first = example_subtorus("mult_2_1", "first_factor")
+    assert gtz.surjective and mult.surjective
+    blocks = restrict_and_quotient(mult.m, first.lattice)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("an elimination or a Smith form was run")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "toridyn"]:
+        for name in ("bareiss", "smith_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_elimination)
+    assert subtorus_orbit(gtz, diagonal) == ("escaping", 65)
+    assert subtorus_orbit(mult, first) == ("invariant", 2)
+    assert restrict_and_quotient(mult.m, first.lattice) == blocks
+    with pytest.raises(InvarianceViolation):
+        restrict_and_quotient(gtz.m, diagonal.lattice)
+    column = diagonal.lattice.basis.column(0)
+    assert diagonal.lattice.spans_vector(column)
+    assert not diagonal.lattice.spans_vector(gtz.m.apply(column))
+
+
 def saturating_orbit(f, sub, bound):
     """Reference orbit: every image lattice is saturated, and lattices are
     compared by the rref of their bases."""
-    def key(lattice):
-        red, _ = lattice.basis.transpose().rref()
-        return tuple(tuple(r) for r in red.entries if any(r))
-
-    start, current = key(sub.lattice), sub.lattice
+    start, current = span_key(sub.lattice.basis.columns()), sub.lattice
     for step in range(1, bound + 1):
         current = saturate(RationalMatrix.from_columns(
             [f.m.apply(c) for c in current.basis.columns()]))
-        if key(current) == start:
+        if span_key(current.basis.columns()) == start:
             return ("invariant" if step == 1 else ("periodic", step)), step + 1
     return "escaping", bound + 1
 
@@ -508,10 +537,12 @@ def test_span_orbit_periods_of_block_unit_maps(name, swap, units, expected):
 
 
 def span_key(vectors):
-    """The nonzero rows of the rref of the vectors: a canonical basis of
-    their rational span."""
-    red, _ = RationalMatrix(vectors).rref()
-    return tuple(row for row in red.entries if any(row))
+    """The nonzero rows of sympy's rref of the vectors, with int or Fraction
+    entries: a canonical basis of their rational span."""
+    red, _ = sympy.Matrix([[sympy.Rational(str(x)) for x in v] for v in vectors]).rref()
+    rows = (tuple(int(x) if x.q == 1 else Fraction(int(x.p), int(x.q)) for x in red.row(i))
+            for i in range(red.rows))
+    return tuple(row for row in rows if any(row))
 
 
 def span_key_orbit(f, sub, bound):

@@ -6,15 +6,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, IntPolynomial, InvarianceViolation,
-                     RationalMatrix, charpoly, completion_basis,
-                     exterior_power, restrict_and_quotient, saturate,
-                     smith_form)
+                     RationalMatrix, Sublattice, charpoly, exterior_power,
+                     restrict_and_quotient, saturate, smith_form)
 
-from conftest import frac_matrix, random_integer_matrix
+from conftest import frac_matrix, lattice_contains, random_integer_matrix
 
 
 def sympy_matrix(a):
@@ -140,7 +139,7 @@ def test_saturate_primitive_hull():
     lat = saturate(cols)
     assert lat.rank == 2
     assert lat.spans_vector((Fraction(1), Fraction(0), Fraction(0)))
-    assert lat.contains_vector((Fraction(1), Fraction(0), Fraction(0)))
+    assert lattice_contains(lat, (Fraction(1), Fraction(0), Fraction(0)))
     assert not lat.spans_vector((Fraction(0), Fraction(0), Fraction(1)))
 
 
@@ -150,16 +149,57 @@ def test_saturate_of_multiplied_basis_is_same_lattice():
     doubled = base * 6
     a, b = saturate(base), saturate(doubled)
     for j in range(2):
-        assert a.contains_vector(b.basis.column(j))
-        assert b.contains_vector(a.basis.column(j))
+        assert lattice_contains(a, b.basis.column(j))
+        assert lattice_contains(b, a.basis.column(j))
 
 
 def test_completion_basis_unimodular():
     lat = saturate(frac_matrix([[1], [2], [3]]))
-    full = completion_basis(lat)
+    full = lat.completion
     assert abs(full.det()) == 1
     # first column of the completion spans the same rank-1 lattice
-    assert lat.contains_vector(full.column(0))
+    assert lattice_contains(lat, full.column(0))
+
+
+def test_sublattice_checks_its_smith_coordinates():
+    lat = saturate(frac_matrix([[1, 0], [2, 1], [0, 3]]))
+    assert Sublattice(3, lat.basis, lat.coordinates, lat.completion) == lat
+    with pytest.raises(DomainError, match="not primitive"):  # not the completion's start
+        Sublattice(3, lat.basis * 2, lat.coordinates, lat.completion)
+    with pytest.raises(DomainError, match="not primitive"):  # no inverse of the completion
+        Sublattice(3, lat.basis, lat.coordinates * 2, lat.completion)
+    with pytest.raises(DomainError, match="integral"):
+        Sublattice(3, lat.basis, lat.coordinates * Fraction(1, 2), lat.completion)
+
+
+@st.composite
+def span_cases(draw):
+    """A full-column-rank integer d x r matrix S (d <= 6) and an integer or
+    rational vector v, drawn from the rational span of S half the time."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(1, d))
+    cols = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                         min_size=r, max_size=r))
+    s = RationalMatrix.from_columns(cols)
+    assume(sympy_matrix(s).rank() == r)
+    entry = st.fractions(-4, 4, max_denominator=5) if draw(st.booleans()) else st.integers(-6, 6)
+    if draw(st.booleans()):
+        coeffs = [draw(entry) for _ in range(r)]
+        v = tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(d))
+    else:
+        v = tuple(draw(entry) for _ in range(d))
+    return s, v
+
+
+@given(span_cases())
+@settings(max_examples=80, deadline=None)
+def test_spans_vector_matches_sympy_rank(case):
+    s, v = case
+    lat = saturate(s)
+    assert lat.coordinates * lat.completion == RationalMatrix.identity(s.rows)
+    sm = sympy_matrix(s)
+    in_span = sm.row_join(sympy.Matrix([sympy.Rational(str(x)) for x in v])).rank() == sm.rank()
+    assert lat.spans_vector(v) == in_span
 
 
 # -- restrict and quotient
@@ -179,6 +219,18 @@ def test_restrict_non_invariant_raises_with_witness():
     with pytest.raises(InvarianceViolation) as err:
         restrict_and_quotient(a, w)
     assert err.value.witness is not None
+    assert str(err.value) == "A * basis column 0 leaves the rational span of W"
+    assert err.value.witness == (1, 0)
+
+
+def test_restrict_names_the_first_basis_column_moved_out():
+    # A fixes e1 and swaps e2 with e3, so only the second column leaves
+    a = frac_matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    w = saturate(frac_matrix([[1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(InvarianceViolation) as err:
+        restrict_and_quotient(a, w)
+    assert str(err.value) == "A * basis column 1 leaves the rational span of W"
+    assert err.value.witness == w.basis.column(1) == (0, 1, 0)
 
 
 def test_serialize_fractions():
@@ -240,12 +292,9 @@ def test_det_inverse_charpoly_match_sympy(a):
 
 @given(exact_matrices())
 @settings(max_examples=60, deadline=None)
-def test_rank_rref_kernel_match_sympy(a):
+def test_rank_kernel_match_sympy(a):
     sm = sympy_matrix(a)
     assert a.rank() == sm.rank()
-    red, pivots = a.rref()
-    sred, spivots = sm.rref()
-    assert sympy_matrix(red) == sred and tuple(pivots) == spivots
     kernel = a.kernel_basis()
     assert [tuple(_exact(x) for x in v) for v in sm.nullspace()] == kernel
     for v in kernel:
@@ -283,7 +332,7 @@ def test_no_operation_yields_a_float(a, b, k):
     """Integer-first storage: every entry is an int or a non-integral
     Fraction, so no true division on entries can silently give a float."""
     results = [a, -a, a.transpose(), a * 3, a * Fraction(1, 3), a ** k,
-               a.rref()[0], exterior_power(a, min(2, a.rows))]
+               exterior_power(a, min(2, a.rows))]
     if a.rows == b.rows:
         results += [a + b, a - b, a * b]
     if a.det() != 0:
