@@ -25,7 +25,7 @@ from .dynamics import (FixedPointSet, PreperVsTorsionVerdict, TorsionOrbitGraph,
 from .classify import (AmplifiedVerdict, ClassificationReport, DegreeData,
                        PolarizedVerdict, amplified, chain_violations,
                        dynamical_degrees, finite_order, full_report,
-                       h1_magnitudes, ns_action,
+                       h1_magnitudes, ns_action, ns_charpoly,
                        polarization_q_candidate, polarized, serre_test,
                        verify_chain, verify_iterates)
 from .scenarios import (CMOrder, Scenario, cm_matrix_endo, cm_power_torus,

@@ -3,7 +3,9 @@ polarized, the Serre magnitude test, dynamical degrees and entropy, and
 verification of the implication chain and its stability under iteration.
 
 Amplified and polarized are decided exactly from the spectrum of M, with
-no search; each "yes" carries an integer NS witness.
+no search; each "yes" carries an integer NS witness.  The spectrum of f^*
+on NS comes from the analytic charpoly (ns_charpoly), so no decision
+builds the rho x rho matrix ns_action.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from math import isqrt, lcm
 
 import mpmath
 
-from .errors import DomainError, NotSurjectiveError
+from .errors import DomainError, InvariantViolation, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _frame_blocks, eigen_data, iterate,
-                   unity_free)
+from .endo import (TorusEndomorphism, _frame_blocks, _from_power_sums,
+                   _power_sums, eigen_data, iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -51,6 +53,27 @@ def ns_action(f: TorusEndomorphism) -> RationalMatrix:
     return RationalMatrix._of(
         [[_quotient(sum(sign * mp[i][r] * mp[j][c] for (i, j), sign in unit),
                     s * s) for unit in ns.units] for r, c in ns.slots])
+
+
+@lru_cache(maxsize=512)
+def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
+    """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
+    charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so
+    its eigenvalues are conj(mu_i) mu_j over the roots mu of the analytic
+    charpoly, and tr((f^*)^km) = |p_km|^2 with p the power sums of the mu.
+    eigen_data(f, k).scaled_analytic holds (t, the charpoly of t N^k),
+    t = s^k, whose power sums are P_m = t^m p_km, so tr((f^*)^km) =
+    |P_m|^2 / t^2m.  The mu are algebraic integers and f^* preserves the
+    integral NS, so every division is exact."""
+    t, gamma = (eigen_data(f, k) if k > 1 else eigen_data(f)).scaled_analytic
+    n = len(gamma) - 1
+    sums = []
+    for m, (re, im) in enumerate(_power_sums(gamma, n * n)):
+        value, rem = divmod(re * re + im * im, t ** (2 * m))
+        if rem:
+            raise InvariantViolation("NS power sum is not integral")
+        sums.append((value, 0))
+    return IntPolynomial(re for re, _ in _from_power_sums(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +242,15 @@ class AmplifiedVerdict:
 @lru_cache(maxsize=512)
 def amplified(f: TorusEndomorphism) -> AmplifiedVerdict:
     """Is f^*w - w ample for some class w?  (a) 1 is not an eigenvalue of
-    f^* on NS, so f^* - 1 is onto -> yes; (b) not unity-free -> no;
-    (c) Mv = mu v with |mu| = 1 -> no, as the form M^T S M - S of every
-    f^*w - w vanishes on v; (d) else yes, by _hyperbolic_witness."""
+    f^* on NS, read as ns_charpoly(f)(1) != 0, so f^* - 1 is onto -> yes;
+    (b) not unity-free -> no; (c) Mv = mu v with |mu| = 1 -> no, as the
+    form M^T S M - S of every f^*w - w vanishes on v; (d) else yes, by
+    _hyperbolic_witness."""
     if not f.surjective:
         raise NotSurjectiveError("amplified requires det M != 0")
     if f.torus.n == 0:  # every torus of positive dimension carries an ample class
         return AmplifiedVerdict("inconclusive", "not-verified-projective")
-    action = ns_action(f)
-    if (action - RationalMatrix.identity(action.rows)).det() != 0:
+    if ns_charpoly(f)(1) != 0:
         return AmplifiedVerdict("yes", "ns-no-unit-eigenvalue")
     free, _ = unity_free(f)
     if not free:
@@ -270,13 +293,19 @@ class PolarizedVerdict:
 @lru_cache(maxsize=512)
 def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
     """Is f^*L = qL for an ample class L?  q is pinned by |det M| = q^n.
-    Then f is polarized exactly when M is semisimple and the projection w
-    of the canonical class L_can onto ker(A - q) along im(A - q), A = f^*
-    on NS, is ample; w is the witness.  If f^*L = qL with L ample, M /
-    sqrt(q) is unitary for L, so A / q is semisimple with unit-modulus
-    spectrum, and the Cesaro means of (A / q)^k, each at least c L on
-    L_can, converge to that projector.  No magnitude filter comes first:
-    a "yes" forces every H^1 eigenvalue to have modulus sqrt(q)."""
+    Then f is polarized exactly when M is semisimple, q is a root of
+    chi = ns_charpoly(f), and the projection w of the canonical class
+    L_can onto ker(f^* - q) along the other eigenspaces is ample; w is the
+    witness.  If f^*L = qL with L ample, M / sqrt(q) is unitary for L, so
+    f^* / q is semisimple with unit-modulus spectrum, and the Cesaro means
+    of (f^* / q)^k, each at least c L on L_can, converge to that
+    projector.  No magnitude filter comes first: a "yes" forces every H^1
+    eigenvalue to have modulus sqrt(q).
+
+    With M semisimple, so is f^*, and the projector is psi(f^*) / psi(q),
+    psi = radical(chi) / (x - q).  It is applied by Horner on the integer
+    forms, W -> M^T W M + c E with E the form of L_can; the witness is a
+    ray, so only the sign of psi(q) is used."""
     if not f.surjective:
         raise NotSurjectiveError("polarized requires det M != 0")
     q = polarization_q_candidate(f)
@@ -284,21 +313,22 @@ def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
         return PolarizedVerdict("no", reason="degree is not q^n for any q >= 2")
     if not _is_semisimple(f):
         return PolarizedVerdict("no", q=q, reason="M is not semisimple")
-    ns = neron_severi(f.torus)
-    shifted = ns_action(f) - RationalMatrix.identity(ns.rho) * q
-    eigen = shifted.kernel_basis()
-    if not eigen:
+    chi = ns_charpoly(f)
+    if chi(q) != 0:
         return PolarizedVerdict("no", q=q, reason="q is not an NS eigenvalue")
-    # L_can = K x + (A - q) y with K the kernel basis; K x is the projection
-    kernel = RationalMatrix.from_columns(eigen)
-    split = RationalMatrix([k + a for k, a in zip(kernel.entries, shifted.entries)])
-    target = ns.coordinates(canonical_ample_class(f.torus))
-    x = split.solve_exact(RationalMatrix([[c] for c in target])).column(0)
-    omega = ns.from_coordinates(kernel.apply(x[:kernel.cols]))
-    form = f.torus.j.transpose() * ns_vector_to_form(f.torus, omega)
-    if not _is_positive_definite(form):
+    psi = _radical(chi).try_divide(IntPolynomial([-q, 1]))
+    torus = f.torus
+    e = ns_vector_to_form(torus, canonical_ample_class(torus))
+    mt = f.m.transpose()
+    form = RationalMatrix.zero(torus.rank, torus.rank)
+    for c in reversed(psi.coeffs):
+        form = mt * form * f.m + e * c
+    if psi(q) < 0:
+        form = -form
+    if not _is_positive_definite(torus.j.transpose() * form):
         return PolarizedVerdict("no", q=q, reason="the q-part of L_can is not ample")
-    return PolarizedVerdict("yes", q=q, witness=_positive_primitive(omega))
+    return PolarizedVerdict("yes", q=q,
+                            witness=_positive_primitive(form_to_ns_vector(torus, form)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +475,10 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     of f^j.
 
     The data of f^k comes from f's: eigen_data(f, k) gives unity-free and
-    h1_k(1), and f^k acts on NS as A^k, A = ns_action(f), because
-    (M^k)^T E M^k is f^* applied k times.  Amplified stays yes by rule (a)
-    when det(A^k - I) != 0; f^k is built only otherwise, and for
-    polarized.  At k = 1 every check holds by definition."""
+    h1_k(1), and ns_charpoly(f, k), the charpoly of (f^*)^k on NS, is read
+    off it.  Amplified stays yes by rule (a) when ns_charpoly(f, k)(1) !=
+    0; f^k is built only otherwise, and for polarized, which stays an
+    independent check on f^k.  At k = 1 every check holds by definition."""
     if not f.surjective:
         raise NotSurjectiveError("iterate verification requires det M != 0")
     violations = []
@@ -456,19 +486,14 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     base_amp = amplified(f)
     base_pol = polarized(f)
     h1_at_one = [eigen_data(f).h1_charpoly(1)]
-    if base_amp.verdict == "yes":
-        action = power = ns_action(f)
-        identity = RationalMatrix.identity(action.rows)
     for k in range(2, kmax + 1):
         data = eigen_data(f, k)
         h1_at_one.append(data.h1_charpoly(1))
         if (data.u_count == 0) != base_free:
             violations.append(f"unity-free changed at iterate {k}")
-        if base_amp.verdict == "yes":
-            power = action * power
-            if ((power - identity).det() == 0
-                    and amplified(iterate(f, k)).verdict != "yes"):
-                violations.append(f"amplified lost at iterate {k}")
+        if (base_amp.verdict == "yes" and ns_charpoly(f, k)(1) == 0
+                and amplified(iterate(f, k)).verdict != "yes"):
+            violations.append(f"amplified lost at iterate {k}")
         if base_pol.verdict == "yes":
             pol_k = polarized(iterate(f, k))
             if pol_k.verdict != "yes" or pol_k.q != base_pol.q**k:

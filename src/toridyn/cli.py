@@ -143,7 +143,15 @@ def _default_text(doc, indent=""):
 
 
 def _gauss_poly_doc(poly):
-    return [[str(c.re), str(c.im)] for c in poly]
+    """[re, im] decimal strings per coefficient.  A charpoly is a result, so
+    it is written whole: the interpreter's limit on int-to-str digits is
+    lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [[str(c.re), str(c.im)] for c in poly]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +238,22 @@ def cmd_torsion(args):
 def cmd_quotient(args):
     endo, sublattices = resolve_scenario(args)
     sub = _named_subtorus(endo, sublattices, args.sublattice)
-    gamma, delta, quot = eigen_split(endo, sub)
+    gamma, delta, quot = (_gauss_poly_doc(p) for p in eigen_split(endo, sub))
     doc = {
         "sublattice": args.sublattice,
-        "full": _gauss_poly_doc(gamma),
-        "restriction": _gauss_poly_doc(delta),
-        "quotient": _gauss_poly_doc(quot),
+        "full": gamma,
+        "restriction": delta,
+        "quotient": quot,
         "product_identity": "verified",
     }
 
     def text():
         def render(p):
             terms = []
-            for k, c in enumerate(p):
-                if c.re == 0 and c.im == 0:
+            for k, (re, im) in enumerate(p):
+                if re == im == "0":
                     continue
-                coeff = str(c.re) if c.im == 0 else f"({c.re}+{c.im}i)"
+                coeff = re if im == "0" else f"({re}+{im}i)"
                 terms.append(coeff if k == 0 else f"{coeff}*x^{k}")
             return " + ".join(terms) or "0"
         return (f"restriction Delta: {render(delta)}\n"

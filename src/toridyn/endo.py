@@ -149,16 +149,15 @@ class EigenData:
         return _gaussian_coeffs(*self.scaled_analytic)
 
 
-def _root_power_poly(coeffs, k: int):
-    """Ascending (re, im) coefficients of the monic polynomial whose roots
-    are the k-th powers of the roots of the monic polynomial `coeffs` over
-    Z[i], by Newton's identities: the power sums p_m of its roots, then
-    b_j = -(p_jk + sum_(i<j) b_i p_(j-i)k) / j for x^n + b_1 x^(n-1) + ...
-    The b_j are algebraic integers in Q(i), so every division is exact."""
+def _power_sums(coeffs, count: int):
+    """Power sums p_0..p_count, as (re, im) pairs, of the roots of the monic
+    polynomial with ascending Gaussian-integer coefficients `coeffs`, by
+    Newton's identities p_m = -(m c_m + sum_(0<i<m) c_i p_(m-i)) for
+    x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0 past n."""
     n = len(coeffs) - 1
     c = coeffs[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
     p = [(n, 0)]
-    for m in range(1, n * k + 1):
+    for m in range(1, count + 1):
         re, im = c[m] if m <= n else (0, 0)
         re, im = m * re, m * im
         for i in range(1, min(m, n + 1)):
@@ -167,18 +166,34 @@ def _root_power_poly(coeffs, k: int):
             re += a * x - b * y
             im += a * y + b * x
         p.append((-re, -im))
+    return p
+
+
+def _from_power_sums(p):
+    """Ascending (re, im) coefficients of the monic polynomial of degree
+    len(p) - 1 whose roots have the power sums p_1, p_2, ... over Z[i]
+    (p_0 is not read): b_j = -(p_j + sum_(0<i<j) b_i p_(j-i)) / j for
+    x^n + b_1 x^(n-1) + ...  The roots are algebraic integers, so every
+    division is exact."""
     out = [(1, 0)]
-    for j in range(1, n + 1):
-        re, im = p[j * k]
+    for j in range(1, len(p)):
+        re, im = p[j]
         for i in range(1, j):
             a, b = out[i]
-            x, y = p[(j - i) * k]
+            x, y = p[j - i]
             re += a * x - b * y
             im += a * y + b * x
         if re % j or im % j:
             raise InvariantViolation("power-sum division is not exact")
         out.append((-re // j, -im // j))
     return out[::-1]
+
+
+def _root_power_poly(coeffs, k: int):
+    """Ascending (re, im) coefficients of the monic polynomial whose roots
+    are the k-th powers of the roots of the monic polynomial `coeffs` over
+    Z[i]: its power sums are p_k, p_2k, ... of the roots of `coeffs`."""
+    return _from_power_sums(_power_sums(coeffs, (len(coeffs) - 1) * k)[::k])
 
 
 @lru_cache(maxsize=512)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
 import pytest
@@ -12,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
-                     amplified, chain_violations, charpoly, dynamical_degrees,
-                     eigen_data, exterior_power, finite_order, full_report,
-                     is_ample, iterate, make_endo, make_torus, neron_severi,
-                     ns_action, order_by_name, polarization_q_candidate,
-                     polarized, random_endo, serre_test,
-                     unit_circle_root_count, unity_free, verify_chain,
-                     verify_iterates)
+                     amplified, canonical_ample_class, chain_violations,
+                     charpoly, cm_matrix_endo, cm_power_torus,
+                     dynamical_degrees, eigen_data, exterior_power,
+                     finite_order, full_report, is_ample, iterate, make_endo,
+                     make_torus, neron_severi, ns_action, ns_charpoly,
+                     order_by_name, polarization_q_candidate, polarized,
+                     random_endo, serre_test, unit_circle_root_count,
+                     unity_free, verify_chain, verify_iterates)
 from toridyn import classify
-from toridyn.classify import AmplifiedVerdict, _integer_nth_root
+from toridyn.classify import AmplifiedVerdict, PolarizedVerdict, _integer_nth_root
 from toridyn.scenarios import get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -65,6 +67,20 @@ def test_ns_action_matches_solving_the_basis(case, height, seed):
     ns = neron_severi(f.torus)
     oracle = ns.basis.solve_exact(exterior_power(f.m.transpose(), 2) * ns.basis)
     assert ns_action(f) == oracle
+
+
+@given(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("gaussian", 3),
+                        ("eisenstein", 1), ("eisenstein", 2), ("eisenstein", 3),
+                        ("quadratic(-2)", 1), ("quadratic(-2)", 2), ("quadratic(-2)", 3)]),
+       st.integers(1, 4), st.integers(1, 2), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_ns_charpoly_is_the_charpoly_of_the_ns_action(case, k, height, seed):
+    # the charpoly of (f^*)^k read off the power sums of Gamma equals the
+    # one of the k-th power of the rho x rho action
+    order, n = case
+    f = random_endo(n, order_by_name(order), height, seed)
+    oracle = charpoly(ns_action(f) ** k)
+    assert ns_charpoly(f, k).coeffs == tuple(getattr(oracle, "coeffs", oracle))
 
 
 # -- finite order
@@ -376,6 +392,60 @@ def test_polarized_does_not_depend_on_precision(f):
         # a consequence of the exact verdict
         assert serre_test(f, fine.polarized_q)
         assert serre_test(f, fine.polarized_q, Fraction(1, 10))
+
+
+def projection_witness_reference(f):
+    """polarized's projection step as a linear solve in NS coordinates, for
+    semisimple M with q = polarization_q_candidate(f): L_can = K x +
+    (A - q) y with K a kernel basis of A - q, A = ns_action(f).  Returns the
+    primitive integer vector on the ray of K x when that class is ample,
+    else None (also when q is not an eigenvalue of A)."""
+    q = polarization_q_candidate(f)
+    ns = neron_severi(f.torus)
+    shifted = ns_action(f) - RationalMatrix.identity(ns.rho) * q
+    eigen = shifted.kernel_basis()
+    if not eigen:
+        return None
+    kernel = RationalMatrix.from_columns(eigen)
+    split = RationalMatrix([k + a for k, a in zip(kernel.entries, shifted.entries)])
+    target = ns.coordinates(canonical_ample_class(f.torus))
+    x = split.solve_exact(RationalMatrix([[c] for c in target])).column(0)
+    omega = [Fraction(c) for c in ns.from_coordinates(kernel.apply(x[:kernel.cols]))]
+    if not is_ample(f.torus, omega):
+        return None
+    scale = lcm(*(c.denominator for c in omega))
+    ints = [int(c * scale) for c in omega]
+    return tuple(c // gcd(*ints) for c in ints)
+
+
+@given(polarizable_candidates())
+@settings(max_examples=40, deadline=None)
+def test_polarized_witness_matches_the_projection_reference(f):
+    v = polarized(f)
+    if v.q is not None and v.reason != "M is not semisimple":
+        assert v.witness == projection_witness_reference(f)
+
+
+def _diagonal_endo(order_name, n, values):
+    order = order_by_name(order_name)
+    rows = [[values[i] if i == j else (0, 0) for j in range(n)] for i in range(n)]
+    return cm_matrix_endo(cm_power_torus(order, n), order, rows)
+
+
+@pytest.mark.parametrize("order, values, q, psi_degree, head", [
+    # Gaussian diag(5, 3+4i, 4+3i, -3+4i): rho = 16, every |mu|^2 = 25
+    ("gaussian", [(5, 0), (3, 4), (4, 3), (-3, 4)], 25, 12, (-1, 0, 0, 0)),
+    # Eisenstein diag(2+w, 1-w, 2+w, 1-w): rho = 64, every |mu|^2 = 3
+    ("eisenstein", [(2, 1), (1, -1), (2, 1), (1, -1)], 3, 2, (-1, 0, -2, 0)),
+])
+def test_polarized_witness_with_a_long_psi(order, values, q, psi_degree, head):
+    # psi = radical(chi_NS) / (x - q) has degree psi_degree
+    f = _diagonal_endo(order, 4, values)
+    assert classify._radical(ns_charpoly(f)).degree - 1 == psi_degree
+    witness = projection_witness_reference(f)
+    assert witness[:4] == head
+    assert polarized(f) == PolarizedVerdict("yes", q=q, witness=witness)
+    assert_polarized_witness(f, polarized(f))
 
 
 def test_polarized_no_for_non_semisimple(ee_torus):

@@ -330,6 +330,37 @@ def test_quotient_unknown_sublattice(capsys):
     assert "known:" in err
 
 
+def test_quotient_prints_a_charpoly_past_the_digit_limit(capsys, tmp_path):
+    # Gamma = prod_k (x - (10^1100 + k i)) on E^4: its constant term has
+    # about 4,400 digits, more than str() writes by default
+    big = 10**1100
+    j = [["0"] * 8 for _ in range(8)]
+    for k in range(4):
+        j[2 * k][2 * k + 1], j[2 * k + 1][2 * k] = "-1", "1"
+    path = write_scenario(tmp_path, {
+        "torus": {"J": j},
+        "endomorphism": {"M": _gaussian_diagonal(*((big, k) for k in range(1, 5)))},
+        "sublattices": {"first": [["1"] + ["0"] * 7, ["0", "1"] + ["0"] * 6]}})
+    re, im = 1, 0
+    for k in range(1, 5):
+        re, im = re * big - im * k, re * k + im * big
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        constant = [str(re), str(im)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(constant[0]) > limit
+    code, out, err = run(capsys, "quotient", path, "--sublattice", "first",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["full"][0] == constant
+    code, out, err = run(capsys, "quotient", path, "--sublattice", "first")
+    assert (code, err) == (0, "")
+    assert f"full Gamma:        ({constant[0]}+{constant[1]}i) + " in out
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_orbit_invariant(capsys):
     code, out, _ = run(capsys, "orbit", "--example", "mult_2_1",
                        "--sublattice", "first_factor", "--format", "json")
@@ -478,6 +509,13 @@ PINNED_SWEEPS = [
      "17f41fca154f1a211d717e291f388e3a702ae4a0fb0aa11e7826c4fc1c5c4e71"),
     (("--dim", "2", "--order", "eisenstein", "--iterate", "6", "--format", "text"),
      "d08b8a13d4b044185a055b9414cc67e7056f1fa4ae15287367942edd19ad87c4"),
+    # rho = 64: E_omega^4 and E_sqrt(-2)^4 have complex dimension 8
+    (("--count", "10", "--dim", "4", "--iterate", "3", "--seed", "1",
+      "--order", "eisenstein"),
+     "6372e2dd7503188c183cf9c7c0b878f40c758ee47c3f0b849bdadb875077b230"),
+    (("--count", "10", "--dim", "4", "--iterate", "3", "--seed", "1",
+      "--order", "quadratic(-2)"),
+     "942e1f7a4fbb3c76bbcfb97e5094257d295f6327759cfd14c1cb2dcb23dd2c96"),
 ]
 
 
@@ -523,6 +561,28 @@ def test_reports_and_sweeps_take_no_exterior_power(capsys, monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+    for name, report in reports.items():
+        assert full_report(get_example(name).endo).to_dict() == report
+    for argv, digest in PINNED_SWEEPS:
+        test_sweep_json_bytes_are_pinned(capsys, argv, digest)
+
+
+def test_reports_and_sweeps_take_no_ns_action(capsys, monkeypatch):
+    # the spectrum of f^* on NS is read off the analytic charpoly, so no
+    # decision builds the rho x rho action; caches are emptied as above
+    reports = {name: full_report(get_example(name).endo).to_dict()
+               for name in sorted(named_examples())}
+
+    def no_ns_action(*args):
+        raise AssertionError("the NS action was computed")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toridyn"]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        if hasattr(module, "ns_action"):
+            monkeypatch.setattr(module, "ns_action", no_ns_action)
     for name, report in reports.items():
         assert full_report(get_example(name).endo).to_dict() == report
     for argv, digest in PINNED_SWEEPS:
