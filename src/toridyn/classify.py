@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
-
-import mpmath
+from math import floor, inf, isqrt, lcm, nextafter
 
 from .errors import DomainError, InvariantViolation, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _frame_blocks, _from_power_sums,
-                   _power_sums, eigen_data, iterate, unity_free)
+from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks,
+                   _from_power_sums, _power_sums, eigen_data, iterate,
+                   unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -55,7 +54,7 @@ def ns_action(f: TorusEndomorphism) -> RationalMatrix:
                     s * s) for unit in ns.units] for r, c in ns.slots])
 
 
-@lru_cache(maxsize=512)
+@_cached_on_k
 def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
     charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so
@@ -65,7 +64,7 @@ def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     t = s^k, whose power sums are P_m = t^m p_km, so tr((f^*)^km) =
     |P_m|^2 / t^2m.  The mu are algebraic integers and f^* preserves the
     integral NS, so every division is exact."""
-    t, gamma = (eigen_data(f, k) if k > 1 else eigen_data(f)).scaled_analytic
+    t, gamma = eigen_data(f, k).scaled_analytic
     n = len(gamma) - 1
     sums = []
     for m, (re, im) in enumerate(_power_sums(gamma, n * n)):
@@ -115,12 +114,50 @@ class DegreeData:
     precision: Fraction
 
 
-def _entropy_enclosure(lo: Fraction, hi: Fraction):
-    iv = mpmath.iv
-    with mpmath.workdps(40):
-        a = iv.log(iv.mpf(lo.numerator) / iv.mpf(lo.denominator))
-        b = iv.log(iv.mpf(hi.numerator) / iv.mpf(hi.denominator))
-        return float(mpmath.mpf(a.a)), float(mpmath.mpf(b.b))
+def _atanh_scaled(num: int, den: int, bits: int):
+    """(S, E) with S <= atanh(num/den) 2^bits < S + E, for integers
+    0 <= num/den <= 1/3.  The series sum t^(2j+1) / (2j+1) is summed in
+    integers, each power and each term rounded down; with t^2 <= 1/9 every
+    power is at most 9/8 low, so each of the N terms loses less than 2.125
+    and the tail after the first zero power less than 1.27."""
+    total, power, j = 0, (num << bits) // den, 0
+    while power:
+        total += power // (2 * j + 1)
+        power = power * num * num // (den * den)
+        j += 1
+    return total, 3 * j + 2 if num else 0
+
+
+def _log_enclosure(x: Fraction):
+    """Floats (a, b) with a <= log x <= b for a rational x > 0, rounded
+    outward from an integer enclosure: x = y 2^m with 2/3 <= y < 4/3, and
+    log x = 2 atanh((y - 1)/(y + 1)) + 2m atanh(1/3), both atanh scaled by
+    2^bits.  For m = 0 the bits grow with -log2 |y - 1|, so the enclosure
+    stays far narrower than a float step; log 1 is exactly (0.0, 0.0)."""
+    n, d = x.numerator, x.denominator
+    m = n.bit_length() - d.bit_length()
+    n, d = (n, d << m) if m >= 0 else (n << -m, d)
+    if 3 * n < 2 * d:
+        n, m = 2 * n, m - 1
+    elif 3 * n >= 4 * d:
+        d, m = 2 * d, m + 1
+    num, den = n - d, n + d
+    bits = 128 + max(den.bit_length() - abs(num).bit_length(), 0)
+    s, e = _atanh_scaled(abs(num), den, bits)
+    s2, e2 = _atanh_scaled(1, 3, bits)
+    y = (2 * s, 2 * (s + e)) if num >= 0 else (-2 * (s + e), -2 * s)
+    two = (2 * m * s2, 2 * m * (s2 + e2)) if m >= 0 else (2 * m * (s2 + e2), 2 * m * s2)
+    one = 1 << bits
+    return (_outward(Fraction(y[0] + two[0], one), False),
+            _outward(Fraction(y[1] + two[1], one), True))
+
+
+def _outward(v: Fraction, up: bool) -> float:
+    """The least float >= v when up, else the greatest float <= v."""
+    f = float(v)
+    if (Fraction(f) < v) if up else (Fraction(f) > v):
+        f = nextafter(f, inf if up else -inf)
+    return f
 
 
 def dynamical_degrees(f: TorusEndomorphism,
@@ -159,8 +196,8 @@ def dynamical_degrees(f: TorusEndomorphism,
     equal = tuple(j for j in range(n)
                   if count_gt1 <= 2 * j and 2 * j + 2 <= count_gt1 + count_one)
     # topological entropy is log max_j lambda_j (Gromov; Yomdin)
-    entropy = (_entropy_enclosure(max(lo for lo, _ in intervals),
-                                  max(hi for _, hi in intervals))
+    entropy = ((_log_enclosure(max(lo for lo, _ in intervals))[0],
+                _log_enclosure(max(hi for _, hi in intervals))[1])
                if n >= 1 else (0.0, 0.0))
     return DegreeData(tuple(intervals), equal, equal, entropy, Fraction(precision))
 
@@ -388,12 +425,22 @@ class ClassificationReport:
         for key, value in d.items():
             if key == "dynamical_degrees":
                 degs = ", ".join(
-                    f"lambda_{j} in [{float(Fraction(lo)):.6f}, {float(Fraction(hi)):.6f}]"
+                    f"lambda_{j} in [{_decimal(Fraction(lo), 6)}, {_decimal(Fraction(hi), 6)}]"
                     for j, (lo, hi) in enumerate(value))
                 lines.append(f"  dynamical_degrees: {degs}")
             else:
                 lines.append(f"  {key}: {value}")
         return "\n".join(lines)
+
+
+def _decimal(v: Fraction, places: int) -> str:
+    """v >= 0 with `places` decimals: as f"{float(v):.{places}f}" writes it
+    in float range, and exactly, rounded half up, past it."""
+    try:
+        return f"{float(v):.{places}f}"
+    except OverflowError:
+        q = floor(v * 10**places + Fraction(1, 2))
+        return f"{q // 10**places}.{q % 10**places:0{places}d}"
 
 
 def full_report(f: TorusEndomorphism,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,8 +29,9 @@ from .torus import make_torus, make_subtorus
 from .endo import eigen_split, iterate, make_endo, unity_free
 from .dynamics import (DEFAULT_NODE_BUDGET, DEFAULT_ORBIT_BOUND, fixed_points,
                        subtorus_orbit, torsion_dynamics)
-from .classify import (amplified, chain_violations, dynamical_degrees,
-                       finite_order, full_report, polarized, verify_iterates)
+from .classify import (_decimal, amplified, chain_violations,
+                       dynamical_degrees, finite_order, full_report, polarized,
+                       verify_iterates)
 from .scenarios import get_example, order_by_name, named_examples, random_endo
 
 EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
@@ -142,14 +144,15 @@ def _default_text(doc, indent=""):
     return "\n".join(lines)
 
 
-def _gauss_poly_doc(poly):
-    """[re, im] decimal strings per coefficient.  A charpoly is a result, so
-    it is written whole: the interpreter's limit on int-to-str digits is
-    lifted for this call only."""
+@contextmanager
+def _whole_numbers():
+    """Exact results (degree endpoints, charpolys, the Lefschetz number,
+    q and the witness) are written whole: the interpreter's limit on
+    int-to-str digits is lifted inside this block only."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return [[str(c.re), str(c.im)] for c in poly]
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -161,30 +164,32 @@ def _gauss_poly_doc(poly):
 def cmd_classify(args):
     endo, _ = resolve_scenario(args)
     report = full_report(endo, args.precision)
-    emit(report.to_dict(), args.format, report.to_text)
+    with _whole_numbers():
+        emit(report.to_dict(), args.format, report.to_text)
     return EXIT_OK
 
 
 def cmd_degrees(args):
     endo, _ = resolve_scenario(args)
     data = dynamical_degrees(endo, args.precision)
-    doc = {
-        "dynamical_degrees": [[str(lo), str(hi)] for lo, hi in data.intervals],
-        "equal_consecutive_pairs": list(data.equal_consecutive_pairs),
-        "exact_equalities": list(data.exact_equalities),
-        "entropy": list(data.entropy),
-        "precision": str(data.precision),
-    }
 
     def text():
         lines = []
         for j, (lo, hi) in enumerate(data.intervals):
             tag = " (= next)" if j in data.equal_consecutive_pairs else ""
-            lines.append(f"lambda_{j} in [{float(lo):.9f}, {float(hi):.9f}]{tag}")
+            lines.append(f"lambda_{j} in [{_decimal(lo, 9)}, {_decimal(hi, 9)}]{tag}")
         lines.append(f"entropy in [{data.entropy[0]:.9f}, {data.entropy[1]:.9f}]")
         return "\n".join(lines)
 
-    emit(doc, args.format, text)
+    with _whole_numbers():
+        doc = {
+            "dynamical_degrees": [[str(lo), str(hi)] for lo, hi in data.intervals],
+            "equal_consecutive_pairs": list(data.equal_consecutive_pairs),
+            "exact_equalities": list(data.exact_equalities),
+            "entropy": list(data.entropy),
+            "precision": str(data.precision),
+        }
+        emit(doc, args.format, text)
     return EXIT_OK
 
 
@@ -238,7 +243,9 @@ def cmd_torsion(args):
 def cmd_quotient(args):
     endo, sublattices = resolve_scenario(args)
     sub = _named_subtorus(endo, sublattices, args.sublattice)
-    gamma, delta, quot = (_gauss_poly_doc(p) for p in eigen_split(endo, sub))
+    with _whole_numbers():
+        gamma, delta, quot = ([[str(c.re), str(c.im)] for c in p]
+                              for p in eigen_split(endo, sub))
     doc = {
         "sublattice": args.sublattice,
         "full": gamma,

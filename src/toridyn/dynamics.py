@@ -234,7 +234,7 @@ def periodic_count(f: TorusEndomorphism, k: int):
     if k < 1:
         raise DomainError("period must be >= 1")
     # M has even size, so det(M^k - I) is the H^1 charpoly of f^k at 1
-    det = (eigen_data(f, k) if k > 1 else eigen_data(f)).h1_charpoly(1)
+    det = eigen_data(f, k).h1_charpoly(1)
     if det != 0:
         return abs(det)
     # a consistent congruence has a free direction, so its solutions are

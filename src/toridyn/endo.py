@@ -12,7 +12,7 @@ downstream verdicts are conjugation-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from fractions import Fraction
 from math import lcm
 
@@ -196,13 +196,24 @@ def _root_power_poly(coeffs, k: int):
     return _from_power_sums(_power_sums(coeffs, (len(coeffs) - 1) * k)[::k])
 
 
-@lru_cache(maxsize=512)
+def _cached_on_k(fn):
+    """lru_cache for fn(f, k=1), keyed on the value of k: fn(f) and
+    fn(f, 1) share one entry."""
+    cached = lru_cache(maxsize=512)(fn)
+
+    @wraps(fn)
+    def call(f, k=1):
+        return cached(f, k)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_cached_on_k
 def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
     """Eigen data of f^k.  For k > 1 it is derived from f's: both charpolys
     of f^k have the k-th powers of the roots of f's, the analytic one
-    taken on s(A + iB) with scale s^k, and f^k is never built.  The cache
-    keys eigen_data(f, 1) apart from eigen_data(f), so k = 1 is passed
-    by omission."""
+    taken on s(A + iB) with scale s^k, and f^k is never built."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
     if k == 1:

@@ -4,13 +4,13 @@ Integer polynomials with exact arithmetic, Gaussian rationals, cyclotomic
 factor extraction, Kronecker/Salem classification, and certified rational
 enclosures of root magnitudes.  Root-of-unity and unit-circle detection
 never consult floating point; real roots are counted by integer Sturm
-sequences.  For magnitudes, floats (then mpmath at rising precision) only
-propose roots; each proposal set is certified in exact Gaussian-integer
-arithmetic by pairwise-disjoint inclusion disks (Braess-Hadeler 1973;
-Carstensen 1991), each holding exactly one root.  A rational |root| of an
-integer polynomial is k/|a_d| for an integer k; an interval becomes the
-exact point k/|a_d| only when the intervals holding that point number
-exactly the roots of that modulus, counted exactly.
+sequences.  For magnitudes, floats only propose roots, which Weierstrass
+steps on Gaussian-integer centres refine; each proposal set is certified
+in exact Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
+(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.
+A rational |root| of an integer polynomial is k/|a_d| for an integer k; an
+interval becomes the exact point k/|a_d| only when the intervals holding
+that point number exactly the roots of that modulus, counted exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-
-import mpmath
 
 from .errors import DomainError
 
@@ -467,37 +465,18 @@ def _float_roots(coeffs):
     return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
-def _mp_roots(coeffs, dps, seeds):
-    """Root proposals from mpmath's Durand-Kerner iteration at dps digits,
-    started from seeds when given; None when it does not converge."""
-    try:
-        with mpmath.workdps(dps):
-            return mpmath.polyroots(coeffs[::-1], maxsteps=4 * dps,
-                                    extraprec=dps, roots_init=seeds)
-    except mpmath.mp.NoConvergence:
-        return None
-
-
-def _scaled(v, k: int) -> int:
-    """round(v * 2^k), exactly, for a float or an mpmath mpf."""
-    if isinstance(v, float):
-        m, e = math.frexp(v)
-        man, exp = int(m * 2**53), e - 53
-    else:
-        sign, man, exp, _ = v._mpf_
-        man = -man if sign else man
-    shift = exp + k
+def _scaled(v: float, k: int) -> int:
+    """round(v * 2^k), exactly."""
+    m, e = math.frexp(v)
+    man, shift = int(m * 2**53), e - 53 + k
     return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
 
 
-def _centres(zs, k: int, bits: int):
-    """Dyadic Gaussian centres round(z 2^k) for proposals good to about
-    `bits` bits, made conjugate-symmetric as the roots of a real polynomial
-    are: imaginary parts below 2^(-bits/2) become 0, and when the two
-    half-planes hold equally many proposals the lower ones are replaced by
-    the conjugates of the upper ones."""
-    pts = [(_scaled(z.real, k), _scaled(z.imag, k)) for z in zs]
-    tol = 1 << max(k - bits // 2, 0)
+def _symmetric(pts, tol: int):
+    """The centres pts made conjugate-symmetric, as the roots of a real
+    polynomial are: imaginary parts of at most tol become 0, and when the
+    two half-planes hold equally many centres the lower ones are replaced
+    by the conjugates of the upper ones (otherwise pts is returned)."""
     upper = [(x, y) for x, y in pts if y > tol]
     real = [(x, 0) for x, y in pts if -tol <= y <= tol]
     if 2 * len(upper) + len(real) != len(pts):
@@ -505,19 +484,73 @@ def _centres(zs, k: int, bits: int):
     return real + upper + [(x, -y) for x, y in upper]
 
 
-def _inclusion_radii(coeffs, centres, k: int):
-    """Integer R_i with R_i / 2^k >= d |p(z_i)| / |a_d prod_{j != i} (z_i - z_j)|
-    for the centres z_i = (x_i + i y_i) / 2^k of a polynomial p of degree d
-    (ascending integer coefficients), or None when two centres coincide or
-    two of the disks |z - z_i| <= R_i / 2^k meet.
+def _polygon_offsets(sizes, count: int):
+    """Starting points for the `count` smallest roots of a polynomial whose
+    coefficient a_j (ascending) has bit length sizes[j], 0 when a_j = 0,
+    as Gaussian integers.  Each edge of the upper convex hull of the points
+    (j, sizes[j]), from j0 to j1, gets j1 - j0 points on the circle of
+    radius 2^((sizes[j0] - sizes[j1]) / (j1 - j0)) (Bini 1996, Numer.
+    Algorithms 13), and each vanishing low coefficient a point at 0.  The
+    angles are offset by 0.4, so that no point on a circle is real and the
+    points are not conjugate-symmetric."""
+    hull = []
+    for j, b in enumerate(sizes):
+        if b:
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (b - hull[-2][1])
+                                     >= (j - hull[-2][0]) * (hull[-1][1] - hull[-2][1])):
+                hull.pop()
+            hull.append((j, b))
+    points = [(0, 0)] * hull[0][0]
+    for (j0, b0), (j1, b1) in zip(hull, hull[1:]):
+        m = j1 - j0
+        e, rem = divmod(b0 - b1, m)
+        for t in range(m):
+            z = 2 ** (rem / m) * cmath.exp(1j * (2 * math.pi * t / m + 0.4))
+            points.append((_scaled(z.real, e), _scaled(z.imag, e)))
+    return points[:count]
 
-    Every root of p lies in the union of these disks, and a connected
-    component of m disks holds exactly m roots (Braess-Hadeler 1973;
-    Carstensen 1991, LAA 157), so pairwise-disjoint disks hold exactly one
-    root each.  All arithmetic is over the Gaussian integers."""
+
+def _seeds_around(coeffs, k: int, cx: int, cy: int, count: int):
+    """Starting centres on the grid 2^-k for the `count` roots of p
+    (ascending integer coefficients, degree d) nearest to C = cx + i cy:
+    C plus the _polygon_offsets of the Taylor shift 2^(kd) p((C + W) / 2^k),
+    whose roots W are the offsets of the roots of p from C in units of
+    2^-k."""
+    d = len(coeffs) - 1
+    shifted = [[c << (k * (d - j)), 0] for j, c in enumerate(coeffs)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            re, im = shifted[j + 1]
+            shifted[j][0] += re * cx - im * cy
+            shifted[j][1] += re * cy + im * cx
+    sizes = [max(abs(re), abs(im)).bit_length() for re, im in shifted]
+    return [(cx + u, cy + v) for u, v in _polygon_offsets(sizes, count)]
+
+
+def _newton_seeds(coeffs, k: int):
+    """Starting centres on the grid 2^-k for all roots of p: _seeds_around
+    the centroid -a_(d-1) / (d a_d) of the roots, where one Weierstrass
+    step puts the centroid of any centres, up to rounding."""
+    d = len(coeffs) - 1
+    return _seeds_around(coeffs, k, -(coeffs[-2] << k) // (d * coeffs[-1]), 0, d)
+
+
+def _weierstrass(coeffs, centres, k: int):
+    """A Weierstrass (Durand-Kerner) step and the inclusion radii of the
+    centres z_i = (x_i + i y_i) / 2^k of a polynomial p of degree d
+    (ascending integer coefficients), both from the correction
+    W_i = p(z_i) / (a_d prod_{j != i} (z_i - z_j)).  Returns (radii, finer):
+    integers R_i >= 2^k d |W_i|, and the centres z_i - W_i rounded to the
+    grid 2^-2k; or (None, None) when two centres coincide.
+
+    Every root of p lies in the union of the disks |z - z_i| <= R_i / 2^k,
+    and a connected component of m disks holds exactly m roots
+    (Braess-Hadeler 1973; Carstensen 1991, LAA 157), so pairwise-disjoint
+    disks hold exactly one root each.  All arithmetic is over the Gaussian
+    integers."""
     d = len(coeffs) - 1
     lead = coeffs[-1]
-    radii = []
+    radii, finer = [], []
     for i, (x, y) in enumerate(centres):
         pr, pi = lead, 0  # 2^(kd) p(z_i) by Horner
         for j in range(d - 1, -1, -1):
@@ -528,41 +561,130 @@ def _inclusion_radii(coeffs, centres, k: int):
                 qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
         norm = qr * qr + qi * qi
         if norm == 0:
-            return None
+            return None, None
+        # 2^2k W_i = 2^k (pr + i pi)(qr - i qi) / norm, rounded to an integer
+        wr, wi = (pr * qr + pi * qi) << k, (pi * qr - pr * qi) << k
+        finer.append(((x << k) - (2 * wr + norm) // (2 * norm),
+                      (y << k) - (2 * wi + norm) // (2 * norm)))
         radii.append(isqrt(-(-d * d * (pr * pr + pi * pi) // norm)) + 1)
+    return radii, finer
+
+
+def _clusters(centres, radii):
+    """Index lists of the connected components of the disks
+    |z - z_i| <= R_i, on one grid."""
+    groups = []
     for i, (x, y) in enumerate(centres):
-        for j in range(i):
-            u, v = centres[j]
-            if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
-                return None
-    return radii
+        near = [g for g in groups if any(
+            (x - centres[j][0]) ** 2 + (y - centres[j][1]) ** 2 <= (radii[i] + radii[j]) ** 2
+            for j in g)]
+        groups = [g for g in groups if g not in near] + [[i] + [j for g in near for j in g]]
+    return groups
+
+
+def _recentred(coeffs, before, after, groups, done, k: int):
+    """The centres `after` a Weierstrass step on the grid 2^-k, with each
+    group of two or more, but not all, whose centroid has settled replaced
+    by _seeds_around that centroid.  A group is a component of meeting
+    inclusion disks, so it holds as many roots as centres.  The
+    approximations of a cluster of roots close in on it only linearly,
+    halving their spread every other step, while their centroid settles
+    within a few steps; seeds around it at the cluster's own radius
+    converge at once.  Settled means that the step moved the centroid by
+    less than 2^-8 of the spread (the largest offset of a centre from it),
+    and `done` maps each group to its spread when it was last recentred:
+    a group is recentred again only once its spread fell 2^8-fold, so the
+    same seeds never come back."""
+    out = list(after)
+    for group in groups:
+        m = len(group)
+        if not 1 < m < len(after):
+            continue
+        cx, cy = (sum(after[i][t] for i in group) // m for t in (0, 1))
+        moved = max(abs(cx - sum(before[i][0] for i in group) // m),
+                    abs(cy - sum(before[i][1] for i in group) // m))
+        spread = max(max(abs(after[i][0] - cx), abs(after[i][1] - cy)) for i in group)
+        key = frozenset(group)
+        if moved << 8 <= spread and spread << 8 <= done.get(key, spread << 8):
+            done[key] = spread
+            for i, z in zip(group, _seeds_around(coeffs, k, cx, cy, m)):
+                out[i] = z
+    return out
+
+
+#: Root refinement gives up past the grid 2^-MAX_REFINEMENT_BITS, about
+#: 5,000 digits.
+MAX_REFINEMENT_BITS = 16600
+
+
+def _rounds(coeffs, k: int):
+    """(centres, k, radii) for each round whose inclusion disks are
+    pairwise disjoint, for a squarefree integer polynomial (ascending
+    coefficients, nonzero constant term): centres z_i = (x_i + i y_i) / 2^k
+    of all roots and radii from _weierstrass.
+
+    The first round rounds the float proposals to the grid 2^-k.  Then
+    Weierstrass steps refine the centres, started from those, or from
+    _newton_seeds when the floats overflow or their disks meet, and
+    _recentred restarts clusters.  Each round certifies the centres made
+    conjugate-symmetric, and steps from them when their disks are
+    disjoint.  k doubles when every correction is below 2^(-k/2), or after
+    8d + 32 steps on one grid; the rounds end in a DomainError past
+    MAX_REFINEMENT_BITS."""
+    d = len(coeffs) - 1
+    zs = _float_roots(coeffs)
+    # float proposals are good to about 53 bits: |Im z| <= 2^-26 means real
+    centres = None if zs is None else _symmetric(
+        [(_scaled(z.real, k), _scaled(z.imag, k)) for z in zs], 1 << (k - 26))
+    floats, steps, done = centres is not None, 0, {}
+    while k <= MAX_REFINEMENT_BITS:
+        if centres is None:
+            centres, steps, done = _newton_seeds(coeffs, k), 0, {}
+        base = _symmetric(centres, 1 << k // 2)
+        radii, finer = _weierstrass(coeffs, base, k)
+        groups = radii and _clusters(base, radii)
+        if groups and len(groups) == d:
+            yield base, k, radii
+        elif floats:
+            finer = None  # the float disks meet: start from the Newton polygon
+        elif base != centres:
+            base = centres
+            radii, finer = _weierstrass(coeffs, base, k)
+            groups = radii and _clusters(base, radii)
+        floats, steps = False, steps + 1
+        if finer is None:  # or two centres coincide: start over, finer
+            centres, k = None, 2 * k
+        elif steps > 8 * d + 32 or all(
+                max(abs(u - (x << k)), abs(v - (y << k))) >> (k + k // 2) == 0
+                for (x, y), (u, v) in zip(base, finer)):
+            centres, k, steps, done = finer, 2 * k, 0, {}
+        else:
+            half = 1 << (k - 1)
+            centres = _recentred(coeffs, base, [((u + half) >> k, (v + half) >> k)
+                                                for u, v in finer], groups, done, k)
+    raise DomainError("root magnitude refinement failed to converge")
 
 
 def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
     """Certified (lower, upper) |root| intervals, one per root, for a
     squarefree integer polynomial with nonzero constant term.
 
-    Float proposals, then mpmath ones at doubling precision, are rounded to
-    dyadic centres and certified by exact inclusion disks.  A rational
-    |root| is k/|a_d| for an integer k >= 1, since a_d z is an algebraic
-    integer.  A round is accepted when the disks are disjoint, each interval
-    holds at most one such candidate, the intervals holding a candidate
-    r = a/b number exactly the roots of modulus r (the unit-circle roots of
+    Each round of _rounds gives disjoint inclusion disks, one root each.  A
+    rational |root| is k/|a_d| for an integer k >= 1, since a_d z is an
+    algebraic integer.  A round is accepted when each interval holds at
+    most one such candidate, the intervals holding a candidate r = a/b
+    number exactly the roots of modulus r (the unit-circle roots of
     b^d q(a x / b)), and every other interval is at most `precision` wide.
     The intervals holding a candidate snap to the point [r, r]."""
     coeffs, d = q.coeffs, q.degree
     lead = abs(coeffs[-1])
     # intervals are rounded outward to the grid 2^-scale
     scale = (precision.denominator // precision.numerator).bit_length() + 8
-    zs, bits, dps = _float_roots(coeffs), 53, 0
     on_modulus = {}  # candidate r -> number of roots of modulus r
-    while True:
-        radii = None
-        if zs is not None:
-            k = max(bits, scale)
-            centres = _centres(zs, k, bits)
-            radii = _inclusion_radii(coeffs, centres, k)
-        if radii is not None:
+    for centres, k, radii in _rounds(coeffs, max(53, scale)):
+        # a candidate too close to a root for the grid 2^-scale moves the
+        # grid to the round's own, 2^-k, and the round is read again
+        for scale in sorted({scale, k}):
             one, shift = 1 << scale, k - scale
             boxed = []
             for (x, y), r in zip(centres, radii):
@@ -578,19 +700,15 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
                 a, b = r.numerator, r.denominator
                 on_modulus[r] = unit_circle_root_count(IntPolynomial(
                     [c * a**j * b**(d - j) for j, c in enumerate(coeffs)]))
-            if any(last > first for first, last in spans) or any(
-                    held.count(r) != on_modulus[r] for r in candidates):
-                scale = k  # a candidate is too close to a root for the grid
-            elif all(Fraction(hi - lo, one) <= precision
-                     for r, (lo, hi) in zip(held, boxed) if r is None):
-                return [(r, r) if r is not None else (Fraction(lo, one), Fraction(hi, one))
-                        for r, (lo, hi) in zip(held, boxed)]
-        if dps > 5000:  # pragma: no cover - safety valve
-            raise DomainError("root magnitude refinement failed to converge")
-        # disjoint disks mean the proposals are good seeds for the next round
-        seeds = None if radii is None else [mpmath.mpc(z) for z in zs]
-        dps = max(2 * dps, 15 + 3 * scale // 10)
-        zs, bits = _mp_roots(coeffs, dps, seeds), int(3.32 * dps)
+            if not (any(last > first for first, last in spans) or any(
+                    held.count(r) != on_modulus[r] for r in candidates)):
+                break
+        else:
+            continue
+        if all(Fraction(hi - lo, one) <= precision
+               for r, (lo, hi) in zip(held, boxed) if r is None):
+            return [(r, r) if r is not None else (Fraction(lo, one), Fraction(hi, one))
+                    for r, (lo, hi) in zip(held, boxed)]
 
 
 def root_magnitudes(p: IntPolynomial, precision=DEFAULT_PRECISION) -> CertifiedMagnitudeMultiset:

@@ -5,8 +5,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, nextafter
 
+import mpmath
 import sympy
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      random_endo, serre_test, unit_circle_root_count,
                      unity_free, verify_chain, verify_iterates)
 from toridyn import classify
-from toridyn.classify import AmplifiedVerdict, PolarizedVerdict, _integer_nth_root
+from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
+                              _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -189,6 +191,43 @@ def test_entropy_zero_for_automorphism():
     d = dynamical_degrees(get_example("mult_by_i").endo)
     lo, hi = d.entropy
     assert lo <= 0 <= hi
+
+
+def _contains_log(bounds, x):
+    """a <= log x <= b against mpmath at 60 digits, with no slack."""
+    a, b = bounds
+    with mpmath.workdps(60):
+        value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+        return mpmath.mpf(a) <= value <= mpmath.mpf(b)
+
+
+@pytest.mark.parametrize("precision", [None, Fraction(1, 10**30)])
+@pytest.mark.parametrize("name", sorted(named_examples()))
+def test_entropy_bounds_contain_the_log_exactly(name, precision):
+    args = () if precision is None else (precision,)
+    d = dynamical_degrees(get_example(name).endo, *args)
+    lo = max(lo for lo, _ in d.intervals)
+    hi = max(hi for _, hi in d.intervals)
+    assert _contains_log(d.entropy, lo) and _contains_log(d.entropy, hi)
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(4, 3),
+    Fraction(25), Fraction(16, 15), Fraction(2**80, 2**80 - 1),
+    Fraction(10**30 + 1, 10**30), Fraction(10**30 - 1, 10**30),
+    Fraction(1, 10**300), Fraction(10**4402 + 7)])
+def test_log_enclosure_is_outward_and_one_float_step_wide(x):
+    a, b = _log_enclosure(x)
+    assert _contains_log((a, b), x)
+    assert b <= nextafter(a, float("inf"))
+    assert (a, b) == (0.0, 0.0) if x == 1 else a < b
+
+
+def test_k_is_normalised_in_the_caches():
+    f = get_example("gtz_diag").endo
+    assert eigen_data(f, 1) is eigen_data(f) is eigen_data(f, k=1)
+    assert ns_charpoly(f, 1) is ns_charpoly(f) is ns_charpoly(f, k=1)
+    assert eigen_data(f, 2) is eigen_data(f, k=2)
 
 
 # -- polarization candidate and Serre test

@@ -274,6 +274,59 @@ def test_budget_refusals_past_the_digit_limit_give_the_bit_length(capsys, tmp_pa
     assert (code, out, err) == (4, "", f"error[resource]: {message}, budget 1000000\n")
 
 
+@pytest.mark.parametrize("second", [(3, 2), (10**2200, 1)])
+def test_degrees_and_classify_print_results_past_the_digit_limit(capsys, tmp_path,
+                                                                 second):
+    # M = diag(10^2200 + i, a + bi) on E x E: lambda_2 = |det M|, the H^1
+    # charpoly's constant term and the Lefschetz number have more than the
+    # 4,300 digits str() writes by default, and so does q = 10^4400 + 1
+    # when a + bi = 10^2200 + i
+    first = (10**2200, 1)
+    path = write_scenario(tmp_path, {"torus": {"J": J4},
+                                     "endomorphism": {"M": _gaussian_diagonal(first, second)}})
+    limit = sys.get_int_max_str_digits()
+    outs = []
+    for argv in (["degrees", "--format", "json"], ["classify", "--format", "json"],
+                 ["degrees"], ["classify"]):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert sys.get_int_max_str_digits() == limit
+    norms = [a * a + b * b for a, b in (first, second)]
+    lefschetz = ((first[0] - 1) ** 2 + 1) * ((second[0] - 1) ** 2 + second[1] ** 2)
+    sys.set_int_max_str_digits(0)
+    try:
+        top, lefschetz_text = str(norms[0] * norms[1]), str(lefschetz)
+        degrees, report = json.loads(outs[0]), json.loads(outs[1])
+        text_degrees, text_report = outs[2], outs[3]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(top) > limit
+    assert degrees["dynamical_degrees"][-1] == report["dynamical_degrees"][-1] == [top, top]
+    assert report["h1_charpoly"][0] == top
+    assert report["lefschetz"] == lefschetz
+    assert report["polarized_q"] == (norms[0] if second == first else None)
+    assert f"lambda_2 in [{top}.000000000, {top}.000000000]" in text_degrees
+    assert f"lambda_2 in [{top}.000000, {top}.000000]" in text_report
+    assert f"  lefschetz: {lefschetz_text}\n" in text_report
+
+
+def test_degrees_of_roots_far_beyond_float_range_are_fast(capsys, tmp_path):
+    # diag(10^600 + i, 3 + 2i): the H^1 roots 10^600 +/- i are 2 apart at
+    # modulus 10^600, so the float proposals overflow and the Weierstrass
+    # steps meet a cluster; the enclosures must still come within 5 s
+    big = 10**600
+    path = write_scenario(tmp_path, {"torus": {"J": J4},
+                                     "endomorphism": {"M": _gaussian_diagonal((big, 1), (3, 2))}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degrees", path, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    # lambda_1 = |10^600 + i|^2, a product of two enclosures 1e-9 wide
+    lo, hi = (Fraction(x) for x in json.loads(out)["dynamical_degrees"][1])
+    assert lo <= big * big + 1 <= hi and hi - lo <= 3 * big * Fraction(1, 10**9)
+
+
 # -- torsion
 
 def test_torsion_graph(capsys, tmp_path):

@@ -159,6 +159,23 @@ def test_import_does_not_load_sympy():
     assert out.stdout.strip() == "False"
 
 
+def test_runtime_does_not_load_mpmath():
+    # mpmath is a test dependency only: neither the package, a full report,
+    # tight dynamical degrees nor roots beyond float range import it
+    code = ("import sys, toridyn, toridyn.cli; from fractions import Fraction; "
+            "print('mpmath' in sys.modules); "
+            "toridyn.full_report(toridyn.get_example('e4_auto').endo); "
+            "print('mpmath' in sys.modules); "
+            "toridyn.dynamical_degrees(toridyn.get_example('gtz_diag').endo, "
+            "Fraction(1, 10**30)); print('mpmath' in sys.modules); "
+            "toridyn.root_magnitudes(toridyn.IntPolynomial([10**310, 1, 0, 1])); "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["False"] * 4
+
+
 # -- certified magnitudes
 
 def test_salem_quartic_magnitudes():
@@ -302,19 +319,20 @@ def test_mignotte_close_roots_escalate(monkeypatch, a, precision, floats_overlap
     # x^5 - 2(ax - 1)^2 is irreducible (Eisenstein at 2) and has two roots
     # about 2.8 a^-3.5 apart near 1/a.  At a = 100 the float disks are
     # disjoint but too wide for 1e-30; at a = 10^4 they overlap, so the
-    # mpmath round starts without seeds.
+    # first refined round starts from the Newton polygon seeds.
     p = IntPolynomial([-2, 4 * a, -2 * a * a, 0, 0, 1])
     rounds = []
-    real = exactnum._mp_roots
+    real = exactnum._weierstrass
 
-    def counting(coeffs, dps, seeds):
-        rounds.append(seeds is None)
-        return real(coeffs, dps, seeds)
+    def counting(coeffs, centres, k):
+        rounds.append(centres == exactnum._newton_seeds(coeffs, k))
+        return real(coeffs, centres, k)
 
-    monkeypatch.setattr(exactnum, "_mp_roots", counting)
+    monkeypatch.setattr(exactnum, "_weierstrass", counting)
     exactnum._root_magnitudes_cached.cache_clear()
     mags = root_magnitudes(p, precision)
-    assert rounds and rounds[0] is floats_overlap
+    # round 0 certifies the float proposals; round 1 is the first refined one
+    assert len(rounds) > 1 and rounds[0] is False and rounds[1] is floats_overlap
     assert mags.total_multiplicity() == 5
     assert all(e.upper - e.lower <= precision for e in mags.entries)
     with mpmath.workdps(60):
@@ -322,8 +340,8 @@ def test_mignotte_close_roots_escalate(monkeypatch, a, precision, floats_overlap
 
 
 def test_magnitudes_beyond_float_range():
-    # x^3 + x + 10^310: the float proposals overflow, and the first mpmath
-    # rounds stop short of convergence, so the precision keeps doubling.
+    # x^3 + x + 10^310: the float proposals overflow, so the Weierstrass
+    # steps start from the Newton polygon seeds.
     # Every |root| is 10^(310/3) up to a relative 10^-200.
     p = IntPolynomial([10**310, 1, 0, 1])
     mags = root_magnitudes(p)
