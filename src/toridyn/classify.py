@@ -10,11 +10,11 @@ builds the rho x rho matrix ns_action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, inf, isqrt, lcm, nextafter
 
+from ._record import Record
 from .errors import DomainError, InvariantViolation, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
@@ -103,8 +103,7 @@ def finite_order(f: TorusEndomorphism):
 # Dynamical degrees
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(Record):
     """Certified dynamical degree intervals lambda_0..lambda_n."""
 
     intervals: tuple          # ((lo, up) Fractions per j)
@@ -269,8 +268,7 @@ def _hyperbolic_witness(f: TorusEndomorphism) -> tuple:
         fwd, adj, scale = fwd * fwd, adj * adj, scale * scale
 
 
-@dataclass(frozen=True)
-class AmplifiedVerdict:
+class AmplifiedVerdict(Record):
     verdict: str  # yes / no; inconclusive only on the 0-dimensional torus
     path: str
     witness: tuple | None = None
@@ -319,8 +317,7 @@ def _is_semisimple(f: TorusEndomorphism) -> bool:
     return value == RationalMatrix.zero(size, size)
 
 
-@dataclass(frozen=True)
-class PolarizedVerdict:
+class PolarizedVerdict(Record):
     verdict: str  # yes / no
     q: int | None = None
     witness: tuple | None = None
@@ -372,8 +369,7 @@ def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
 # Full report
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     surjective: bool
     isogeny: bool
     finite_order: int | None
@@ -392,7 +388,7 @@ class ClassificationReport:
     lefschetz: int
     h1_poly_class: str
     h1_charpoly: IntPolynomial
-    notes: tuple = field(default=())
+    notes: tuple = ()
 
     def to_dict(self):
         return {

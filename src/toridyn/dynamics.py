@@ -18,13 +18,13 @@ bound: 'escaping' is a bounded verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, islice, product, repeat, starmap
 from math import gcd, lcm, prod
 from operator import add, lt, mod, mul
 
+from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, matmul, smith_form
 from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
@@ -48,8 +48,7 @@ def lefschetz_number(f: TorusEndomorphism) -> int:
     return (RationalMatrix.identity(d) - f.m).det().numerator
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(Record):
     """Solutions of f(x) = x on the torus.
 
     kind 'finite': exactly |det(M - I)| rational points, lexicographically
@@ -244,8 +243,7 @@ def periodic_count(f: TorusEndomorphism, k: int):
     return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
 
 
-@dataclass(frozen=True)
-class TorsionOrbitGraph:
+class TorsionOrbitGraph(Record):
     """Cycle and tail histograms of the functional graph of f on the
     m-torsion points."""
 
@@ -378,8 +376,7 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
     return "escaping", bound + 1
 
 
-@dataclass(frozen=True)
-class PreperVsTorsionVerdict:
+class PreperVsTorsionVerdict(Record):
     """Structured evidence for the equivalence between a root-of-unity
     eigenvalue, a pointwise-fixed subtorus of an iterate, and extra
     nontorsion preperiodic points."""

@@ -11,22 +11,21 @@ downstream verdicts are conjugation-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from fractions import Fraction
 from math import lcm
 
+from ._record import Record
 from .errors import (DomainError, InvarianceViolation, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
 from .exactnum import GaussianRational, IntPolynomial, cyclotomic_root_count
-from .matlin import (RationalMatrix, charpoly, int_charpoly, matmul,
-                     restrict_and_quotient)
+from .matlin import (RationalMatrix, _rational, charpoly, int_charpoly,
+                     matmul, restrict_and_quotient)
 from .torus import (ComplexTorus, Subtorus, _complex_basis,
                     _primitive_integer_vector, make_subtorus)
 
 
-@dataclass(frozen=True)
-class TorusEndomorphism:
+class TorusEndomorphism(Record):
     """f(a) = M a + tau on torus.  M integer and commuting with J; tau
     rational, each component reduced modulo 1."""
 
@@ -78,17 +77,27 @@ def make_endo(torus: ComplexTorus, m, tau=None) -> TorusEndomorphism:
     return TorusEndomorphism(torus, mat, tau)
 
 
+def _compose(f, g):
+    """The pair (MN, Me + c) of x -> M(Nx + e) + c, for f = (M, c) and
+    g = (N, e), with the translation reduced mod 1 (M is integral)."""
+    (m, c), (n, e) = f, g
+    return m * n, tuple(_rational((x + y) % 1) for x, y in zip(m.apply(e), c))
+
+
 def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
-    """f^k: matrix M^k, translation (M^{k-1} + ... + I) tau mod 1."""
+    """f^k: matrix M^k, translation (M^{k-1} + ... + I) tau mod 1, by
+    repeated squaring of the pair (M, tau) in O(log k) products."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
-    acc = RationalMatrix.zero(f.torus.rank, f.torus.rank)
-    power = RationalMatrix.identity(f.torus.rank)
-    for _ in range(k):
-        acc = acc + power
-        power = power * f.m
-    tau = tuple(t % 1 for t in acc.apply(f.tau))
-    return TorusEndomorphism(f.torus, power, tau)
+    size = f.torus.rank
+    result, power = (RationalMatrix.identity(size), (0,) * size), (f.m, f.tau)
+    while True:
+        if k & 1:
+            result = _compose(result, power)
+        k >>= 1
+        if not k:
+            return TorusEndomorphism(f.torus, *result)
+        power = _compose(power, power)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +140,7 @@ def analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
     return _gaussian_coeffs(s, int_charpoly(a, b))
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(Record, compare=("h1_charpoly", "u_count", "cyclotomic_factors")):
     """Exact eigenvalue data: degree-2n charpoly on H^1, the degree-n
     analytic charpoly over Q(i), and the root-of-unity count u on the
     analytic side."""
@@ -141,7 +149,7 @@ class EigenData:
     u_count: int
     cyclotomic_factors: tuple  # ((n, multiplicity) in h1_charpoly, ...)
     # (s, Gaussian-integer (re, im) coefficients of the charpoly of s(A + iB))
-    scaled_analytic: tuple = field(compare=False, repr=False)
+    scaled_analytic: tuple
 
     @cached_property
     def analytic(self) -> tuple:

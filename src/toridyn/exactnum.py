@@ -18,11 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from ._record import Record
 from .errors import DomainError
 
 #: Default certification width for root magnitudes.
@@ -203,8 +203,7 @@ def _squarefree_decomposition(p: IntPolynomial):
 # Gaussian rationals
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """Element of Q(i) with exact field arithmetic."""
 
     re: Fraction = Fraction(0)
@@ -265,15 +264,13 @@ class GaussianRational:
 # Certified magnitudes
 
 
-@dataclass(frozen=True)
-class MagnitudeEntry:
+class MagnitudeEntry(Record):
     lower: Fraction
     upper: Fraction
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CertifiedMagnitudeMultiset:
+class CertifiedMagnitudeMultiset(Record):
     """Certified rational enclosures of the magnitudes of all roots of a
     polynomial, with exact multiplicities."""
 

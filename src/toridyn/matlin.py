@@ -17,12 +17,12 @@ arithmetic is the right tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
 
+from ._record import Record
 from .errors import DomainError, InvarianceViolation
 from .exactnum import IntPolynomial
 
@@ -394,8 +394,7 @@ def exterior_basis(d: int, k: int):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U * A * V = D with U, V unimodular and D diagonal with the
     divisibility chain d_1 | d_2 | ... (trailing zeros allowed)."""
 
@@ -495,8 +494,7 @@ def smith_form(a) -> SmithDecomposition:
 # Sublattices
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record, compare=("ambient_rank", "basis")):
     """Primitive sublattice of Z^ambient_rank with an integer basis, kept
     with Smith coordinates: `completion` is a unimodular matrix whose
     first rank columns are `basis`, and `coordinates` is its inverse.  As
@@ -506,8 +504,8 @@ class Sublattice:
 
     ambient_rank: int
     basis: RationalMatrix
-    coordinates: RationalMatrix = field(compare=False, repr=False)
-    completion: RationalMatrix = field(compare=False, repr=False)
+    coordinates: RationalMatrix
+    completion: RationalMatrix
 
     def __post_init__(self):
         if self.basis.rows != self.ambient_rank:

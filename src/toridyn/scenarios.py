@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import DomainError, ResourceError
 from .matlin import RationalMatrix
 from .torus import ComplexTorus, make_torus
@@ -35,8 +35,7 @@ from .endo import TorusEndomorphism, make_endo
 RANDOM_REJECTION_BUDGET = 500
 
 
-@dataclass(frozen=True)
-class CMOrder:
+class CMOrder(Record):
     """An imaginary quadratic order Z[g] with a fixed integral
     realification: `generator` is the matrix of g, `j_block` the matrix of
     a square root of -1 commuting with it, both acting on one lattice
@@ -152,7 +151,10 @@ def product(tori) -> ComplexTorus:
     return make_torus(RationalMatrix(rows))
 
 
+@lru_cache(maxsize=None)
 def cm_power_torus(order: CMOrder, n: int) -> ComplexTorus:
+    """The n-th power of the order's curve, built and validated once per
+    (order, n); a ComplexTorus is frozen, so callers share it."""
     if n < 1:
         raise DomainError("need at least one factor")
     return product([elliptic_curve(order)] * n)
@@ -188,8 +190,7 @@ def cm_matrix_endo(torus: ComplexTorus, order: CMOrder, b, tau=None) -> TorusEnd
 # Named examples
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     description: str
     endo: TorusEndomorphism

@@ -10,19 +10,18 @@ irrational period matrix report inconclusive instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+from ._record import Record
 from .errors import (ComplexStructureError, DomainError, InvariantViolation,
                      NotSubtorusError)
 from .matlin import (RationalMatrix, Sublattice, bareiss, exterior_basis,
                      restrict_and_quotient, saturate)
 
 
-@dataclass(frozen=True)
-class ComplexTorus:
+class ComplexTorus(Record):
     """Lattice Z^2n with a rational complex structure J, J^2 = -I."""
 
     n: int
@@ -59,8 +58,7 @@ def make_torus(j) -> ComplexTorus:
     return ComplexTorus(mat.rows // 2, mat)
 
 
-@dataclass(frozen=True)
-class Subtorus:
+class Subtorus(Record):
     """Primitive J-invariant sublattice of even rank inside a torus."""
 
     parent: ComplexTorus
@@ -128,8 +126,7 @@ def _complex_basis(j: RationalMatrix):
     return tuple(idx), d, q, p
 
 
-@dataclass(frozen=True)
-class NeronSeveriSpace:
+class NeronSeveriSpace(Record):
     """The J-invariant alternating forms E on the lattice (Birkenhake-Lange,
     ch. 2).  In the frame P of _complex_basis, E is J-invariant exactly when
     P^T E P = [[X, Y], [-Y, X]] with X antisymmetric and Y symmetric, so

@@ -161,6 +161,19 @@ def test_fixed_points_iterate(capsys, tmp_path):
     assert json.loads(out)["count"] == 9
 
 
+def test_fixed_points_of_a_huge_iterate_of_a_finite_order_map(capsys):
+    # mult_by_i has order 4, so f^(10^9 + 1) = f; iterate squares, so it
+    # takes about 60 products here, where a loop of k products ran past 20 s
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fixed-points", "--example", "mult_by_i",
+                       "--iterate", str(10**9 + 1), "--format", "json")
+    assert code == 0 and time.perf_counter() - start < 5
+    _, once, _ = run(capsys, "fixed-points", "--example", "mult_by_i", "--format", "json")
+    huge, once = json.loads(out), json.loads(once)
+    assert huge.pop("iterate") == 10**9 + 1 and once.pop("iterate") == 1
+    assert huge == once and huge["points"] == [["0", "0"], ["1/2", "1/2"]]
+
+
 def test_fixed_points_coset_family(capsys):
     code, out, _ = run(capsys, "fixed-points", "--example", "mult_2_1", "--format", "json")
     assert code == 0

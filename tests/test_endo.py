@@ -1,6 +1,7 @@
 """Endomorphisms: validation, iteration, eigenvalue data, unity-freeness,
 fixed subtori, eigenvalue splitting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, GaussianRational, InvarianceViolation,
-                     NotHolomorphicError, NotSurjectiveError, analytic_charpoly,
+                     NotHolomorphicError, NotSurjectiveError, RationalMatrix,
+                     TorusEndomorphism, analytic_charpoly,
                      charpoly, eigen_data, eigen_split, fixed_subtorus,
                      gauss_poly_conj, gauss_poly_mul, iterate, make_endo,
                      make_subtorus, minimal_unity_iterate, unity_free)
@@ -67,6 +69,28 @@ def test_iterate_composition_law(ee_torus):
     f6 = iterate(f, 6)
     g = iterate(iterate(f, 2), 3)
     assert (f6.m, f6.tau) == (g.m, g.tau)
+
+
+def _linear_iterate(f, k):
+    """Reference f^k: k matrix products, accumulating M^(k-1) + ... + I."""
+    acc = RationalMatrix.zero(f.torus.rank, f.torus.rank)
+    power = RationalMatrix.identity(f.torus.rank)
+    for _ in range(k):
+        acc = acc + power
+        power = power * f.m
+    return TorusEndomorphism(f.torus, power, tuple(t % 1 for t in acc.apply(f.tau)))
+
+
+@pytest.mark.parametrize("name", ["gtz_diag", "mult_by_i", "shear", "e4_auto"])
+def test_iterate_by_squaring_matches_the_linear_loop(name):
+    base = get_example(name).endo
+    rng = random.Random(name)
+    for k in range(1, 40):
+        tau = [Fraction(rng.randint(-20, 20), 7) for _ in range(base.torus.rank)]
+        f = make_endo(base.torus, base.m, tau)
+        fast, slow = iterate(f, k), _linear_iterate(f, k)
+        assert fast == slow
+        assert [type(t) for t in fast.tau] == [type(t) for t in slow.tau]
 
 
 def test_iterate_requires_positive(e_torus):

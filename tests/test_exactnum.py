@@ -176,6 +176,19 @@ def test_runtime_does_not_load_mpmath():
     assert out.stdout.split() == ["False"] * 4
 
 
+def test_runtime_does_not_load_dataclasses():
+    # the records build no code at import, so neither dataclasses nor the
+    # inspect module it pulls in are loaded by the package, the CLI or a query
+    code = ("import sys, toridyn, toridyn.cli; "
+            "toridyn.cli.main(['classify', '--example', 'mult_2_3']); "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert "amplified" in out.stdout
+    assert out.stdout.split()[-2:] == ["False", "False"]
+
+
 # -- certified magnitudes
 
 def test_salem_quartic_magnitudes():

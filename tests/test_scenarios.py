@@ -148,6 +148,14 @@ def test_random_endo_deterministic():
     assert a.m == b.m
 
 
+def test_random_endo_shares_one_torus_per_order_and_power():
+    g = gaussian_order()
+    tori = {id(random_endo(2, g, 3, seed=s).torus) for s in range(8)}
+    assert len(tori) == 1
+    assert cm_power_torus(g, 2) is cm_power_torus(gaussian_order(), 2)
+    assert cm_power_torus(g, 3) is not cm_power_torus(g, 2)
+
+
 def test_random_endo_seed_sensitivity():
     g = gaussian_order()
     ms = {random_endo(2, g, 3, seed=s).m for s in range(8)}
