@@ -5,10 +5,9 @@ from .errors import (ComplexStructureError, DomainError, InvarianceViolation,
                      InvariantViolation, NotHolomorphicError, NotSubtorusError,
                      NotSurjectiveError, ParseError, ResourceError, ToridynError)
 from .exactnum import (DEFAULT_PRECISION, CertifiedMagnitudeMultiset,
-                       GaussianRational, IntPolynomial, MagnitudeEntry,
-                       cyclotomic_poly, cyclotomic_root_count, is_kronecker,
-                       polynomial_class, root_magnitudes,
-                       unit_circle_root_count)
+                       IntPolynomial, MagnitudeEntry, cyclotomic_poly,
+                       cyclotomic_root_count, is_kronecker, polynomial_class,
+                       root_magnitudes, unit_circle_root_count)
 from .matlin import (RationalMatrix, SmithDecomposition, Sublattice, charpoly,
                      exterior_basis, exterior_power, restrict_and_quotient,
                      saturate, smith_form)

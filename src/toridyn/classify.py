@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import floor, inf, isqrt, lcm, nextafter
 
 from ._record import Record
-from .errors import DomainError, InvariantViolation, NotSurjectiveError
+from .errors import DomainError, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
@@ -59,19 +59,11 @@ def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
     charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so
     its eigenvalues are conj(mu_i) mu_j over the roots mu of the analytic
-    charpoly, and tr((f^*)^km) = |p_km|^2 with p the power sums of the mu.
-    eigen_data(f, k).scaled_analytic holds (t, the charpoly of t N^k),
-    t = s^k, whose power sums are P_m = t^m p_km, so tr((f^*)^km) =
-    |P_m|^2 / t^2m.  The mu are algebraic integers and f^* preserves the
-    integral NS, so every division is exact."""
-    t, gamma = eigen_data(f, k).scaled_analytic
+    charpoly of f^k, and tr((f^*)^m) = |p_m|^2 with p_m the power sums of
+    the mu, Gaussian integers since the mu are algebraic integers."""
+    gamma = eigen_data(f, k).analytic
     n = len(gamma) - 1
-    sums = []
-    for m, (re, im) in enumerate(_power_sums(gamma, n * n)):
-        value, rem = divmod(re * re + im * im, t ** (2 * m))
-        if rem:
-            raise InvariantViolation("NS power sum is not integral")
-        sums.append((value, 0))
+    sums = [(re * re + im * im, 0) for re, im in _power_sums(gamma, n * n)]
     return IntPolynomial(re for re, _ in _from_power_sums(sums))
 
 

@@ -244,7 +244,7 @@ def cmd_quotient(args):
     endo, sublattices = resolve_scenario(args)
     sub = _named_subtorus(endo, sublattices, args.sublattice)
     with _whole_numbers():
-        gamma, delta, quot = ([[str(c.re), str(c.im)] for c in p]
+        gamma, delta, quot = ([[str(re), str(im)] for re, im in p]
                               for p in eigen_split(endo, sub))
     doc = {
         "sublattice": args.sublattice,

@@ -18,7 +18,7 @@ from math import lcm
 from ._record import Record
 from .errors import (DomainError, InvarianceViolation, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
-from .exactnum import GaussianRational, IntPolynomial, cyclotomic_root_count
+from .exactnum import IntPolynomial, cyclotomic_root_count
 from .matlin import (RationalMatrix, _rational, charpoly, int_charpoly,
                      matmul, restrict_and_quotient)
 from .torus import (ComplexTorus, Subtorus, _complex_basis,
@@ -105,15 +105,18 @@ def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
 
 
 def gauss_poly_mul(p, q):
-    out = [GaussianRational() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return tuple(out)
+    """Product of polynomials with ascending Gaussian-integer (re, im)
+    coefficients."""
+    out = [[0, 0] for _ in range(len(p) + len(q) - 1)]
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            out[i + j][0] += a * c - b * d
+            out[i + j][1] += a * d + b * c
+    return tuple(map(tuple, out))
 
 
 def gauss_poly_conj(p):
-    return tuple(c.conjugate() for c in p)
+    return tuple((re, -im) for re, im in p)
 
 
 def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
@@ -127,34 +130,32 @@ def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
     return d * dm, y[:len(idx)], y[len(idx):]
 
 
-def _gaussian_coeffs(s: int, coeffs):
-    n = len(coeffs) - 1
-    return tuple(GaussianRational(Fraction(re, s ** (n - k)), Fraction(im, s ** (n - k)))
-                 for k, (re, im) in enumerate(coeffs))
-
-
 def analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
-    """Ascending Gaussian-rational coefficients of the charpoly of the
-    analytic representation."""
+    """Gamma, the charpoly of the analytic representation N = A + iB, as
+    ascending Gaussian-integer (re, im) pairs.  The roots of Gamma are
+    eigenvalues of the integral M, so algebraic integers, and Gamma is monic
+    over Z[i]; its coefficient at x^k is that of the charpoly of sN over
+    s^(n-k), an exact division."""
     s, a, b = _frame_blocks(m, j)
-    return _gaussian_coeffs(s, int_charpoly(a, b))
+    coeffs = int_charpoly(a, b)
+    n, out = len(coeffs) - 1, []
+    for k, (re, im) in enumerate(coeffs):
+        scale = s ** (n - k)
+        if re % scale or im % scale:
+            raise InvariantViolation("analytic charpoly is not over Z[i]")
+        out.append((re // scale, im // scale))
+    return tuple(out)
 
 
-class EigenData(Record, compare=("h1_charpoly", "u_count", "cyclotomic_factors")):
-    """Exact eigenvalue data: degree-2n charpoly on H^1, the degree-n
-    analytic charpoly over Q(i), and the root-of-unity count u on the
-    analytic side."""
+class EigenData(Record):
+    """Exact eigenvalue data: the degree-2n charpoly on H^1, the root-of-unity
+    count u on the analytic side, and Gamma, the degree-n analytic charpoly
+    over Z[i] as ascending (re, im) pairs."""
 
     h1_charpoly: IntPolynomial
     u_count: int
     cyclotomic_factors: tuple  # ((n, multiplicity) in h1_charpoly, ...)
-    # (s, Gaussian-integer (re, im) coefficients of the charpoly of s(A + iB))
-    scaled_analytic: tuple
-
-    @cached_property
-    def analytic(self) -> tuple:
-        """GaussianRational coefficients of the analytic charpoly, ascending."""
-        return _gaussian_coeffs(*self.scaled_analytic)
+    analytic: tuple
 
 
 def _power_sums(coeffs, count: int):
@@ -220,33 +221,24 @@ def _cached_on_k(fn):
 @_cached_on_k
 def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
     """Eigen data of f^k.  For k > 1 it is derived from f's: both charpolys
-    of f^k have the k-th powers of the roots of f's, the analytic one
-    taken on s(A + iB) with scale s^k, and f^k is never built."""
+    of f^k have the k-th powers of the roots of f's, and f^k is never
+    built."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
     if k == 1:
         h1 = charpoly(f.m)
-        s, a, b = _frame_blocks(f.m, f.torus.j)
-        gamma = int_charpoly(a, b)
+        gamma = analytic_charpoly(f.m, f.torus.j)
     else:
         base = eigen_data(f)
         h1 = IntPolynomial(re for re, _ in _root_power_poly(
             [(c, 0) for c in base.h1_charpoly.coeffs], k))
-        s, gamma = base.scaled_analytic
-        s, gamma = s**k, _root_power_poly(gamma, k)
-    # exact h1 = Gamma * conj(Gamma); the scaled product has s^(2n-j) h1_j at x^j
-    n = len(gamma) - 1
-    product = [[0, 0] for _ in range(2 * n + 1)]
-    for i, (a, b) in enumerate(gamma):
-        for j, (c, d) in enumerate(gamma):
-            product[i + j][0] += a * c + b * d
-            product[i + j][1] += b * c - a * d
-    if any(im or re != h1[j] * s ** (2 * n - j) for j, (re, im) in enumerate(product)):
+        gamma = tuple(_root_power_poly(base.analytic, k))
+    if gauss_poly_mul(gamma, gauss_poly_conj(gamma)) != tuple((c, 0) for c in h1.coeffs):
         raise InvariantViolation("h1 charpoly is not analytic x conjugate")
     count, factors = cyclotomic_root_count(h1) if h1.degree > 0 else (0, [])
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, count // 2, tuple(factors), (s, tuple(gamma)))
+    return EigenData(h1, count // 2, tuple(factors), gamma)
 
 
 def unity_free(f: TorusEndomorphism):

@@ -1,14 +1,14 @@
 """Exact scalars and univariate polynomials.
 
-Integer polynomials with exact arithmetic, Gaussian rationals, cyclotomic
-factor extraction, Kronecker/Salem classification, and certified rational
-enclosures of root magnitudes.  Root-of-unity and unit-circle detection
-never consult floating point; real roots are counted by integer Sturm
-sequences.  For magnitudes, floats only propose roots, which Weierstrass
-steps on Gaussian-integer centres refine; each proposal set is certified
-in exact Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
-(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.
-A rational |root| of an integer polynomial is k/|a_d| for an integer k; an
+Integer polynomials with exact arithmetic, cyclotomic factor extraction,
+Kronecker/Salem classification, and certified rational enclosures of root
+magnitudes.  Root-of-unity and unit-circle detection never consult
+floating point; real roots are counted by integer Sturm sequences.  For
+magnitudes, floats only propose roots, which Weierstrass steps on
+Gaussian-integer centres refine; each proposal set is certified in exact
+Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
+(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.  A
+rational |root| of an integer polynomial is k/|a_d| for an integer k; an
 interval becomes the exact point k/|a_d| only when the intervals holding
 that point number exactly the roots of that modulus, counted exactly.
 """
@@ -197,67 +197,6 @@ def _squarefree_decomposition(p: IntPolynomial):
         b = b2
         i += 1
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-
-
-class GaussianRational(Record):
-    """Element of Q(i) with exact field arithmetic."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value), Fraction(0))
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
 # ---------------------------------------------------------------------------

@@ -274,26 +274,21 @@ class RationalMatrix:
         return d, [[e.numerator * (d // e.denominator) for e in row]
                    for row in self.entries]
 
-    def _reduced(self):
-        """(pivot rows of p * rref as int lists, pivot columns, p)."""
-        _, mat = self.scaled_rows()
-        pivots, p, _ = bareiss(mat, jordan=True)
-        return mat[:len(pivots)], pivots, p
-
     def rank(self) -> int:
         _, mat = self.scaled_rows()
         return len(bareiss(mat)[0])
 
     def kernel_basis(self):
         """Basis of the right kernel as a list of rational vectors."""
-        top, pivots, p = self._reduced()
+        _, mat = self.scaled_rows()
+        pivots, p, _ = bareiss(mat, jordan=True)  # pivot rows: p * rref
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             v = [0] * self.cols
             v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = _quotient(-top[r][fc], p)
+                v[pc] = _quotient(-mat[r][fc], p)
             basis.append(tuple(v))
         return basis
 
@@ -319,24 +314,6 @@ class RationalMatrix:
             raise DomainError("matrix is singular")
         # [DA | I] reduces to p * [I | (DA)^-1], and A^-1 = D (DA)^-1
         return RationalMatrix._of([[_quotient(d * x, p) for x in row[n:]] for row in mat])
-
-    def solve_exact(self, rhs: "RationalMatrix") -> "RationalMatrix":
-        """X with self * X = rhs; raises if no exact solution exists."""
-        if self.rows != rhs.rows:
-            raise DomainError("shape mismatch in solve")
-        aug = RationalMatrix._of([a + b for a, b in zip(self.entries, rhs.entries)],
-                                 self.is_integral() and rhs.is_integral())
-        top, pivots, p = aug._reduced()
-        if any(pc >= self.cols for pc in pivots):
-            raise DomainError("inconsistent linear system")
-        sol = [[0] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            sol[pc] = [_quotient(x, p) for x in top[r][self.cols:]]
-        # verify (the system may be underdetermined; any solution is checked)
-        cand = RationalMatrix._of(sol)
-        if self * cand != rhs:
-            raise DomainError("inconsistent linear system")
-        return cand
 
     def trace(self):
         if not self.is_square():

@@ -227,7 +227,7 @@ _EXAMPLES = {
 
 def _build_example(name: str) -> Scenario:
     description, n, b = _EXAMPLES[name]
-    g = gaussian_order()
+    g = order_by_name("gaussian")
     return Scenario(name, description, cm_matrix_endo(cm_power_torus(g, n), g, b),
                     dict(_EE_SUBLATTICES) if n == 2 else {})
 

@@ -12,13 +12,26 @@ def frac_matrix(rows):
     return RationalMatrix([[Fraction(x) for x in row] for row in rows])
 
 
+def sympy_matrix(a):
+    return sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in a.entries])
+
+
+def sympy_solve(a, rhs):
+    """A solution X of a * X = rhs for RationalMatrix a and rhs, by sympy's
+    Gauss-Jordan solve with every free parameter set to 0; raises
+    ValueError when there is none."""
+    x, params = sympy_matrix(a).gauss_jordan_solve(sympy_matrix(rhs))
+    x = x.subs({p: 0 for p in params})
+    return RationalMatrix([[Fraction(str(v)) for v in row] for row in x.tolist()])
+
+
 def lattice_contains(lattice, vec):
     """Integer membership of vec in a sublattice, decided by sympy: the
     basis has full column rank, so vec lies in the lattice exactly when
     basis * x = vec has a solution and it is integral."""
-    basis = sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in lattice.basis.entries])
+    column = sympy.Matrix([sympy.Rational(str(v)) for v in vec])
     try:
-        x, _ = basis.gauss_jordan_solve(sympy.Matrix([sympy.Rational(str(v)) for v in vec]))
+        x, _ = sympy_matrix(lattice.basis).gauss_jordan_solve(column)
     except ValueError:  # no solution: vec is outside the rational span
         return False
     return all(c.is_integer for c in x)

@@ -27,7 +27,7 @@ from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_r
                               _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
 
-from conftest import ORDER_UNITS, block_unit_endo
+from conftest import ORDER_UNITS, block_unit_endo, sympy_solve
 
 
 def ns_eigenvalue_multiset(f):
@@ -67,7 +67,7 @@ def test_ns_action_matches_solving_the_basis(case, height, seed):
     order, n = case
     f = random_endo(n, order_by_name(order), height, seed)
     ns = neron_severi(f.torus)
-    oracle = ns.basis.solve_exact(exterior_power(f.m.transpose(), 2) * ns.basis)
+    oracle = sympy_solve(ns.basis, exterior_power(f.m.transpose(), 2) * ns.basis)
     assert ns_action(f) == oracle
 
 
@@ -290,7 +290,7 @@ def assert_amplified_witness(f, witness):
     ns = neron_severi(f.torus)
     e2 = exterior_power(f.m.transpose(), 2)
     shifted = (e2 - RationalMatrix.identity(e2.rows)) * ns.basis
-    shifted.solve_exact(RationalMatrix([[x] for x in witness]))
+    sympy_solve(shifted, RationalMatrix([[x] for x in witness]))
 
 
 def assert_polarized_witness(f, v):
@@ -448,7 +448,7 @@ def projection_witness_reference(f):
     kernel = RationalMatrix.from_columns(eigen)
     split = RationalMatrix([k + a for k, a in zip(kernel.entries, shifted.entries)])
     target = ns.coordinates(canonical_ample_class(f.torus))
-    x = split.solve_exact(RationalMatrix([[c] for c in target])).column(0)
+    x = sympy_solve(split, RationalMatrix([[c] for c in target])).column(0)
     omega = [Fraction(c) for c in ns.from_coordinates(kernel.apply(x[:kernel.cols]))]
     if not is_ample(f.torus, omega):
         return None

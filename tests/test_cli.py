@@ -427,6 +427,41 @@ def test_quotient_prints_a_charpoly_past_the_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+# J with blocks [[0, -1/2], [2, 0]] has a non-integral frame inverse, so
+# the analytic blocks carry a scale s = 2; M is upper block triangular and
+# keeps the first factor
+HALF_FRAME_SCENARIO = {
+    "torus": {"J": [["0", "-1/2", "0", "0"], ["2", "0", "0", "0"],
+                    ["0", "0", "0", "-1/2"], ["0", "0", "2", "0"]]},
+    "endomorphism": {"M": [["1", "-1", "1", "0"], ["4", "1", "0", "1"],
+                           ["0", "0", "2", "-1"], ["0", "0", "4", "2"]]},
+    "sublattices": {"first": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
+}
+
+# digest of the exit code and stdout of `quotient` over every named
+# example and sublattice, then HALF_FRAME_SCENARIO, in json then text;
+# recorded when the analytic charpolys were computed over Q(i) with
+# Fractions.  Eight of the named sublattices are not invariant and exit 3
+PINNED_QUOTIENTS = "12b649f56b99e00bcc5bb86e299a21093a723229b6ccb2ca60a24c7a602d8db2"
+
+
+def test_quotient_bytes_are_pinned(capsys, tmp_path):
+    path = write_scenario(tmp_path, HALF_FRAME_SCENARIO)
+    cases = [(("--example", name), sub)
+             for name, scenario in sorted(named_examples().items())
+             for sub in sorted(scenario.sublattices)]
+    cases.append(((path,), "first"))
+    digest, codes = hashlib.sha256(), []
+    for source, sub in cases:
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "quotient", *source, "--sublattice", sub,
+                               "--format", fmt)
+            codes.append(code)
+            digest.update(f"{code}\n{out}".encode())
+    assert len(cases) == 16 and codes.count(3) == codes.count(0) == 16
+    assert digest.hexdigest() == PINNED_QUOTIENTS
+
+
 def test_orbit_invariant(capsys):
     code, out, _ = run(capsys, "orbit", "--example", "mult_2_1",
                        "--sublattice", "first_factor", "--format", "json")

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
-from toridyn import (DomainError, GaussianRational, InvarianceViolation,
+from toridyn import (DomainError, InvarianceViolation, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError, RationalMatrix,
                      TorusEndomorphism, analytic_charpoly,
                      charpoly, eigen_data, eigen_split, fixed_subtorus,
@@ -16,7 +18,7 @@ from toridyn import (DomainError, GaussianRational, InvarianceViolation,
                      make_subtorus, minimal_unity_iterate, unity_free)
 from toridyn.scenarios import get_example
 
-from conftest import frac_matrix, lattice_contains
+from conftest import frac_matrix, lattice_contains, sympy_matrix
 
 
 def block_diag(a, b):
@@ -104,16 +106,22 @@ def test_h1_is_analytic_times_conjugate(ee_torus):
     f = make_endo(ee_torus, block_diag([[1, 2], [-2, 1]], [[3, 1], [-1, 3]]))
     data = eigen_data(f)
     product = gauss_poly_mul(data.analytic, gauss_poly_conj(data.analytic))
-    assert [c.re for c in product] == [Fraction(c) for c in data.h1_charpoly.coeffs]
-    assert all(c.im == 0 for c in product)
+    assert product == tuple((c, 0) for c in data.h1_charpoly.coeffs)
 
 
 def test_analytic_charpoly_multiplication_by_i(e_torus):
-    # M = J acts analytically as multiplication by a square root of -1
+    # M = J acts on the +i eigenspace of J as multiplication by i: Gamma = x - i
     gamma = analytic_charpoly(e_torus.j, e_torus.j)
-    assert len(gamma) == 2
-    root = -gamma[0] / gamma[1]
-    assert root * root == GaussianRational.of(-1)
+    assert gamma == ((0, -1), (1, 0))
+    assert all(type(x) is int for c in gamma for x in c)
+
+
+def test_analytic_charpoly_rejects_coefficients_off_z_i(e_torus, monkeypatch):
+    # blocks (s, sA, sB) = (2, [[1]], [[0]]) would give Gamma = x - 1/2
+    import toridyn.endo as endo
+    monkeypatch.setattr(endo, "_frame_blocks", lambda m, j: (2, [[1]], [[0]]))
+    with pytest.raises(InvariantViolation, match="not over Z\\[i\\]"):
+        analytic_charpoly(e_torus.j, e_torus.j)
 
 
 def test_unity_free_multiplication_map(e_torus):
@@ -172,7 +180,7 @@ def test_eigen_split_shear_example():
     gamma, delta, quot = eigen_split(f, sub)
     assert gauss_poly_mul(delta, quot) == gamma
     # shear restricts to the identity on the first factor
-    assert delta == (GaussianRational.of(-1), GaussianRational.of(1))
+    assert delta == ((-1, 0), (1, 0))
 
 
 def test_eigen_split_non_invariant_raises(ee_torus):
@@ -187,71 +195,28 @@ def test_eigen_split_diagonal_product(ee_torus):
     f = make_endo(ee_torus, block_diag([[2, 0], [0, 2]], [[3, 0], [0, 3]]))
     sub = make_subtorus(ee_torus, [[1, 0], [0, 1], [0, 0], [0, 0]])
     gamma, delta, quot = eigen_split(f, sub)
-    assert -delta[0] / delta[1] == GaussianRational.of(2)
-    assert -quot[0] / quot[1] == GaussianRational.of(3)
+    assert delta == ((-2, 0), (1, 0)) and quot == ((-3, 0), (1, 0))
 
 
 # -- the A + iB analytic charpoly against the kernel-of-(J - i) computation
 
-def _oracle_rref(mat):
-    mat = [row[:] for row in mat]
-    rows, cols = len(mat), len(mat[0])
-    pivots, r = [], 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = GaussianRational.of(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
-
-
-def _oracle_matmul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GaussianRational())
-             for j in range(len(b[0]))] for i in range(len(a))]
+def _qq_i(a):
+    return DomainMatrix.from_Matrix(sympy_matrix(a)).convert_to(QQ_I)
 
 
 def oracle_analytic_charpoly(m, j):
-    """M on the +i eigenspace K = ker(J - i) of J over Q(i): solve K X = M K,
-    then Faddeev-LeVerrier over Q(i)."""
+    """M on the +i eigenspace K = ker(J - i) of J, by sympy over Q(i): the
+    rref of [K | MK] holds X with K X = M K, and Gamma is the charpoly of
+    X, as ascending (re, im) pairs."""
     d = j.rows
-    g = GaussianRational.of
-    j_minus_i = [[g(j[r, c]) - (GaussianRational(Fraction(0), Fraction(1)) if r == c else 0)
-                  for c in range(d)] for r in range(d)]
-    red, pivots = _oracle_rref(j_minus_i)
-    kernel = []
-    for fc in (c for c in range(d) if c not in pivots):
-        v = [GaussianRational() for _ in range(d)]
-        v[fc] = g(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        kernel.append(v)
-    assert len(kernel) == d // 2
-    basis = [[kernel[c][r] for c in range(len(kernel))] for r in range(d)]
-    mk = _oracle_matmul([[g(m[r, c]) for c in range(d)] for r in range(d)], basis)
-    n = len(kernel)
-    aug, pivots = _oracle_rref([basis[i] + mk[i] for i in range(d)])
-    assert pivots == list(range(n))
-    a = [aug[i][n:] for i in range(n)]
-    coeffs = [GaussianRational() for _ in range(n + 1)]
-    coeffs[n] = g(1)
-    cur = [[g(int(r == c)) for c in range(n)] for r in range(n)]
-    for k in range(1, n + 1):
-        am = _oracle_matmul(a, cur)
-        c = -(sum((am[i][i] for i in range(n)), GaussianRational()) / k)
-        coeffs[n - k] = c
-        cur = [[am[r][s] + (c if r == s else GaussianRational()) for s in range(n)]
-               for r in range(n)]
-    return tuple(coeffs)
+    kernel = (_qq_i(j) - DomainMatrix.eye(d, QQ_I) * QQ_I(0, 1)).nullspace().transpose()
+    n = kernel.shape[1]
+    assert 2 * n == d
+    red, pivots = kernel.hstack(_qq_i(m) * kernel).rref()
+    assert pivots == tuple(range(n))
+    coeffs = red[:n, n:].charpoly()
+    assert all(c.x.denominator == c.y.denominator == 1 for c in coeffs)
+    return tuple((int(c.x), int(c.y)) for c in reversed(coeffs))
 
 
 def _cm_tori():

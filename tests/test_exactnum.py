@@ -13,8 +13,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toridyn import (DEFAULT_PRECISION, DomainError, GaussianRational,
-                     IntPolynomial,
+from toridyn import (DEFAULT_PRECISION, DomainError, IntPolynomial,
                      cyclotomic_poly, cyclotomic_root_count,
                      gaussian_order, is_kronecker, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
@@ -365,18 +364,6 @@ def test_magnitudes_beyond_float_range():
             assert e.upper - e.lower <= mags.precision
             assert mpmath.mpf(e.lower.numerator) / e.lower.denominator <= target
             assert target <= mpmath.mpf(e.upper.numerator) / e.upper.denominator
-
-
-# -- Gaussian rationals
-
-def test_gaussian_field_axioms():
-    a = GaussianRational(Fraction(1, 2), Fraction(3))
-    b = GaussianRational(Fraction(-2), Fraction(1, 5))
-    assert (a * b) / b == a
-    assert a * a.conjugate() == GaussianRational.of(
-        a.re * a.re + a.im * a.im)
-    with pytest.raises(ZeroDivisionError):
-        a / GaussianRational()
 
 
 # -- polynomial classification

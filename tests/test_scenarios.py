@@ -133,6 +133,18 @@ def test_get_example_builds_only_the_requested_example(monkeypatch):
     assert all(name in str(err.value) for name in named_examples())
 
 
+def test_get_example_reuses_the_cached_gaussian_order(monkeypatch):
+    import toridyn.scenarios as scenarios
+    get_example("mult_2_1")
+
+    def rebuilt():
+        raise AssertionError("the Gaussian order was built again")
+
+    monkeypatch.setattr(scenarios, "gaussian_order", rebuilt)
+    for name in named_examples():
+        assert get_example(name).endo.torus.rank > 0
+
+
 def test_e4_auto_is_automorphism():
     f = get_example("e4_auto").endo
     assert abs(f.degree_matrix_det) == 1
