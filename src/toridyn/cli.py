@@ -14,12 +14,12 @@ unexpected exception, reported on one stderr line).
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .errors import (DomainError, InvariantViolation, ParseError,
                      ResourceError, ToridynError)
@@ -260,7 +260,8 @@ def cmd_quotient(args):
             for k, (re, im) in enumerate(p):
                 if re == im == "0":
                     continue
-                coeff = re if im == "0" else f"({re}+{im}i)"
+                sign = "" if im.startswith("-") else "+"
+                coeff = re if im == "0" else f"({re}{sign}{im}i)"
                 terms.append(coeff if k == 0 else f"{coeff}*x^{k}")
             return " + ".join(terms) or "0"
         return (f"restriction Delta: {render(delta)}\n"
@@ -329,7 +330,7 @@ def cmd_examples(args):
 def _positive_int(text):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise ValueError("must be a positive integer")
     return value
 
 
@@ -337,72 +338,157 @@ def _positive_rational(text):
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational") from None
+        raise ValueError("not an exact rational") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+        raise ValueError("must be positive")
     return value
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once; the subcommand `x-y` runs
-    `cmd_x_y`."""
-    parser = argparse.ArgumentParser(
-        prog="toridyn",
-        description="Exact classification and dynamics of surjective "
-                    "endomorphisms of complex tori.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
+_FORMAT = {"format": (("json", "text"), "text")}
+_SCENARIO = {"example": (str, None), **_FORMAT}
+_PRECISION = {"precision": (_positive_rational, DEFAULT_PRECISION)}
 
-    def scenario_args(p):
-        p.add_argument("scenario", nargs="?", help="JSON scenario file")
-        p.add_argument("--example", help="named built-in example")
-        p.add_argument("--format", choices=("json", "text"), default="text")
+# subcommand -> (summary, takes a scenario file, {option: (type or choices,
+# default)}); the subcommand `x-y` runs `cmd_x_y`
+COMMANDS = {
+    "classify": ("full classification report", True, {**_SCENARIO, **_PRECISION}),
+    "degrees": ("certified dynamical degrees", True, {**_SCENARIO, **_PRECISION}),
+    "fixed-points": ("fixed points of an iterate", True, {
+        **_SCENARIO, "iterate": (_positive_int, 1),
+        "budget": (_positive_int, DEFAULT_NODE_BUDGET)}),
+    "torsion": ("orbit graph on m-torsion", True, {
+        **_SCENARIO, "level": (_positive_int, _REQUIRED),
+        "budget": (_positive_int, DEFAULT_NODE_BUDGET)}),
+    "quotient": ("eigenvalue split along a subtorus", True, {
+        **_SCENARIO, "sublattice": (str, None)}),
+    "orbit": ("orbit of a subtorus", True, {
+        **_SCENARIO, "sublattice": (str, None),
+        "budget": (_positive_int, DEFAULT_ORBIT_BOUND)}),
+    "sweep": ("random verification sweep", False, {
+        **_FORMAT, "count": (_positive_int, 100), "dim": (_positive_int, 2),
+        "order": (str, "gaussian"), "height": (_positive_int, 3),
+        "seed": (int, 0), "iterate": (_positive_int, 3)}),
+    "examples": ("list named examples", False, _FORMAT),
+}
 
-    for name, text in (("classify", "full classification report"),
-                       ("degrees", "certified dynamical degrees")):
-        p = sub.add_parser(name, help=text)
-        scenario_args(p)
-        p.add_argument("--precision", type=_positive_rational,
-                       default=DEFAULT_PRECISION,
-                       help="certified enclosure width, e.g. 1/1000000000")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    p = sub.add_parser("fixed-points", help="fixed points of an iterate")
-    scenario_args(p)
-    p.add_argument("--iterate", type=_positive_int, default=1)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
 
-    p = sub.add_parser("torsion", help="orbit graph on m-torsion")
-    scenario_args(p)
-    p.add_argument("--level", type=_positive_int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+def _is_flag(token):
+    # "-" and negative numbers such as -3 are values, not options
+    return token[:1] == "-" and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
 
-    p = sub.add_parser("quotient", help="eigenvalue split along a subtorus")
-    scenario_args(p)
-    p.add_argument("--sublattice", help="named sublattice from the scenario")
 
-    p = sub.add_parser("orbit", help="orbit of a subtorus")
-    scenario_args(p)
-    p.add_argument("--sublattice", help="named sublattice from the scenario")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_ORBIT_BOUND)
+def _usage(command=None):
+    """The help text of `toridyn`, or of one subcommand, read from COMMANDS."""
+    if command is None:
+        return "\n".join([
+            "usage: toridyn COMMAND [scenario] [options]", "",
+            "Exact classification and dynamics of surjective endomorphisms "
+            "of complex tori.", "", "commands:",
+            *(f"  {name:<14}{summary}" for name, (summary, _, _) in COMMANDS.items()),
+            "", "Run `toridyn COMMAND --help` for the options of a command."])
+    summary, takes_scenario, options = COMMANDS[command]
+    lines = [f"usage: toridyn {command}{' [scenario]' if takes_scenario else ''}"
+             " [options]", "", summary, ""]
+    if takes_scenario:
+        lines.append(f"  {'scenario':<24}JSON scenario file (or --example NAME)")
+    for name, (kind, default) in options.items():
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
+        note = ("required" if default is _REQUIRED
+                else "" if default is None else f"default: {default}")
+        lines.append(f"  {f'--{name} {value}':<24}{note}".rstrip())
+    lines.append(f"  {'-h, --help':<24}show this help and exit")
+    return "\n".join(lines)
 
-    p = sub.add_parser("sweep", help="random verification sweep")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--order", default="gaussian")
-    p.add_argument("--height", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterate", type=_positive_int, default=3,
-                   help="iterate-stability depth per sample")
 
-    p = sub.add_parser("examples", help="list named examples")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+def _fail(where, message):
+    print(f"error[parse]: {where}: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
 
-    return parser
+
+def _help(command=None):
+    print(_usage(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _option_name(flag, options, where):
+    """The option that `flag` names: itself, or the one option that it is
+    a prefix of; "help" for -h and --help."""
+    if flag == "-h":
+        return "help"
+    if flag[:2] == "--" and len(flag) > 2:
+        if flag[2:] in options:
+            return flag[2:]
+        hits = [name for name in (*options, "help") if name.startswith(flag[2:])]
+        if len(hits) > 1:
+            _fail(where, f"ambiguous option: {flag} could match "
+                         + ", ".join("--" + name for name in hits))
+        if hits:
+            return hits[0]
+    _fail(where, f"unrecognized argument: {flag}")
+
+
+def parse_args(argv=None):
+    """Read `toridyn COMMAND [scenario] [options]` against COMMANDS.  An
+    option is given as --opt value or --opt=value, by its name or a unique
+    prefix of it; the last of a repeated option wins, and after `--` every
+    token is positional.  A failed check writes one `error[parse]`
+    line to stderr and raises SystemExit(2); --help prints the usage and
+    raises SystemExit(0)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _fail("toridyn", "argument command: a subcommand is required "
+                         f"(choose from {', '.join(COMMANDS)})")
+    command, tokens = argv[0], iter(argv[1:])
+    if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
+        _help()
+    if command not in COMMANDS:
+        _fail("toridyn", f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(COMMANDS)})")
+    _, takes_scenario, options = COMMANDS[command]
+    where = f"toridyn {command}"
+    values = {"command": command, **{name: default for name, (_, default) in options.items()}}
+    scenario, only_positionals = None, False
+    for token in tokens:
+        if only_positionals or not _is_flag(token):
+            if not takes_scenario or scenario is not None:
+                _fail(where, f"unrecognized argument: {token}")
+            scenario = token
+            continue
+        if token == "--":
+            only_positionals = True
+            continue
+        flag, explicit, text = token.partition("=")
+        name = _option_name(flag, options, where)
+        if name == "help":
+            _help(command)
+        if not explicit:
+            text = next(tokens, None)
+            if text is None or _is_flag(text):
+                _fail(where, f"argument --{name}: expected one argument")
+        kind = options[name][0]
+        if isinstance(kind, tuple):
+            if text not in kind:
+                _fail(where, f"argument --{name}: invalid choice: {text!r} "
+                             f"(choose from {', '.join(kind)})")
+            values[name] = text
+            continue
+        try:
+            values[name] = kind(text)
+        except ValueError as exc:
+            _fail(where, f"argument --{name}: invalid value {text!r}: {exc}")
+    for name, value in values.items():
+        if value is _REQUIRED:
+            _fail(where, f"argument --{name}: is required")
+    if takes_scenario:
+        values["scenario"] = scenario
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # looked up per call, so a replaced handler takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

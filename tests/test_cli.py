@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from toridyn import fixed_points, full_report, iterate
-from toridyn.cli import _default_text, load_scenario_file, main
+from toridyn.cli import COMMANDS, _default_text, load_scenario_file, main, parse_args
+from toridyn.dynamics import DEFAULT_NODE_BUDGET
 from toridyn.scenarios import (cm_matrix_endo, cm_power_torus, gaussian_order,
                                get_example, named_examples)
 
@@ -370,14 +376,6 @@ def test_torsion_graph_of_10_14_nodes_is_counted_exactly(capsys):
     assert doc["tail_histogram"] == {"0": 10**14}
 
 
-def test_parser_is_reused_across_calls(capsys):
-    from toridyn import cli
-    assert cli.build_parser() is cli.build_parser()
-    assert run(capsys, "examples", "--format", "json")[0] == 0
-    assert run(capsys, "fixed-points", "--example", "mult_2_3",
-                "--format", "json")[0] == 0
-
-
 # -- quotient and orbit
 
 def test_quotient_first_factor(capsys):
@@ -439,18 +437,26 @@ HALF_FRAME_SCENARIO = {
 }
 
 # digest of the exit code and stdout of `quotient` over every named
-# example and sublattice, then HALF_FRAME_SCENARIO, in json then text;
-# recorded when the analytic charpolys were computed over Q(i) with
-# Fractions.  Eight of the named sublattices are not invariant and exit 3
-PINNED_QUOTIENTS = "12b649f56b99e00bcc5bb86e299a21093a723229b6ccb2ca60a24c7a602d8db2"
+# example and sublattice, then HALF_FRAME_SCENARIO, in json then text.
+# The json bytes are those recorded when the analytic charpolys were
+# computed over Q(i) with Fractions; the text was re-recorded when a
+# coefficient with a negative imaginary part became (re-imi), not
+# (re+-imi).  Eight of the named sublattices are not invariant and exit 3
+PINNED_QUOTIENTS = "8f8f94699ba0db76ec094130c8214a00e84b65acc6141f13b7ab50ad31358cab"
 
 
-def test_quotient_bytes_are_pinned(capsys, tmp_path):
-    path = write_scenario(tmp_path, HALF_FRAME_SCENARIO)
+def quotient_cases(tmp_path):
+    """(scenario arguments, sublattice) for every named example and
+    sublattice, then HALF_FRAME_SCENARIO's first factor."""
     cases = [(("--example", name), sub)
              for name, scenario in sorted(named_examples().items())
              for sub in sorted(scenario.sublattices)]
-    cases.append(((path,), "first"))
+    cases.append(((write_scenario(tmp_path, HALF_FRAME_SCENARIO),), "first"))
+    return cases
+
+
+def test_quotient_bytes_are_pinned(capsys, tmp_path):
+    cases = quotient_cases(tmp_path)
     digest, codes = hashlib.sha256(), []
     for source, sub in cases:
         for fmt in ("json", "text"):
@@ -460,6 +466,41 @@ def test_quotient_bytes_are_pinned(capsys, tmp_path):
             digest.update(f"{code}\n{out}".encode())
     assert len(cases) == 16 and codes.count(3) == codes.count(0) == 16
     assert digest.hexdigest() == PINNED_QUOTIENTS
+
+
+QUOTIENT_TERM = re.compile(r"(?:\((-?\d+)([+-]\d+)i\)|(-?\d+))(?:\*x\^(\d+))?")
+
+
+def parse_text_poly(text):
+    """The (re, im) coefficients, constant first, of a polynomial as the
+    text format of `quotient` writes it."""
+    coeffs = {}
+    for term in text.split(" + "):
+        match = QUOTIENT_TERM.fullmatch(term)
+        assert match, f"unreadable term {term!r} in {text!r}"
+        re_part, im_part, real, k = match.groups()
+        coeffs[int(k or 0)] = ((int(real), 0) if real is not None
+                               else (int(re_part), int(im_part)))
+    return [coeffs.get(k, (0, 0)) for k in range(max(coeffs) + 1)]
+
+
+def test_quotient_text_reads_back_as_the_json_coefficients(capsys, tmp_path):
+    negative_im = 0
+    for source, sub in quotient_cases(tmp_path):
+        code, out, _ = run(capsys, "quotient", *source, "--sublattice", sub,
+                           "--format", "json")
+        if code != 0:
+            continue
+        doc = json.loads(out)
+        code, out, _ = run(capsys, "quotient", *source, "--sublattice", sub)
+        assert code == 0
+        lines = dict(line.split(":", 1) for line in out.splitlines())
+        for key, label in (("restriction", "restriction Delta"),
+                           ("quotient", "quotient"), ("full", "full Gamma")):
+            expected = [(int(re_part), int(im_part)) for re_part, im_part in doc[key]]
+            assert parse_text_poly(lines[label].strip()) == expected, (source, sub, key)
+            negative_im += sum(im < 0 for _, im in expected)
+    assert negative_im > 0  # the (re-imi) form is read back
 
 
 def test_orbit_invariant(capsys):
@@ -812,3 +853,82 @@ def test_ragged_matrix_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "classify", write_scenario(tmp_path, doc))
     assert code == 2
     assert "row 1" in err
+
+
+# -- argument parsing
+
+@pytest.mark.parametrize("argv, token", [
+    pytest.param((), "command", id="no-subcommand"),
+    pytest.param(("bogus",), "'bogus'", id="unknown-subcommand"),
+    pytest.param(("classify", "--example", "shear", "--bogus"), "--bogus",
+                 id="unknown-option"),
+    pytest.param(("sweep", "--h", "3"), "--h", id="ambiguous-prefix"),  # --height, --help
+    pytest.param(("classify", "--example", "--format", "json"), "--example",
+                 id="missing-value"),
+    pytest.param(("sweep", "--count", "abc"), "'abc'", id="bad-int"),
+    pytest.param(("degrees", "--example", "shear", "--precision", "1/0"), "'1/0'",
+                 id="bad-rational"),
+    pytest.param(("classify", "--example", "shear", "--format", "xml"), "'xml'",
+                 id="bad-choice"),
+    pytest.param(("torsion", "--example", "shear"), "--level", id="missing-required"),
+    pytest.param(("sweep", "extra"), "extra", id="stray-positional-sweep"),
+    pytest.param(("examples", "extra"), "extra", id="stray-positional-examples"),
+])
+def test_parse_errors_exit_2_with_one_stderr_line(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    assert lines[0].startswith("error[parse]: toridyn") and token in lines[0]
+
+
+def test_parse_args_accepts_the_option_forms(monkeypatch):
+    assert vars(parse_args(["torsion", "--level", "3"])) == {
+        "command": "torsion", "scenario": None, "example": None,
+        "format": "text", "level": 3, "budget": DEFAULT_NODE_BUDGET}
+    args = parse_args(["sweep", "--count=2", "--iter", "2", "--seed", "-3",
+                       "--dim", "3", "--dim", "2", "--format=json"])
+    assert (args.count, args.iterate, args.seed, args.dim, args.format) == (2, 2, -3, 2, "json")
+    assert not hasattr(args, "scenario")
+    args = parse_args(["degrees", "--format", "json", "s.json", "--prec=1/10"])
+    assert (args.scenario, args.precision) == ("s.json", Fraction(1, 10))
+    assert parse_args(["classify", "--", "-s.json"]).scenario == "-s.json"
+    monkeypatch.setattr(sys, "argv", ["toridyn", "orbit", "--sub", "d"])
+    assert parse_args().sublattice == "d"
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_lists_every_command_and_option(capsys, command):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([flag] if command is None else [command, flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        if command is None:
+            assert all(f"  {name} " in out for name in COMMANDS)
+        else:
+            assert all(f"--{name} " in out for name in COMMANDS[command][2])
+
+
+def test_every_readme_cli_line_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("toridyn ")]
+    assert {line[1] for line in lines} == set(COMMANDS)
+    for line in lines:
+        assert parse_args(line[1:]).command == line[1]
+
+
+def test_cli_loads_no_argparse_gettext_or_locale():
+    # the options are read from COMMANDS, so a call imports none of them
+    code = ("import sys, toridyn.cli; "
+            "toridyn.cli.main(['classify', '--example', 'shear', '--format', 'json']); "
+            "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert '"amplified"' in out.stdout
+    assert out.stdout.split("\n")[-2] == "[]"
