@@ -13,14 +13,13 @@ from .matlin import (RationalMatrix, SmithDecomposition, Sublattice, charpoly,
                      saturate, smith_form)
 from .torus import (ComplexTorus, NeronSeveriSpace, Subtorus,
                     canonical_ample_class, form_to_ns_vector, is_ample,
-                    make_subtorus, make_torus, neron_severi, ns_vector_to_form,
-                    quotient_torus)
+                    make_subtorus, make_torus, neron_severi, ns_vector_to_form)
 from .endo import (EigenData, TorusEndomorphism, analytic_charpoly, eigen_data,
                    eigen_split, fixed_subtorus, gauss_poly_conj, gauss_poly_mul,
                    iterate, make_endo, minimal_unity_iterate, unity_free)
-from .dynamics import (FixedPointSet, PreperVsTorsionVerdict, TorsionOrbitGraph,
-                       fixed_points, lefschetz_number, periodic_count,
-                       preper_vs_torsion, subtorus_orbit, torsion_dynamics)
+from .dynamics import (FixedPointSet, TorsionOrbitGraph, fixed_points,
+                       lefschetz_number, periodic_count, subtorus_orbit,
+                       torsion_dynamics)
 from .classify import (AmplifiedVerdict, ClassificationReport, DegreeData,
                        PolarizedVerdict, amplified, chain_violations,
                        dynamical_degrees, finite_order, full_report,

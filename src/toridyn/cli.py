@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Scenario input is either a named built-in example (--example NAME) or a
-JSON file with exact rationals written as "p/q" or decimal strings:
+JSON file with exact rationals written as "p/q" or decimal strings, each
+numerator and denominator of at most sys.get_int_max_str_digits() digits:
 
     {"torus": {"J": [["0", "-1"], ["1", "0"]]},
      "endomorphism": {"M": [["2", "0"], ["0", "2"]], "tau": ["0", "0"]},
@@ -41,11 +42,31 @@ EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL =
 # Scenario parsing
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _exact_rational(text):
+    """Fraction(text), refused with ValueError when its numerator or
+    denominator has more digits than sys.get_int_max_str_digits(), the
+    limit int() puts on a written literal.  The exponent is checked first,
+    as Fraction builds 10**exponent before any digit is counted."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    try:
+        if limit and exponent and abs(int(exponent[1])) > limit:
+            raise ValueError
+        value = Fraction(text)
+        str(value.numerator), str(value.denominator)  # ValueError past the limit
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational of at most {limit} digits") from None
+    return value
+
+
 def _parse_rational(text, where, integer=False):
     try:
-        value = Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{where}: {text!r} is not an exact rational") from None
+        value = _exact_rational(str(text))
+    except ValueError as exc:
+        raise ParseError(f"{where}: {text!r} is {exc}") from None
     if integer and value.denominator != 1:
         raise ParseError(f"{where}: {text!r} is not an integer")
     return value
@@ -335,10 +356,7 @@ def _positive_int(text):
 
 
 def _positive_rational(text):
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("not an exact rational") from None
+    value = _exact_rational(text)
     if value <= 0:
         raise ValueError("must be positive")
     return value

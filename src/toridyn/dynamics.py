@@ -27,8 +27,7 @@ from operator import add, lt, mod, mul
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, matmul, smith_form
-from .endo import (TorusEndomorphism, eigen_data, fixed_subtorus, iterate,
-                   unity_free)
+from .endo import TorusEndomorphism, eigen_data, iterate
 from .torus import Subtorus, _primitive_integer_vector, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -43,9 +42,9 @@ def _count_text(n: int) -> str:
 
 
 def lefschetz_number(f: TorusEndomorphism) -> int:
-    """det(I - M), the alternating trace sum over the cohomology ring."""
-    d = f.torus.rank
-    return (RationalMatrix.identity(d) - f.m).det().numerator
+    """det(I - M), the alternating trace sum over the cohomology ring: the
+    H^1 charpoly det(xI - M) at x = 1."""
+    return eigen_data(f).h1_charpoly(1)
 
 
 class FixedPointSet(Record):
@@ -374,32 +373,3 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
         if all(map(in_start, current)):
             return ("invariant" if step == 1 else ("periodic", step)), step + 1
     return "escaping", bound + 1
-
-
-class PreperVsTorsionVerdict(Record):
-    """Structured evidence for the equivalence between a root-of-unity
-    eigenvalue, a pointwise-fixed subtorus of an iterate, and extra
-    nontorsion preperiodic points."""
-
-    has_unity_eigenvalue: bool        # exact
-    fixed_subtorus_iterate: int | None  # exact: minimal k, or None
-    fixed_subtorus_rank: int | None
-    consistent: bool                  # the two exact conditions agree
-    preper_exceeds_torsion: bool      # theorem-implied, not enumerated
-    note: str = ("nontorsion preperiodic points are not enumerable; "
-                 "condition reported as implied by theory")
-
-
-def preper_vs_torsion(f: TorusEndomorphism) -> PreperVsTorsionVerdict:
-    if not f.is_isogeny:
-        raise DomainError("preperiodic/torsion comparison requires an isogeny (tau = 0)")
-    free, u = unity_free(f)
-    fs = fixed_subtorus(f)
-    consistent = (fs is None) == free
-    return PreperVsTorsionVerdict(
-        has_unity_eigenvalue=not free,
-        fixed_subtorus_iterate=None if fs is None else fs[0],
-        fixed_subtorus_rank=None if fs is None else fs[1].rank,
-        consistent=consistent,
-        preper_exceeds_torsion=not free,
-    )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import Record
-from .errors import (DomainError, InvarianceViolation, InvariantViolation,
+from .errors import (DomainError, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
 from .exactnum import IntPolynomial, cyclotomic_root_count
 from .matlin import (RationalMatrix, _rational, charpoly, int_charpoly,
@@ -124,7 +124,7 @@ def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
     frame P = (V, JV) of _complex_basis, for M commuting with J.  With
     w_k = v_k - iJv_k, Jw = iw and Mw_k = sum_l (A + iB)_lk w_l, so A + iB
     is M on the +i eigenspace of J: the analytic representation."""
-    idx, d, q, _ = _complex_basis(j)
+    idx, d, q = _complex_basis(j)
     dm, mrows = m.scaled_rows()
     y = matmul(q, [[row[k] for k in idx] for row in mrows])  # d dm P^-1 M V
     return d * dm, y[:len(idx)], y[len(idx):]

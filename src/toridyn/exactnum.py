@@ -216,9 +216,6 @@ class CertifiedMagnitudeMultiset(Record):
     entries: tuple
     precision: Fraction
 
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
 
 # ---------------------------------------------------------------------------
 # Cyclotomic machinery

@@ -180,9 +180,6 @@ class RationalMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 

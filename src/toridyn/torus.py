@@ -1,6 +1,6 @@
 """Complex tori with rational complex structure.
 
-Subtori, quotient tori, the frame P = (v, Jv) in which J is
+Subtori, the frame P = (v, Jv) in which J is
 [[0, -I], [I, 0]], Neron-Severi spaces (the J-invariant alternating forms
 on the lattice, read off that frame) and exact ample-cone membership.
 Rational J restricts the model to tori of CM type; this covers every
@@ -17,8 +17,7 @@ from math import gcd, lcm
 from ._record import Record
 from .errors import (ComplexStructureError, DomainError, InvariantViolation,
                      NotSubtorusError)
-from .matlin import (RationalMatrix, Sublattice, bareiss, exterior_basis,
-                     restrict_and_quotient, saturate)
+from .matlin import RationalMatrix, Sublattice, bareiss, exterior_basis, saturate
 
 
 class ComplexTorus(Record):
@@ -38,9 +37,6 @@ class ComplexTorus(Record):
     @property
     def rank(self) -> int:
         return 2 * self.n
-
-    def is_degenerate(self) -> bool:
-        return self.n == 0
 
     def serialize(self):
         return {"n": self.n, "J": self.j.serialize()}
@@ -68,10 +64,6 @@ class Subtorus(Record):
     def rank(self) -> int:
         return self.lattice.rank
 
-    @property
-    def complex_dim(self) -> int:
-        return self.rank // 2
-
 
 def make_subtorus(torus: ComplexTorus, s) -> Subtorus:
     """Saturates the given integer columns and checks even rank and
@@ -88,25 +80,9 @@ def make_subtorus(torus: ComplexTorus, s) -> Subtorus:
     return Subtorus(torus, lat)
 
 
-def quotient_torus(torus: ComplexTorus, sub: Subtorus):
-    """Quotient torus and the projection onto quotient lattice coordinates.
-
-    The quotient basis comes from completing the subtorus basis to a basis
-    of the ambient lattice; the induced complex structure is the lower
-    diagonal block of J in that basis, and the projection is the last rows
-    of the inverse completion."""
-    if sub.parent is not torus and sub.parent != torus:
-        raise DomainError("subtorus does not belong to this torus")
-    if sub.rank == torus.rank:
-        return ComplexTorus(0, RationalMatrix([])), RationalMatrix([])
-    _, j_q, _ = restrict_and_quotient(torus.j, sub.lattice)
-    proj = RationalMatrix(sub.lattice.coordinates.entries[sub.rank:])
-    return make_torus(j_q), proj
-
-
 @lru_cache(maxsize=256)
 def _complex_basis(j: RationalMatrix):
-    """(idx, d, q, P): the columns P = (v_1..v_n, Jv_1..Jv_n), v_k = e_idx[k],
+    """(idx, d, q): the columns P = (v_1..v_n, Jv_1..Jv_n), v_k = e_idx[k],
     are a Q-basis in which J is [[0, -I], [I, 0]], and q = d * P^-1 is integral.
 
     span(v, Jv) is J-invariant, so a unit vector outside it adds two
@@ -123,42 +99,20 @@ def _complex_basis(j: RationalMatrix):
         raise InvariantViolation("J admits no basis of the form (v, Jv)")
     p = RationalMatrix(zip(*frame))
     d, q = p.inverse().scaled_rows()
-    return tuple(idx), d, q, p
+    return tuple(idx), d, q
 
 
 class NeronSeveriSpace(Record):
     """The J-invariant alternating forms E on the lattice (Birkenhake-Lange,
     ch. 2).  In the frame P of _complex_basis, E is J-invariant exactly when
     P^T E P = [[X, Y], [-Y, X]] with X antisymmetric and Y symmetric, so
-    rho = n^2.  The coordinates of E are the entries X_kl (k < l) and Y_kl
-    (k <= l) of P^T E P; vectors are in the wedge basis of ns_vector_to_form."""
+    rho = n^2.  The slots are the entries X_kl (k < l) and Y_kl (k <= l) of
+    P^T E P, and ns_action acts on the unit block forms of the slots."""
 
     parent: ComplexTorus
-    slots: tuple  # (row, column) of each coordinate in P^T E P
-    units: tuple  # per coordinate, the ((i, j), +-1) entries of its block form
+    slots: tuple  # (row, column) of each slot in P^T E P
+    units: tuple  # per slot, the ((i, j), +-1) entries of its unit block form
     rho: int
-
-    @cached_property
-    def basis(self) -> RationalMatrix:
-        """C(2n,2) x rho; column c, from_coordinates of the c-th unit vector,
-        may be rational."""
-        identity = RationalMatrix.identity(self.rho).entries
-        return RationalMatrix(map(self.from_coordinates, identity)).transpose()
-
-    def coordinates(self, omega) -> tuple:
-        """The slots of P^T E P, E the form of omega, which may lie outside NS."""
-        p = _complex_basis(self.parent.j)[3]
-        form = p.transpose() * ns_vector_to_form(self.parent, omega) * p
-        return tuple(form[s] for s in self.slots)
-
-    def from_coordinates(self, coords) -> tuple:
-        """The NS vector of P^-T B P^-1, B the block form of the coordinates."""
-        block = {ij: sign * c for unit, c in zip(self.units, coords) for ij, sign in unit}
-        rank = range(self.parent.rank)
-        _, d, q, _ = _complex_basis(self.parent.j)
-        p_inv = RationalMatrix._of(q, True) * Fraction(1, d)
-        form = RationalMatrix([[block.get((i, j), 0) for j in rank] for i in rank])
-        return form_to_ns_vector(self.parent, p_inv.transpose() * form * p_inv)
 
 
 def _primitive_integer_vector(vec):

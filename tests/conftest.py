@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 
 from toridyn import (RationalMatrix, cm_matrix_endo, cm_power_torus,
-                     gaussian_order, make_endo, make_torus)
+                     gaussian_order, make_endo, make_torus, neron_severi)
+from toridyn.torus import _complex_basis
 
 
 def frac_matrix(rows):
@@ -23,6 +25,28 @@ def sympy_solve(a, rhs):
     x, params = sympy_matrix(a).gauss_jordan_solve(sympy_matrix(rhs))
     x = x.subs({p: 0 for p in params})
     return RationalMatrix([[Fraction(str(v)) for v in row] for row in x.tolist()])
+
+
+def ns_basis_reference(torus):
+    """The NS basis in the slot coordinates of neron_severi(torus), built by
+    sympy: with P = (e_idx, J e_idx) for idx = _complex_basis(J)[0], column
+    c is the wedge vector (lexicographic e_i ^ e_j, i < j) of P^-T B_c P^-1,
+    B_c the unit block form of slot c."""
+    ns, size = neron_severi(torus), torus.rank
+    if not ns.units:
+        return RationalMatrix([])
+    idx = _complex_basis(torus.j)[0]
+    j = sympy_matrix(torus.j)
+    p_inv = sympy.Matrix.hstack(*(sympy.eye(size)[:, i] for i in idx),
+                                *(j[:, i] for i in idx)).inv()
+    columns = []
+    for unit in ns.units:
+        block = sympy.zeros(size, size)
+        for (r, c), sign in unit:
+            block[r, c] = sign
+        form = p_inv.T * block * p_inv
+        columns.append([Fraction(str(form[r, c])) for r, c in combinations(range(size), 2)])
+    return RationalMatrix(columns).transpose()
 
 
 def lattice_contains(lattice, vec):

@@ -804,6 +804,40 @@ def test_parse_error_bad_rational(capsys, tmp_path):
     assert "torus.J[1][1]" in err
 
 
+@pytest.mark.parametrize("entry", ["1e10000000", "1e5000", "1e-5000", "1" * 4301],
+                         ids=["1e10000000", "1e5000", "1e-5000", "4301-digits"])
+def test_parse_error_number_past_the_digit_limit(capsys, tmp_path, entry):
+    # 10**10000000 alone takes seconds to build; the exponent is refused first
+    doc = {"torus": {"J": [["0", "-1"], ["1", "0"]]},
+           "endomorphism": {"M": [[entry, "0"], ["0", entry]]}}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", write_scenario(tmp_path, doc))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error[parse]: endomorphism.M[0][0]") and err.count("\n") == 1
+
+
+def test_number_within_the_digit_limit_is_parsed(capsys, tmp_path):
+    doc = {"torus": {"J": [["0", "-1"], ["1", "0"]]},
+           "endomorphism": {"M": [["1e4200", "0"], ["0", "1e4200"]]}}
+    endo, _ = load_scenario_file(write_scenario(tmp_path, doc))
+    assert endo.m[0, 0] == 10**4200
+    args = parse_args(["degrees", "--example", "gtz_diag", "--precision", "1e-4200"])
+    assert args.precision == Fraction(1, 10**4200)
+
+
+@pytest.mark.parametrize("value", ["1e-10000000", "1e-5000", "1e5000"])
+def test_precision_past_the_digit_limit_is_a_parse_error(capsys, value):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["degrees", "--example", "gtz_diag", "--precision", value])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error[parse]: toridyn degrees: argument --precision")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_missing_sections(capsys, tmp_path):
     code, _, err = run(capsys, "classify", write_scenario(tmp_path, {"torus": {}}))
     assert code == 2

@@ -18,8 +18,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from toridyn import (DomainError, InvarianceViolation, RationalMatrix,
                      ResourceError, fixed_points, iterate, lefschetz_number,
                      make_endo, make_subtorus, order_by_name, periodic_count,
-                     preper_vs_torsion, random_endo, restrict_and_quotient,
-                     saturate, subtorus_orbit, torsion_dynamics)
+                     random_endo, restrict_and_quotient, saturate,
+                     subtorus_orbit, torsion_dynamics)
 from toridyn.dynamics import _smith_reduce
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
@@ -583,24 +583,3 @@ def test_span_orbit_of_a_three_cycle_of_factors():
     mixed = make_subtorus(f.torus, RationalMatrix.from_columns([v, f.torus.j.apply(v)]))
     for sub in (first_two, mixed):
         assert subtorus_orbit(f, sub, 16) == span_key_orbit(f, sub, 16) == (("periodic", 3), 4)
-
-
-# -- preperiodic vs torsion evidence
-
-def test_preper_vs_torsion_unity_free(e_torus):
-    v = preper_vs_torsion(mult_map(e_torus, 2))
-    assert not v.has_unity_eigenvalue and v.consistent
-    assert not v.preper_exceeds_torsion
-
-
-def test_preper_vs_torsion_with_unity_factor():
-    v = preper_vs_torsion(get_example("mult_2_1").endo)
-    assert v.has_unity_eigenvalue and v.consistent
-    assert v.fixed_subtorus_iterate == 1 and v.fixed_subtorus_rank == 2
-    assert v.preper_exceeds_torsion
-
-
-def test_preper_vs_torsion_requires_isogeny(e_torus):
-    f = make_endo(e_torus, [[2, 0], [0, 2]], tau=[Fraction(1, 2), 0])
-    with pytest.raises(DomainError):
-        preper_vs_torsion(f)

