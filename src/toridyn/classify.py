@@ -21,7 +21,7 @@ from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
 from .matlin import RationalMatrix, _quotient
 from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks,
                    _from_power_sums, _power_sums, eigen_data, iterate,
-                   unity_free)
+                   minimal_unity_iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -81,10 +81,9 @@ def finite_order(f: TorusEndomorphism):
     as the lcm of its denominators."""
     if not f.surjective:
         raise NotSurjectiveError("order requires det M != 0")
-    data = eigen_data(f)
-    if 2 * data.u_count != f.torus.rank:
+    if 2 * eigen_data(f).u_count != f.torus.rank:
         return None
-    k = lcm(1, *(n for n, _ in data.cyclotomic_factors))
+    k = minimal_unity_iterate(f) or 1  # None on the rank-0 torus
     g = iterate(f, k)
     if g.m != RationalMatrix.identity(f.torus.rank):
         return None
@@ -383,29 +382,10 @@ class ClassificationReport(Record):
     notes: tuple = ()
 
     def to_dict(self):
-        return {
-            "surjective": self.surjective,
-            "isogeny": self.isogeny,
-            "finite_order": self.finite_order,
-            "unity_free": self.unity_free,
-            "u_f": self.u_f,
-            "amplified": self.amplified,
-            "amplified_path": self.amplified_path,
-            "polarized": self.polarized,
-            "polarized_q": self.polarized_q,
-            "polarized_witness": [str(x) for x in self.polarized_witness]
-            if self.polarized_witness else None,
-            "serre_consistent": self.serre_consistent,
-            "dynamical_degrees": [[str(lo), str(hi)]
-                                  for lo, hi in self.dynamical_degrees],
-            "equal_consecutive_pairs": list(self.equal_consecutive_pairs),
-            "exact_equalities": list(self.exact_equalities),
-            "entropy": list(self.entropy),
-            "lefschetz": self.lefschetz,
-            "h1_poly_class": self.h1_poly_class,
-            "h1_charpoly": self.h1_charpoly.serialize(),
-            "notes": list(self.notes),
-        }
+        """The fields in order, tuples as lists and exact numbers as
+        strings."""
+        return {name: _REPORT_JSON.get(name, _listed)(getattr(self, name))
+                for name in self._fields}
 
     def to_text(self):
         d = self.to_dict()
@@ -419,6 +399,18 @@ class ClassificationReport(Record):
             else:
                 lines.append(f"  {key}: {value}")
         return "\n".join(lines)
+
+
+def _listed(value):
+    return list(value) if type(value) is tuple else value
+
+
+# fields that to_dict writes other than by _listed
+_REPORT_JSON = {
+    "polarized_witness": lambda w: [str(x) for x in w] if w else None,
+    "dynamical_degrees": lambda v: [[str(lo), str(hi)] for lo, hi in v],
+    "h1_charpoly": IntPolynomial.serialize,
+}
 
 
 def _decimal(v: Fraction, places: int) -> str:

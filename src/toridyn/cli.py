@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Scenario input is either a named built-in example (--example NAME) or a
-JSON file with exact rationals written as "p/q" or decimal strings, each
-numerator and denominator of at most sys.get_int_max_str_digits() digits:
+JSON file with exact rationals written as "p/q" or decimal strings, or as
+JSON numbers, which are read exactly from their digits; each numerator and
+denominator has at most sys.get_int_max_str_digits() digits:
 
     {"torus": {"J": [["0", "-1"], ["1", "0"]]},
      "endomorphism": {"M": [["2", "0"], ["0", "2"]], "tau": ["0", "0"]},
@@ -90,7 +91,8 @@ def load_scenario_file(path):
     """Parse a JSON scenario file into (endo, sublattices)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            # numbers stay text, so _exact_rational reads every one exactly
+            doc = json.load(fh, parse_int=str, parse_float=str)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -28,7 +28,7 @@ from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .matlin import RationalMatrix, matmul, smith_form
 from .endo import TorusEndomorphism, eigen_data, iterate
-from .torus import Subtorus, _primitive_integer_vector, make_subtorus
+from .torus import Subtorus, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_ORBIT_BOUND = 64
@@ -219,8 +219,7 @@ def fixed_points(f: TorusEndomorphism,
         if fps.count() != det:
             raise DomainError("fixed point count mismatch")  # pragma: no cover
         return fps
-    cols = [_primitive_integer_vector(v) for v in free_dirs]
-    sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
+    sub = make_subtorus(f.torus, RationalMatrix.from_columns(free_dirs))
     return FixedPointSet("coset-family", denom, columns, sub)
 
 

@@ -19,10 +19,9 @@ from ._record import Record
 from .errors import (DomainError, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
 from .exactnum import IntPolynomial, cyclotomic_root_count
-from .matlin import (RationalMatrix, _rational, charpoly, int_charpoly,
-                     matmul, restrict_and_quotient)
-from .torus import (ComplexTorus, Subtorus, _complex_basis,
-                    _primitive_integer_vector, make_subtorus)
+from .matlin import (RationalMatrix, _quotient, charpoly, int_charpoly,
+                     matmul, restrict_and_quotient, smith_form)
+from .torus import ComplexTorus, Subtorus, _complex_basis, make_subtorus
 
 
 class TorusEndomorphism(Record):
@@ -77,27 +76,17 @@ def make_endo(torus: ComplexTorus, m, tau=None) -> TorusEndomorphism:
     return TorusEndomorphism(torus, mat, tau)
 
 
-def _compose(f, g):
-    """The pair (MN, Me + c) of x -> M(Nx + e) + c, for f = (M, c) and
-    g = (N, e), with the translation reduced mod 1 (M is integral)."""
-    (m, c), (n, e) = f, g
-    return m * n, tuple(_rational((x + y) % 1) for x, y in zip(m.apply(e), c))
-
-
 def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
-    """f^k: matrix M^k, translation (M^{k-1} + ... + I) tau mod 1, by
-    repeated squaring of the pair (M, tau) in O(log k) products."""
+    """f^k: matrix M^k, translation s = (M^{k-1} + ... + I) tau mod 1, both
+    read off the k-th power [[M^k, q s], [0, 1]] of the integer affine
+    matrix [[M, q tau], [0, 1]], q the common denominator of tau."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
-    size = f.torus.rank
-    result, power = (RationalMatrix.identity(size), (0,) * size), (f.m, f.tau)
-    while True:
-        if k & 1:
-            result = _compose(result, power)
-        k >>= 1
-        if not k:
-            return TorusEndomorphism(f.torus, *result)
-        power = _compose(power, power)
+    size, q = f.torus.rank, lcm(*(t.denominator for t in f.tau))
+    affine = [row + (int(q * t),) for row, t in zip(f.m.entries, f.tau)]
+    power = (RationalMatrix._of(affine + [(0,) * size + (1,)], True) ** k).entries[:size]
+    return TorusEndomorphism(f.torus, RationalMatrix._of([row[:size] for row in power], True),
+                             tuple(_quotient(row[size] % q, q) for row in power))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +257,13 @@ def fixed_subtorus(f: TorusEndomorphism):
     k = minimal_unity_iterate(f)
     if k is None:
         return None
-    mk = f.m ** k
-    kernel = (mk - RationalMatrix.identity(f.torus.rank)).kernel_basis()
+    # the columns of V at the zero invariant factors of U (M^k - I) V = D
+    # are a primitive basis of the kernel, V being unimodular
+    dec = smith_form(f.m ** k - RationalMatrix.identity(f.torus.rank))
+    kernel = [dec.v.column(i) for i, d in enumerate(dec.invariant_factors) if d == 0]
     if not kernel:
         raise InvariantViolation("cyclotomic factor without fixed directions")
-    cols = [_primitive_integer_vector(v) for v in kernel]
-    sub = make_subtorus(f.torus, RationalMatrix.from_columns(cols))
-    return k, sub
+    return k, make_subtorus(f.torus, RationalMatrix.from_columns(kernel))
 
 
 def eigen_split(f: TorusEndomorphism, sub: Subtorus):
@@ -283,7 +272,7 @@ def eigen_split(f: TorusEndomorphism, sub: Subtorus):
     multiset splitting."""
     m_w, m_q, _ = restrict_and_quotient(f.m, sub.lattice)  # raises if not invariant
     j_w, j_q, _ = restrict_and_quotient(f.torus.j, sub.lattice)
-    gamma = analytic_charpoly(f.m, f.torus.j)
+    gamma = eigen_data(f).analytic
     delta = analytic_charpoly(m_w, j_w)
     quot = analytic_charpoly(m_q, j_q)
     product = gauss_poly_mul(delta, quot)

@@ -18,7 +18,7 @@ class ParseError(ToridynError):
 
 
 class ResourceError(ToridynError):
-    """A configured budget (node count, iteration bound) was exceeded."""
+    """A budget (node count, iteration bound, refinement grid) was exceeded."""
 
 
 class ComplexStructureError(DomainError):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import isqrt
 
 from ._record import Record
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 #: Default certification width for root magnitudes.
 DEFAULT_PRECISION = Fraction(1, 10**9)
@@ -545,8 +545,9 @@ def _recentred(coeffs, before, after, groups, done, k: int):
     return out
 
 
-#: Root refinement gives up past the grid 2^-MAX_REFINEMENT_BITS, about
-#: 5,000 digits.
+#: Root refinement is a resource: it gives up past the grid 2^-k with k the
+#: larger of MAX_REFINEMENT_BITS and twice the starting grid, so at least
+#: one doubling past the grid that any accepted precision asks for.
 MAX_REFINEMENT_BITS = 16600
 
 
@@ -562,15 +563,16 @@ def _rounds(coeffs, k: int):
     _recentred restarts clusters.  Each round certifies the centres made
     conjugate-symmetric, and steps from them when their disks are
     disjoint.  k doubles when every correction is below 2^(-k/2), or after
-    8d + 32 steps on one grid; the rounds end in a DomainError past
-    MAX_REFINEMENT_BITS."""
+    8d + 32 steps on one grid; the rounds end in a ResourceError past
+    max(MAX_REFINEMENT_BITS, 2k)."""
     d = len(coeffs) - 1
     zs = _float_roots(coeffs)
     # float proposals are good to about 53 bits: |Im z| <= 2^-26 means real
     centres = None if zs is None else _symmetric(
         [(_scaled(z.real, k), _scaled(z.imag, k)) for z in zs], 1 << (k - 26))
     floats, steps, done = centres is not None, 0, {}
-    while k <= MAX_REFINEMENT_BITS:
+    limit = max(MAX_REFINEMENT_BITS, 2 * k)
+    while k <= limit:
         if centres is None:
             centres, steps, done = _newton_seeds(coeffs, k), 0, {}
         base = _symmetric(centres, 1 << k // 2)
@@ -595,7 +597,7 @@ def _rounds(coeffs, k: int):
             half = 1 << (k - 1)
             centres = _recentred(coeffs, base, [((u + half) >> k, (v + half) >> k)
                                                 for u, v in finer], groups, done, k)
-    raise DomainError("root magnitude refinement failed to converge")
+    raise ResourceError(f"root magnitude refinement passed its limit of {limit} bits")
 
 
 def _disk_magnitudes(q: IntPolynomial, precision: Fraction):

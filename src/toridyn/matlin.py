@@ -1,16 +1,18 @@
 """Exact integer/rational dense matrix algebra.
 
-Characteristic polynomials, kernels, Smith normal form with transforms,
-lattice saturation, exterior powers, and restriction/quotient along
-invariant sublattices.  The core is integer-first: a matrix stores plain
-`int` entries wherever the value is integral and a `Fraction` only where it
-is not, and every true division goes through `Fraction`.  Elimination
-(determinant, rank, kernels, solving, inverses) is one fraction-free
-routine (Bareiss 1968) on the integer matrix D*A, D the lcm of the
-denominators; the characteristic polynomial is Faddeev-LeVerrier with
-exact integer division on D*A.  A sublattice keeps the Smith transform of
-its generators and its inverse, so span membership, restriction and
-quotient are integer products with no elimination.  Dimensions in this
+Characteristic polynomials, Smith normal form with transforms, lattice
+saturation, exterior powers, and restriction/quotient along invariant
+sublattices.  The core is integer-first: a matrix stores plain `int`
+entries wherever the value is integral and a `Fraction` only where it is
+not, and every true division goes through `Fraction`.  Elimination
+(determinants, inverses, pivot columns, the positive-definite test) is one
+fraction-free routine (Bareiss 1968) on the integer matrix D*A, D the lcm
+of the denominators; the characteristic polynomial is Faddeev-LeVerrier
+with exact integer division on D*A.  An integer kernel is read off the
+Smith transform V, whose columns at the zero invariant factors are a
+primitive basis of it.  A sublattice keeps the Smith transform of its
+generators and its inverse, so span membership, restriction and quotient
+are integer products with no elimination.  Dimensions in this
 artifact stay small (ambient rank <= 16, Neron-Severi rank <= 64) so dense
 arithmetic is the right tool.
 """
@@ -253,12 +255,10 @@ class RationalMatrix:
         if not self.is_square() or k < 0:
             raise DomainError("power requires a square matrix and k >= 0")
         result = RationalMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for bit in bin(k)[2:]:  # left to right: no square past the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- elimination based operations
@@ -270,24 +270,6 @@ class RationalMatrix:
         d = lcm(*(e.denominator for row in self.entries for e in row))
         return d, [[e.numerator * (d // e.denominator) for e in row]
                    for row in self.entries]
-
-    def rank(self) -> int:
-        _, mat = self.scaled_rows()
-        return len(bareiss(mat)[0])
-
-    def kernel_basis(self):
-        """Basis of the right kernel as a list of rational vectors."""
-        _, mat = self.scaled_rows()
-        pivots, p, _ = bareiss(mat, jordan=True)  # pivot rows: p * rref
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [0] * self.cols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = _quotient(-mat[r][fc], p)
-            basis.append(tuple(v))
-        return basis
 
     def det(self):
         if not self.is_square():

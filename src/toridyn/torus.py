@@ -38,9 +38,6 @@ class ComplexTorus(Record):
     def rank(self) -> int:
         return 2 * self.n
 
-    def serialize(self):
-        return {"n": self.n, "J": self.j.serialize()}
-
 
 def make_torus(j) -> ComplexTorus:
     """Validated torus from a rational square matrix of even size."""
@@ -57,7 +54,6 @@ def make_torus(j) -> ComplexTorus:
 class Subtorus(Record):
     """Primitive J-invariant sublattice of even rank inside a torus."""
 
-    parent: ComplexTorus
     lattice: Sublattice
 
     @property
@@ -77,7 +73,7 @@ def make_subtorus(torus: ComplexTorus, s) -> Subtorus:
         img = torus.j.apply(lat.basis.column(jcol))
         if not lat.spans_vector(img):
             raise NotSubtorusError("span is not J-invariant; not a subtorus")
-    return Subtorus(torus, lat)
+    return Subtorus(lat)
 
 
 @lru_cache(maxsize=256)
@@ -85,19 +81,18 @@ def _complex_basis(j: RationalMatrix):
     """(idx, d, q): the columns P = (v_1..v_n, Jv_1..Jv_n), v_k = e_idx[k],
     are a Q-basis in which J is [[0, -I], [I, 0]], and q = d * P^-1 is integral.
 
-    span(v, Jv) is J-invariant, so a unit vector outside it adds two
-    dimensions and the greedy choice always completes when J^2 = -I."""
+    idx is read off the pivot columns of one Bareiss pass over the columns
+    (e_0, Je_0, e_1, Je_1, ...).  Each span(v, Jv) is J-invariant when
+    J^2 = -I, so a pivot e_k is followed by the pivot Je_k."""
     size = j.rows
-    units = RationalMatrix.identity(size).columns()
-    idx, frame = [], []
-    for k in range(size):
-        trial = idx + [k]
-        cols = [units[i] for i in trial] + [j.column(i) for i in trial]
-        if RationalMatrix.from_columns(cols).rank() == len(cols):
-            idx, frame = trial, cols
-    if 2 * len(idx) != size:
+    _, jrows = j.scaled_rows()  # J's columns scaled by D: the same pivots
+    pivots = bareiss([[x for k in range(size) for x in (int(i == k), row[k])]
+                      for i, row in enumerate(jrows)])[0]
+    idx = [c // 2 for c in pivots[::2]]
+    if pivots != [c for k in idx for c in (2 * k, 2 * k + 1)]:
         raise InvariantViolation("J admits no basis of the form (v, Jv)")
-    p = RationalMatrix(zip(*frame))
+    p = RationalMatrix([[int(i == k) for k in idx] + [row[k] for k in idx]
+                        for i, row in enumerate(j.entries)])
     d, q = p.inverse().scaled_rows()
     return tuple(idx), d, q
 
@@ -109,7 +104,6 @@ class NeronSeveriSpace(Record):
     rho = n^2.  The slots are the entries X_kl (k < l) and Y_kl (k <= l) of
     P^T E P, and ns_action acts on the unit block forms of the slots."""
 
-    parent: ComplexTorus
     slots: tuple  # (row, column) of each slot in P^T E P
     units: tuple  # per slot, the ((i, j), +-1) entries of its unit block form
     rho: int
@@ -134,7 +128,7 @@ def neron_severi(torus: ComplexTorus) -> NeronSeveriSpace:
     y = {(k, n + l): {(k, n + l): 1, (l, n + k): 1, (n + k, l): -1, (n + l, k): -1}
          for k in range(n) for l in range(k, n)}
     units = tuple(tuple(u.items()) for u in (x | y).values())  # Y_kk has two entries
-    return NeronSeveriSpace(torus, tuple(x | y), units, n * n)
+    return NeronSeveriSpace(tuple(x | y), units, n * n)
 
 
 def ns_vector_to_form(torus: ComplexTorus, omega) -> RationalMatrix:

@@ -27,6 +27,13 @@ def sympy_solve(a, rhs):
     return RationalMatrix([[Fraction(str(v)) for v in row] for row in x.tolist()])
 
 
+def sympy_kernel(a):
+    """Basis of the right kernel of a RationalMatrix, by sympy's nullspace:
+    one vector per free column of the reduced row echelon form, 1 at that
+    column and 0 at the other free ones, as tuples of Fractions."""
+    return [tuple(Fraction(str(x)) for x in v) for v in sympy_matrix(a).nullspace()]
+
+
 def ns_basis_reference(torus):
     """The NS basis in the slot coordinates of neron_severi(torus), built by
     sympy: with P = (e_idx, J e_idx) for idx = _complex_basis(J)[0], column

@@ -17,17 +17,20 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      amplified, canonical_ample_class, chain_violations,
                      charpoly, cm_matrix_endo, cm_power_torus,
                      dynamical_degrees, eigen_data, exterior_power,
-                     finite_order, full_report, is_ample, iterate, make_endo,
-                     make_torus, neron_severi, ns_action, ns_charpoly,
-                     order_by_name, polarization_q_candidate, polarized,
-                     random_endo, serre_test, unit_circle_root_count,
-                     unity_free, verify_chain, verify_iterates)
+                     finite_order, fixed_subtorus, full_report, is_ample,
+                     iterate, make_endo, make_subtorus, make_torus,
+                     neron_severi, ns_action, ns_charpoly, order_by_name,
+                     periodic_count, polarization_q_candidate, polarized,
+                     random_endo, serre_test, subtorus_orbit,
+                     unit_circle_root_count, unity_free, verify_chain,
+                     verify_iterates)
 from toridyn import classify
 from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
                               _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
 
-from conftest import ORDER_UNITS, block_unit_endo, ns_basis_reference, sympy_solve
+from conftest import (ORDER_UNITS, block_unit_endo, ns_basis_reference, sympy_kernel,
+                      sympy_solve)
 
 
 def ns_eigenvalue_multiset(f):
@@ -56,6 +59,19 @@ def test_ns_action_multiplication_scalar(e_torus):
 def test_ns_action_requires_surjective(e_torus):
     with pytest.raises(NotSurjectiveError):
         ns_action(make_endo(e_torus, [[0, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("call", [
+    finite_order, dynamical_degrees, amplified, polarized, full_report,
+    fixed_subtorus, lambda f: verify_iterates(f, 2), lambda f: periodic_count(f, 2),
+    lambda f: subtorus_orbit(f, make_subtorus(f.torus, [[1, 0], [0, 1], [0, 0], [0, 0]])),
+], ids=["finite_order", "dynamical_degrees", "amplified", "polarized", "full_report",
+        "fixed_subtorus", "verify_iterates", "periodic_count", "subtorus_orbit"])
+def test_singular_map_is_refused(ee_torus, call):
+    # E x E with M = diag(2, 0) over Z[i]: det M = 0
+    f = make_endo(ee_torus, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(NotSurjectiveError):
+        call(f)
 
 
 @given(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("gaussian", 3),
@@ -441,7 +457,7 @@ def projection_witness_reference(f):
     q = polarization_q_candidate(f)
     ns = neron_severi(f.torus)
     shifted = ns_action(f) - RationalMatrix.identity(ns.rho) * q
-    eigen = shifted.kernel_basis()
+    eigen = sympy_kernel(shifted)
     if not eigen:
         return None
     kernel = RationalMatrix.from_columns(eigen)

@@ -69,6 +69,34 @@ def test_json_output_byte_stable(capsys):
     assert a == b
 
 
+# digest of the exit code and stdout of `classify` then `degrees`, each at
+# the default precision then at 1e-30, in json then text, per named
+# example; recorded when f^k was built by squaring the pair (M, tau), fixed
+# subtori came from a Bareiss kernel and J's frame from a greedy rank test
+PINNED_REPORTS = {
+    "e4_auto": "56323a09106a2cba46f1c1b6040bf435881fd4c3a36fb1ab7c9795a2c6d54c90",
+    "gtz_diag": "d41971ac9bf1f94c82e8bd902b7dd777c65e02772cdef4140c3441a1651fb0ad",
+    "mult_2_1": "68fce97aa9d3adac33ed183f0468db5a923cf27137bf405f4ae73a1430cecf5a",
+    "mult_2_3": "f868a255045504d1845bd18601795401aec82ce2173c32fef5ca226f0e827b64",
+    "mult_by_i": "2b38fb04ee88e7d2c935b6ab1a270e9a0c829f79147b8c7538dd7477ec4069e8",
+    "salem_surface": "53122f438e5456417b770ef7d810e1a987e77ccd2baf8969794d31b92857866d",
+    "shear": "8e2c64d66288bc9b8ca66ad1606167a7f957092d9935a6405a539b5526fdc484",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_classify_and_degrees_bytes_are_pinned(capsys, name):
+    assert sorted(PINNED_REPORTS) == sorted(named_examples())
+    digest = hashlib.sha256()
+    for command in ("classify", "degrees"):
+        for precision in ((), ("--precision", "1e-30")):
+            for fmt in ("json", "text"):
+                code, out, _ = run(capsys, command, "--example", name,
+                                   "--format", fmt, *precision)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == PINNED_REPORTS[name]
+
+
 # -- degrees
 
 def test_degrees_json(capsys):
@@ -824,6 +852,72 @@ def test_number_within_the_digit_limit_is_parsed(capsys, tmp_path):
     assert endo.m[0, 0] == 10**4200
     args = parse_args(["degrees", "--example", "gtz_diag", "--precision", "1e-4200"])
     assert args.precision == Fraction(1, 10**4200)
+
+
+@pytest.mark.parametrize("argv", [("classify",), ("degrees",),
+                                  ("orbit", "--sublattice", "first")])
+def test_singular_map_is_a_domain_error(capsys, tmp_path, argv):
+    # E x E with M = diag(2, 0) over Z[i]
+    doc = {"torus": {"J": J4},
+           "endomorphism": {"M": _diagonal(2, 2, 0, 0)},
+           "sublattices": {"first": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}}
+    code, out, err = run(capsys, argv[0], write_scenario(tmp_path, doc), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error[domain]: ") and err.count("\n") == 1
+
+
+def test_refinement_reaches_every_accepted_precision(capsys):
+    # 1e-4200 asks for a grid of 13,961 bits, which a cap of 16,600 bits
+    # would leave no room to double
+    code, out, _ = run(capsys, "degrees", "--example", "e4_auto", "--format", "json",
+                       "--precision", "1e-4200")
+    doc = json.loads(out)
+    assert code == 0 and doc["precision"] == "1/1" + "0" * 4200
+    assert len(doc["dynamical_degrees"]) == 5  # lambda_0..lambda_4 on a 4-fold
+
+
+def test_refinement_cap_is_a_resource_error(capsys, tmp_path, monkeypatch):
+    # E x E with M = [[0, b], [c, 0]] over Z[i], bc = B^2 + B + 1 + i: the H^1
+    # roots +-sqrt(bc), +-sqrt(conj(bc)) pair up about 1/B apart, so their
+    # disks part only on a grid finer than 2^-133
+    big, g = 10**40, gaussian_order()
+    f = cm_matrix_endo(cm_power_torus(g, 2), g,
+                       [[(0, 0), (big, 1)], [(big + 1, -1), (0, 0)]])
+    doc = {"torus": {"J": [[str(x) for x in row] for row in f.torus.j.entries]},
+           "endomorphism": {"M": [[str(x) for x in row] for row in f.m.entries]}}
+    path = write_scenario(tmp_path, doc)
+    with monkeypatch.context() as patch:  # the cap is twice the starting 53 bits
+        patch.setattr("toridyn.exactnum.MAX_REFINEMENT_BITS", 0)
+        code, out, err = run(capsys, "degrees", path)
+    assert (code, out) == (4, "")
+    assert err.startswith("error[resource]: root magnitude refinement") and err.count("\n") == 1
+    assert run(capsys, "degrees", path)[0] == 0
+
+
+def _raw_scenario(tmp_path, m, tau="[0, 0]"):
+    """A scenario file on E whose M and tau are written as raw JSON text."""
+    path = tmp_path / "raw.json"
+    path.write_text('{"torus": {"J": [[0, -1], [1, 0]]}, '
+                    f'"endomorphism": {{"M": {m}, "tau": {tau}}}}}')
+    return str(path)
+
+
+def test_json_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    # json.load would build the int itself, and int() refuses 5,000 digits
+    path = _raw_scenario(tmp_path, f"[[1{'0' * 5000}, 0], [0, 2]]")
+    code, out, err = run(capsys, "fixed-points", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[parse]: endomorphism.M[0][0]") and err.count("\n") == 1
+
+
+def test_json_numbers_are_read_exactly(capsys, tmp_path):
+    # as floats, 2.5e400 is inf and 0.33333333333333333333 is 0.3333333333333333
+    endo, _ = load_scenario_file(_raw_scenario(tmp_path, "[[2.5e400, 0], [0, 2.5e400]]"))
+    assert endo.m[0, 0] == endo.m[1, 1] == 25 * 10**399
+    path = _raw_scenario(tmp_path, "[[2, 0], [0, 2]]", "[0.33333333333333333333, 0]")
+    code, out, _ = run(capsys, "fixed-points", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["points"] == [["66666666666666666667/100000000000000000000", "0"]]
 
 
 @pytest.mark.parametrize("value", ["1e-10000000", "1e-5000", "1e5000"])

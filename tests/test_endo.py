@@ -18,7 +18,7 @@ from toridyn import (DomainError, InvarianceViolation, InvariantViolation,
                      make_subtorus, minimal_unity_iterate, unity_free)
 from toridyn.scenarios import get_example
 
-from conftest import frac_matrix, lattice_contains, sympy_matrix
+from conftest import frac_matrix, lattice_contains, sympy_kernel, sympy_matrix
 
 
 def block_diag(a, b):
@@ -250,7 +250,7 @@ def _commutant(j):
             rows.append([(j[k, c] if p == r else 0) - (j[r, p] if k == c else 0)
                          for p in range(d) for k in range(d)])
     out = []
-    for v in RationalMatrix(rows).kernel_basis():
+    for v in sympy_kernel(RationalMatrix(rows)):
         s = lcm(*(Fraction(x).denominator for x in v))
         out.append([int(x * s) for x in v])
     return out
