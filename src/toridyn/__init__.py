@@ -25,7 +25,7 @@ from .classify import (AmplifiedVerdict, ClassificationReport, DegreeData,
                        dynamical_degrees, finite_order, full_report,
                        h1_magnitudes, ns_action, ns_charpoly,
                        polarization_q_candidate, polarized, serre_test,
-                       verify_chain, verify_iterates)
+                       verify_iterates)
 from .scenarios import (CMOrder, Scenario, cm_matrix_endo, cm_power_torus,
                         eisenstein_order, elliptic_curve, gaussian_order,
                         get_example, order_by_name, named_examples, product,

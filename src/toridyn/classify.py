@@ -16,12 +16,12 @@ from math import floor, inf, isqrt, lcm, nextafter
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError
-from .exactnum import (DEFAULT_PRECISION, IntPolynomial, polynomial_class,
-                       root_magnitudes, unit_circle_root_count)
+from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _from_power_sums,
+                       _power_sums, polynomial_class, root_magnitudes,
+                       unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks,
-                   _from_power_sums, _power_sums, eigen_data, iterate,
-                   minimal_unity_iterate, unity_free)
+from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks, eigen_data,
+                   iterate, minimal_unity_iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -83,7 +83,7 @@ def finite_order(f: TorusEndomorphism):
         raise NotSurjectiveError("order requires det M != 0")
     if 2 * eigen_data(f).u_count != f.torus.rank:
         return None
-    k = minimal_unity_iterate(f) or 1  # None on the rank-0 torus
+    k = minimal_unity_iterate(f)
     g = iterate(f, k)
     if g.m != RationalMatrix.identity(f.torus.rank):
         return None
@@ -186,9 +186,8 @@ def dynamical_degrees(f: TorusEndomorphism,
     equal = tuple(j for j in range(n)
                   if count_gt1 <= 2 * j and 2 * j + 2 <= count_gt1 + count_one)
     # topological entropy is log max_j lambda_j (Gromov; Yomdin)
-    entropy = ((_log_enclosure(max(lo for lo, _ in intervals))[0],
-                _log_enclosure(max(hi for _, hi in intervals))[1])
-               if n >= 1 else (0.0, 0.0))
+    entropy = (_log_enclosure(max(lo for lo, _ in intervals))[0],
+               _log_enclosure(max(hi for _, hi in intervals))[1])
     return DegreeData(tuple(intervals), equal, equal, entropy, Fraction(precision))
 
 
@@ -232,12 +231,6 @@ def serre_test(f: TorusEndomorphism, q: int,
 # Amplified
 
 
-def _positive_primitive(vec) -> tuple:
-    """The primitive integer vector on the ray of vec (no sign change)."""
-    prim = _primitive_integer_vector(vec)
-    return prim if next(x for x in vec if x) > 0 else tuple(-x for x in prim)
-
-
 def _hyperbolic_witness(f: TorusEndomorphism) -> tuple:
     """A primitive integer NS vector of an ample class f^*w - w, for M with
     no eigenvalue of modulus 1.  With L the canonical ample class (form E)
@@ -255,12 +248,12 @@ def _hyperbolic_witness(f: TorusEndomorphism) -> tuple:
         form = ((fwd.transpose() * e * fwd - e * 2) * scale
                 + adj.transpose() * e * adj)
         if _is_positive_definite(jt * form):
-            return _positive_primitive(form_to_ns_vector(torus, form))
+            return _primitive_integer_vector(form_to_ns_vector(torus, form))
         fwd, adj, scale = fwd * fwd, adj * adj, scale * scale
 
 
 class AmplifiedVerdict(Record):
-    verdict: str  # yes / no; inconclusive only on the 0-dimensional torus
+    verdict: str  # yes / no
     path: str
     witness: tuple | None = None
 
@@ -274,8 +267,6 @@ def amplified(f: TorusEndomorphism) -> AmplifiedVerdict:
     _hyperbolic_witness."""
     if not f.surjective:
         raise NotSurjectiveError("amplified requires det M != 0")
-    if f.torus.n == 0:  # every torus of positive dimension carries an ample class
-        return AmplifiedVerdict("inconclusive", "not-verified-projective")
     if ns_charpoly(f)(1) != 0:
         return AmplifiedVerdict("yes", "ns-no-unit-eigenvalue")
     free, _ = unity_free(f)
@@ -353,7 +344,7 @@ def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
     if not _is_positive_definite(torus.j.transpose() * form):
         return PolarizedVerdict("no", q=q, reason="the q-part of L_can is not ample")
     return PolarizedVerdict("yes", q=q,
-                            witness=_positive_primitive(form_to_ns_vector(torus, form)))
+                            witness=_primitive_integer_vector(form_to_ns_vector(torus, form)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +416,6 @@ def _decimal(v: Fraction, places: int) -> str:
 
 def full_report(f: TorusEndomorphism,
                 precision: Fraction = DEFAULT_PRECISION) -> ClassificationReport:
-    if f.torus.n == 0:
-        raise DomainError("classification needs a torus of positive dimension")
     if not f.surjective:
         raise NotSurjectiveError("classification requires a surjective endomorphism")
     data = eigen_data(f)
@@ -464,7 +453,7 @@ def full_report(f: TorusEndomorphism,
         h1_charpoly=data.h1_charpoly,
         notes=tuple(notes),
     )
-    for violation in verify_chain(f, report):
+    for violation in chain_violations(pol.verdict, amp.verdict, free, order):
         raise DomainError(f"implication chain violated: {violation}")  # pragma: no cover
     return report
 
@@ -476,7 +465,7 @@ def full_report(f: TorusEndomorphism,
 def chain_violations(polarized: str, amplified: str, unity_free: bool,
                      finite_order: int | None):
     """polarized => amplified => unity-free => infinite order, on verdicts
-    as a report holds them; inconclusive never counts as a violation."""
+    as a report holds them."""
     out = []
     if polarized == "yes" and amplified == "no":
         out.append("polarized but not amplified")
@@ -485,13 +474,6 @@ def chain_violations(polarized: str, amplified: str, unity_free: bool,
     if unity_free and finite_order is not None:
         out.append("unity-free but finite order")
     return out
-
-
-def verify_chain(f: TorusEndomorphism, report: ClassificationReport | None = None):
-    if report is None:
-        report = full_report(f)
-    return chain_violations(report.polarized, report.amplified,
-                            report.unity_free, report.finite_order)
 
 
 def verify_iterates(f: TorusEndomorphism, kmax: int):

@@ -23,8 +23,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import (DomainError, InvariantViolation, ParseError,
-                     ResourceError, ToridynError)
+from .errors import DomainError, InvariantViolation, ParseError, ResourceError
 from .exactnum import DEFAULT_PRECISION
 from .matlin import RationalMatrix
 from .torus import make_torus, make_subtorus
@@ -133,8 +132,6 @@ def resolve_scenario(args):
 
 
 def _named_subtorus(endo, sublattices, name):
-    if name is None:
-        raise DomainError("this subcommand requires --sublattice NAME")
     if name not in sublattices:
         raise DomainError(
             f"unknown sublattice {name!r}; known: {', '.join(sorted(sublattices)) or 'none'}")
@@ -381,9 +378,9 @@ COMMANDS = {
         **_SCENARIO, "level": (_positive_int, _REQUIRED),
         "budget": (_positive_int, DEFAULT_NODE_BUDGET)}),
     "quotient": ("eigenvalue split along a subtorus", True, {
-        **_SCENARIO, "sublattice": (str, None)}),
+        **_SCENARIO, "sublattice": (str, _REQUIRED)}),
     "orbit": ("orbit of a subtorus", True, {
-        **_SCENARIO, "sublattice": (str, None),
+        **_SCENARIO, "sublattice": (str, _REQUIRED),
         "budget": (_positive_int, DEFAULT_ORBIT_BOUND)}),
     "sweep": ("random verification sweep", False, {
         **_FORMAT, "count": (_positive_int, 100), "dim": (_positive_int, 2),
@@ -524,9 +521,6 @@ def main(argv=None):
         return EXIT_VIOLATION
     except DomainError as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ToridynError as exc:  # pragma: no cover - residual mapping
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # a bug, not a property of the input
         detail = " ".join(str(exc).split())

@@ -70,16 +70,12 @@ class FixedPointSet(Record):
         """The rows with each numerator k read as convert(k / denominator),
         converted once per distinct numerator and mapped column by column;
         an iterable of tuples."""
-        if not self.columns:
-            return self.rows  # no rows, or the one empty row of rank 0
         values = {k: convert(Fraction(k, self.denominator)) for k in set().union(*self.columns)}
         return zip(*(map(values.__getitem__, column) for column in self.columns))
 
     @cached_property
     def rows(self) -> tuple:
-        if self.kind == "empty":
-            return ()
-        return tuple(zip(*self.columns)) or ((),)  # the rank-0 torus has one point
+        return tuple(zip(*self.columns))
 
     @cached_property
     def points(self) -> tuple:
@@ -91,7 +87,7 @@ class FixedPointSet(Record):
 
     def count(self):
         if self.kind == "finite":
-            return len(self.columns[0]) if self.columns else 1
+            return len(self.columns[0])
         if self.kind == "empty":
             return 0
         return None  # infinite

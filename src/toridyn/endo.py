@@ -2,7 +2,10 @@
 
 Validation, iteration, analytic eigenvalue data over the Gaussian
 integers, the exact unity-free test, fixed subtori, and eigenvalue
-multiset splitting along invariant subtori.
+multiset splitting along invariant subtori.  Every charpoly here (H^1 and
+the analytic Gamma, of f and of f^k) comes from power sums by exactnum's
+Newton routine: of M and of A + iB through matlin.trace_powers, and of
+f^k from every k-th power sum of f's.
 
 Convention: the analytic eigenvalue multiset is attached to the +i
 eigenspace of J.  Conjugating the convention conjugates the multiset; all
@@ -18,9 +21,10 @@ from math import lcm
 from ._record import Record
 from .errors import (DomainError, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
-from .exactnum import IntPolynomial, cyclotomic_root_count
-from .matlin import (RationalMatrix, _quotient, charpoly, int_charpoly,
-                     matmul, restrict_and_quotient, smith_form)
+from .exactnum import (IntPolynomial, _from_power_sums, _root_power_poly,
+                       cyclotomic_root_count, gauss_poly_conj, gauss_poly_mul)
+from .matlin import (RationalMatrix, _quotient, charpoly, matmul,
+                     restrict_and_quotient, smith_form, trace_powers)
 from .torus import ComplexTorus, Subtorus, _complex_basis, make_subtorus
 
 
@@ -93,21 +97,6 @@ def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
 # Analytic representation
 
 
-def gauss_poly_mul(p, q):
-    """Product of polynomials with ascending Gaussian-integer (re, im)
-    coefficients."""
-    out = [[0, 0] for _ in range(len(p) + len(q) - 1)]
-    for i, (a, b) in enumerate(p):
-        for j, (c, d) in enumerate(q):
-            out[i + j][0] += a * c - b * d
-            out[i + j][1] += a * d + b * c
-    return tuple(map(tuple, out))
-
-
-def gauss_poly_conj(p):
-    return tuple((re, -im) for re, im in p)
-
-
 def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
     """(s, sA, sB), integer rows with P^-1 M P = [[A, -B], [B, A]] in the
     frame P = (V, JV) of _complex_basis, for M commuting with J.  With
@@ -121,19 +110,11 @@ def _frame_blocks(m: RationalMatrix, j: RationalMatrix):
 
 def analytic_charpoly(m: RationalMatrix, j: RationalMatrix):
     """Gamma, the charpoly of the analytic representation N = A + iB, as
-    ascending Gaussian-integer (re, im) pairs.  The roots of Gamma are
-    eigenvalues of the integral M, so algebraic integers, and Gamma is monic
-    over Z[i]; its coefficient at x^k is that of the charpoly of sN over
-    s^(n-k), an exact division."""
+    ascending Gaussian-integer (re, im) pairs, from the power sums of its
+    eigenvalues.  These are eigenvalues of the integral M, so algebraic
+    integers, and Gamma is monic over Z[i]."""
     s, a, b = _frame_blocks(m, j)
-    coeffs = int_charpoly(a, b)
-    n, out = len(coeffs) - 1, []
-    for k, (re, im) in enumerate(coeffs):
-        scale = s ** (n - k)
-        if re % scale or im % scale:
-            raise InvariantViolation("analytic charpoly is not over Z[i]")
-        out.append((re // scale, im // scale))
-    return tuple(out)
+    return tuple(_from_power_sums(trace_powers(a, b, s)))
 
 
 class EigenData(Record):
@@ -145,53 +126,6 @@ class EigenData(Record):
     u_count: int
     cyclotomic_factors: tuple  # ((n, multiplicity) in h1_charpoly, ...)
     analytic: tuple
-
-
-def _power_sums(coeffs, count: int):
-    """Power sums p_0..p_count, as (re, im) pairs, of the roots of the monic
-    polynomial with ascending Gaussian-integer coefficients `coeffs`, by
-    Newton's identities p_m = -(m c_m + sum_(0<i<m) c_i p_(m-i)) for
-    x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0 past n."""
-    n = len(coeffs) - 1
-    c = coeffs[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
-    p = [(n, 0)]
-    for m in range(1, count + 1):
-        re, im = c[m] if m <= n else (0, 0)
-        re, im = m * re, m * im
-        for i in range(1, min(m, n + 1)):
-            a, b = c[i]
-            x, y = p[m - i]
-            re += a * x - b * y
-            im += a * y + b * x
-        p.append((-re, -im))
-    return p
-
-
-def _from_power_sums(p):
-    """Ascending (re, im) coefficients of the monic polynomial of degree
-    len(p) - 1 whose roots have the power sums p_1, p_2, ... over Z[i]
-    (p_0 is not read): b_j = -(p_j + sum_(0<i<j) b_i p_(j-i)) / j for
-    x^n + b_1 x^(n-1) + ...  The roots are algebraic integers, so every
-    division is exact."""
-    out = [(1, 0)]
-    for j in range(1, len(p)):
-        re, im = p[j]
-        for i in range(1, j):
-            a, b = out[i]
-            x, y = p[j - i]
-            re += a * x - b * y
-            im += a * y + b * x
-        if re % j or im % j:
-            raise InvariantViolation("power-sum division is not exact")
-        out.append((-re // j, -im // j))
-    return out[::-1]
-
-
-def _root_power_poly(coeffs, k: int):
-    """Ascending (re, im) coefficients of the monic polynomial whose roots
-    are the k-th powers of the roots of the monic polynomial `coeffs` over
-    Z[i]: its power sums are p_k, p_2k, ... of the roots of `coeffs`."""
-    return _from_power_sums(_power_sums(coeffs, (len(coeffs) - 1) * k)[::k])
 
 
 def _cached_on_k(fn):
@@ -224,7 +158,7 @@ def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
         gamma = tuple(_root_power_poly(base.analytic, k))
     if gauss_poly_mul(gamma, gauss_poly_conj(gamma)) != tuple((c, 0) for c in h1.coeffs):
         raise InvariantViolation("h1 charpoly is not analytic x conjugate")
-    count, factors = cyclotomic_root_count(h1) if h1.degree > 0 else (0, [])
+    count, factors = cyclotomic_root_count(h1)
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
     return EigenData(h1, count // 2, tuple(factors), gamma)

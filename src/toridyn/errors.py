@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: ParseError -> 2, DomainError (and
-subclasses) -> 3, ResourceError -> 4, any other exception -> 5.
+Exit-code mapping used by the CLI: InvariantViolation -> 1, ParseError
+-> 2, DomainError (and subclasses) -> 3, ResourceError -> 4, any other
+exception -> 5.
 """
 
 

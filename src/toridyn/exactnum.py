@@ -1,16 +1,19 @@
 """Exact scalars and univariate polynomials.
 
-Integer polynomials with exact arithmetic, cyclotomic factor extraction,
-Kronecker/Salem classification, and certified rational enclosures of root
-magnitudes.  Root-of-unity and unit-circle detection never consult
-floating point; real roots are counted by integer Sturm sequences.  For
-magnitudes, floats only propose roots, which Weierstrass steps on
-Gaussian-integer centres refine; each proposal set is certified in exact
-Gaussian-integer arithmetic by pairwise-disjoint inclusion disks
-(Braess-Hadeler 1973; Carstensen 1991), each holding exactly one root.  A
-rational |root| of an integer polynomial is k/|a_d| for an integer k; an
-interval becomes the exact point k/|a_d| only when the intervals holding
-that point number exactly the roots of that modulus, counted exactly.
+Integer polynomials with exact arithmetic, polynomials over the Gaussian
+integers with Newton's identities between their coefficients and the
+power sums of their roots (the one route to every characteristic
+polynomial), cyclotomic factor extraction, Kronecker/Salem
+classification, and certified rational enclosures of root magnitudes.
+Root-of-unity and unit-circle detection never consult floating point;
+real roots are counted by integer Sturm sequences.  For magnitudes,
+floats only propose roots, which Weierstrass steps on Gaussian-integer
+centres refine; each proposal set is certified in exact Gaussian-integer
+arithmetic by pairwise-disjoint inclusion disks (Braess-Hadeler 1973;
+Carstensen 1991), each holding exactly one root.  A rational |root| of an
+integer polynomial is k/|a_d| for an integer k; an interval becomes the
+exact point k/|a_d| only when the intervals holding that point number
+exactly the roots of that modulus, counted exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from math import isqrt
 
 from ._record import Record
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InvariantViolation, ResourceError
 
 #: Default certification width for root magnitudes.
 DEFAULT_PRECISION = Fraction(1, 10**9)
@@ -197,6 +200,72 @@ def _squarefree_decomposition(p: IntPolynomial):
         b = b2
         i += 1
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over the Gaussian integers, as ascending (re, im) pairs
+
+
+def gauss_poly_mul(p, q):
+    """Product of polynomials with ascending Gaussian-integer (re, im)
+    coefficients."""
+    out = [[0, 0] for _ in range(len(p) + len(q) - 1)]
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            out[i + j][0] += a * c - b * d
+            out[i + j][1] += a * d + b * c
+    return tuple(map(tuple, out))
+
+
+def gauss_poly_conj(p):
+    return tuple((re, -im) for re, im in p)
+
+
+def _power_sums(coeffs, count: int):
+    """Power sums p_0..p_count, as (re, im) pairs, of the roots of the monic
+    polynomial with ascending Gaussian-integer coefficients `coeffs`, by
+    Newton's identities p_m = -(m c_m + sum_(0<i<m) c_i p_(m-i)) for
+    x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0 past n."""
+    n = len(coeffs) - 1
+    c = coeffs[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
+    p = [(n, 0)]
+    for m in range(1, count + 1):
+        re, im = c[m] if m <= n else (0, 0)
+        re, im = m * re, m * im
+        for i in range(1, min(m, n + 1)):
+            a, b = c[i]
+            x, y = p[m - i]
+            re += a * x - b * y
+            im += a * y + b * x
+        p.append((-re, -im))
+    return p
+
+
+def _from_power_sums(p):
+    """Ascending (re, im) coefficients of the monic polynomial of degree
+    len(p) - 1 whose roots have the power sums p_1, p_2, ... over Z[i]
+    (p_0 is not read): b_j = -(p_j + sum_(0<i<j) b_i p_(j-i)) / j for
+    x^n + b_1 x^(n-1) + ...  The roots are algebraic integers, so every
+    division is exact."""
+    out = [(1, 0)]
+    for j in range(1, len(p)):
+        re, im = p[j]
+        for i in range(1, j):
+            a, b = out[i]
+            x, y = p[j - i]
+            re += a * x - b * y
+            im += a * y + b * x
+        if re % j or im % j:
+            raise InvariantViolation("power-sum division is not exact")
+        out.append((-re // j, -im // j))
+    return out[::-1]
+
+
+def _root_power_poly(coeffs, k: int):
+    """Ascending (re, im) coefficients of the monic polynomial whose roots
+    are the k-th powers of the roots of the monic polynomial `coeffs` over
+    Z[i]: its power sums are p_k, p_2k, ... of the roots of `coeffs`."""
+    return _from_power_sums(_power_sums(coeffs, (len(coeffs) - 1) * k)[::k])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ entries wherever the value is integral and a `Fraction` only where it is
 not, and every true division goes through `Fraction`.  Elimination
 (determinants, inverses, pivot columns, the positive-definite test) is one
 fraction-free routine (Bareiss 1968) on the integer matrix D*A, D the lcm
-of the denominators; the characteristic polynomial is Faddeev-LeVerrier
-with exact integer division on D*A.  An integer kernel is read off the
+of the denominators.  A characteristic polynomial is read off the power
+sums tr(A^m) of its roots, by the Newton routine of exactnum, for integer
+and for Gaussian-integer matrices alike.  An integer kernel is read off the
 Smith transform V, whose columns at the zero invariant factors are a
 primitive basis of it.  A sublattice keeps the Smith transform of its
 generators and its inverse, so span membership, restriction and quotient
@@ -25,8 +26,8 @@ from math import lcm
 from operator import mul
 
 from ._record import Record
-from .errors import DomainError, InvarianceViolation
-from .exactnum import IntPolynomial
+from .errors import DomainError, InvarianceViolation, InvariantViolation
+from .exactnum import IntPolynomial, _from_power_sums
 
 # ---------------------------------------------------------------------------
 # Integer arithmetic
@@ -100,32 +101,29 @@ def bareiss(mat, jordan=False, definite=False):
     return pivots, prev, swaps
 
 
-def int_charpoly(a, b=None):
-    """Ascending coefficients of det(xI - (A + iB)) for integer matrices A
-    and B given as row lists, by Faddeev-LeVerrier: every division by k is
-    exact because the coefficients are (Gaussian) integers.  Returns ints
-    when B is None, else (re, im) pairs."""
+def trace_powers(a, b=None, s=1):
+    """Power sums p_0..p_n, as (re, im) pairs, of the eigenvalues of
+    (A + iB) / s for n x n integer matrices A and B given as row lists
+    (B None for zero): p_m = tr((A + iB)^m) / s^m.  The eigenvalues are
+    taken to be algebraic integers, so every p_m lies in Z[i]; a division
+    that is not exact raises InvariantViolation."""
     n = len(a)
-    # M_0 = I; M_k = (A + iB) M_(k-1) + c_(n-k) I, with m_im None while zero
-    m_re, m_im = [[int(i == j) for j in range(n)] for i in range(n)], None
-    coeffs = [(0, 0)] * n + [(1, 0)]
-    for k in range(1, n + 1):
-        am_re = matmul(a, m_re)
-        am_im = None if b is None else matmul(b, m_re)
-        if m_im is not None:
-            am_re = [[x - y for x, y in zip(r, s)] for r, s in zip(am_re, matmul(b, m_im))]
-            am_im = [[x + y for x, y in zip(r, s)] for r, s in zip(am_im, matmul(a, m_im))]
-        c_re = -sum(am_re[i][i] for i in range(n)) // k
-        c_im = 0 if am_im is None else -sum(am_im[i][i] for i in range(n)) // k
-        coeffs[n - k] = (c_re, c_im)
-        for i in range(n):
-            am_re[i][i] += c_re
-            if am_im is not None:
-                am_im[i][i] += c_im
-        m_re, m_im = am_re, am_im
-    if b is None:
-        return [c for c, _ in coeffs]
-    return coeffs
+    sums, re, im = [(n, 0)], a, b
+    for m in range(1, n + 1):
+        if m > 1 and b is None:
+            re = matmul(re, a)
+        elif m > 1:  # (re + i im)(A + iB)
+            re, im = ([[x - y for x, y in zip(r, t)]
+                       for r, t in zip(matmul(re, a), matmul(im, b))],
+                      [[x + y for x, y in zip(r, t)]
+                       for r, t in zip(matmul(re, b), matmul(im, a))])
+        t_re = sum(re[i][i] for i in range(n))
+        t_im = 0 if b is None else sum(im[i][i] for i in range(n))
+        scale = s ** m
+        if t_re % scale or t_im % scale:
+            raise InvariantViolation("analytic charpoly is not over Z[i]")
+        sums.append((t_re // scale, t_im // scale))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +303,13 @@ class RationalMatrix:
             raise DomainError("matrix is not integral")
         return [list(row) for row in self.entries]
 
-    def serialize(self):
-        """Row-major rational strings 'p/q'."""
-        return [str(e) for row in self.entries for e in row]
 
-
-def charpoly(a: RationalMatrix):
-    """Exact characteristic polynomial det(xI - A): integer Faddeev-LeVerrier
-    on D*A, whose k-th coefficient is D^(n-k) times that of A.
-
-    Returns an IntPolynomial when A is integral, else the ascending tuple
-    of Fraction coefficients."""
+def charpoly(a: RationalMatrix) -> IntPolynomial:
+    """det(xI - A) for an integral A, from the power sums of its
+    eigenvalues by Newton's identities."""
     if not a.is_square():
         raise DomainError("characteristic polynomial requires a square matrix")
-    d, mat = a.scaled_rows()
-    coeffs = int_charpoly(mat)
-    if d == 1:
-        return IntPolynomial(coeffs)
-    n = a.rows
-    return tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs))
+    return IntPolynomial(re for re, _ in _from_power_sums(trace_powers(a.to_integer())))
 
 
 def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:

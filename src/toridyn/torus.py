@@ -40,13 +40,14 @@ class ComplexTorus(Record):
 
 
 def make_torus(j) -> ComplexTorus:
-    """Validated torus from a rational square matrix of even size."""
+    """Validated torus from a rational square matrix of even, positive
+    size."""
     mat = j if isinstance(j, RationalMatrix) else RationalMatrix(j)
     if not mat.is_square():
         raise DomainError("complex structure must be square")
-    if mat.rows % 2 != 0:
-        raise DomainError("complex structure must have even size")
-    if mat.rows and mat * mat != -RationalMatrix.identity(mat.rows):
+    if mat.rows % 2 != 0 or mat.rows == 0:
+        raise DomainError("complex structure must have even size and positive dimension")
+    if mat * mat != -RationalMatrix.identity(mat.rows):
         raise ComplexStructureError("J^2 != -I")
     return ComplexTorus(mat.rows // 2, mat)
 
@@ -110,12 +111,12 @@ class NeronSeveriSpace(Record):
 
 
 def _primitive_integer_vector(vec):
+    """The primitive integer vector on the ray of the nonzero rational vec."""
     fracs = [Fraction(x) for x in vec]
     scale = lcm(*(x.denominator for x in fracs))
     ints = [x.numerator * (scale // x.denominator) for x in fracs]
-    g = gcd(*ints) or 1
-    sign = -1 if next((x for x in ints if x != 0), 1) < 0 else 1
-    return tuple(x // (g * sign) for x in ints)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 @lru_cache(maxsize=256)
@@ -175,15 +176,11 @@ def canonical_ample_class(torus: ComplexTorus):
     """A deterministic ample class, available for every rational-J torus:
     average the standard inner product over J to get a J-invariant positive
     form P, then E(x, y) = -P(Jx, y) is alternating, J-invariant, and has
-    S = E(J., .) positive definite.  Returned as a primitive integer NS
+    S = E(J., .) = P positive definite.  Returned as a primitive integer NS
     vector."""
-    if torus.n == 0:
-        raise DomainError("degenerate torus has no ample class")
     p = RationalMatrix.identity(torus.rank) + torus.j.transpose() * torus.j
     e = -(torus.j.transpose() * p)
     vec = _primitive_integer_vector(form_to_ns_vector(torus, e))
-    if not is_ample(torus, vec):
-        vec = tuple(-x for x in vec)
     if not is_ample(torus, vec):
         raise DomainError("canonical ample construction failed")  # pragma: no cover
     return vec

@@ -40,8 +40,6 @@ def ns_basis_reference(torus):
     c is the wedge vector (lexicographic e_i ^ e_j, i < j) of P^-T B_c P^-1,
     B_c the unit block form of slot c."""
     ns, size = neron_severi(torus), torus.rank
-    if not ns.units:
-        return RationalMatrix([])
     idx = _complex_basis(torus.j)[0]
     j = sympy_matrix(torus.j)
     p_inv = sympy.Matrix.hstack(*(sympy.eye(size)[:, i] for i in idx),

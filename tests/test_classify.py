@@ -22,8 +22,7 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      neron_severi, ns_action, ns_charpoly, order_by_name,
                      periodic_count, polarization_q_candidate, polarized,
                      random_endo, serre_test, subtorus_orbit,
-                     unit_circle_root_count, unity_free, verify_chain,
-                     verify_iterates)
+                     unit_circle_root_count, unity_free, verify_iterates)
 from toridyn import classify
 from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
                               _log_enclosure)
@@ -118,10 +117,6 @@ def test_finite_order_with_torsion_translation(e_torus):
 
 def test_finite_order_none_for_expanding(e_torus):
     assert finite_order(make_endo(e_torus, [[2, 0], [0, 2]])) is None
-
-
-def test_finite_order_of_the_zero_dimensional_torus():
-    assert finite_order(make_endo(make_torus([]), [])) == 1
 
 
 def test_finite_order_unipotent_rejected():
@@ -557,7 +552,8 @@ def test_report_to_text_smoke():
 
 def test_verify_chain_examples():
     for name in ("mult_2_1", "mult_2_3", "gtz_diag", "salem_surface", "mult_by_i"):
-        assert verify_chain(get_example(name).endo) == []
+        r = full_report(get_example(name).endo)
+        assert chain_violations(r.polarized, r.amplified, r.unity_free, r.finite_order) == []
 
 
 def test_verify_iterates_polarized_powers():

@@ -13,8 +13,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from toridyn import fixed_points, full_report, iterate
+from toridyn import InvariantViolation, fixed_points, full_report, iterate
 from toridyn.cli import COMMANDS, _default_text, load_scenario_file, main, parse_args
 from toridyn.dynamics import DEFAULT_NODE_BUDGET
 from toridyn.scenarios import (cm_matrix_endo, cm_power_torus, gaussian_order,
@@ -586,6 +589,43 @@ def test_orbit_long_budget_examines_every_image(capsys):
     assert doc["verdict"] == "escaping" and doc["iterations_examined"] == 1001
 
 
+# the factor swap (x, y) -> (y, x) on E x E, with the first factor and the
+# whole lattice as sublattices
+SWAP_SCENARIO = {
+    "torus": {"J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+    "endomorphism": {"M": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                           ["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
+    "sublattices": {"first": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                    "all": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                            ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+}
+
+
+def test_orbit_of_a_swapped_factor_is_periodic(capsys, tmp_path):
+    path = write_scenario(tmp_path, SWAP_SCENARIO)
+    code, out, err = run(capsys, "orbit", path, "--sublattice", "first", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"sublattice": "first", "verdict": "periodic:2",
+                               "iterations_examined": 3}
+    code, out, err = run(capsys, "orbit", path, "--sublattice", "first")
+    assert (code, err) == (0, "")
+    assert out == "iterations_examined: 3\nsublattice: first\nverdict: periodic:2\n"
+
+
+def test_quotient_by_the_whole_lattice_is_1(capsys, tmp_path):
+    # the quotient blocks are 0 x 0, and the zero x^1 term of Delta is skipped
+    path = write_scenario(tmp_path, SWAP_SCENARIO)
+    code, out, err = run(capsys, "quotient", path, "--sublattice", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["restriction"] == doc["full"] == [["-1", "0"], ["0", "0"], ["1", "0"]]
+    assert doc["quotient"] == [["1", "0"]]
+    code, out, err = run(capsys, "quotient", path, "--sublattice", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["restriction Delta: -1 + 1*x^2", "quotient:          1"]
+
+
 # -- pinned dynamics bytes
 
 # (1+2i, 1; 0, 2+i) over the Gaussian order on E x E, translated by a
@@ -970,6 +1010,18 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert err == "error[internal]: RuntimeError: boom second line\n"
 
 
+def test_invariant_violation_exits_1(capsys, monkeypatch):
+    import toridyn.cli as cli
+
+    def broken(args):
+        raise InvariantViolation("h1 charpoly is not analytic x conjugate")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    code, out, err = run(capsys, "classify", "--example", "shear")
+    assert code == 1 and out == ""
+    assert err == "error[violation]: h1 charpoly is not analytic x conjugate\n"
+
+
 def test_unknown_example(capsys):
     code, _, err = run(capsys, "classify", "--example", "missing")
     assert code == 3
@@ -999,6 +1051,10 @@ def test_ragged_matrix_rejected(capsys, tmp_path):
     pytest.param(("classify", "--example", "shear", "--format", "xml"), "'xml'",
                  id="bad-choice"),
     pytest.param(("torsion", "--example", "shear"), "--level", id="missing-required"),
+    pytest.param(("quotient", "--example", "shear"), "--sublattice",
+                 id="missing-sublattice-quotient"),
+    pytest.param(("orbit", "--example", "shear"), "--sublattice",
+                 id="missing-sublattice-orbit"),
     pytest.param(("sweep", "extra"), "extra", id="stray-positional-sweep"),
     pytest.param(("examples", "extra"), "extra", id="stray-positional-examples"),
 ])
@@ -1060,3 +1116,46 @@ def test_cli_loads_no_argparse_gettext_or_locale():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert '"amplified"' in out.stdout
     assert out.stdout.split("\n")[-2] == "[]"
+
+
+# -- random scenario files through the CLI
+
+@st.composite
+def gaussian_scenarios(draw):
+    """A scenario on E_i^n, n = 1 or 2: M drawn over Z[i] (sometimes
+    singular) and tau with small denominators, with J and M conjugated by
+    a unimodular U made of elementary column operations."""
+    n = draw(st.integers(1, 2))
+    size = 2 * n
+    j, m = sympy.zeros(size, size), sympy.zeros(size, size)
+    for r in range(n):
+        j[2 * r, 2 * r + 1], j[2 * r + 1, 2 * r] = -1, 1
+        for c in range(n):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m[2 * r:2 * r + 2, 2 * c:2 * c + 2] = sympy.Matrix([[a, -b], [b, a]])
+    u = sympy.eye(size)
+    for _ in range(draw(st.integers(0, 3 * size))):
+        src, dst = draw(st.permutations(range(size)))[:2]
+        u[:, dst] += draw(st.integers(-2, 2)) * u[:, src]
+    u_inv = u.inv()
+    tau = [str(draw(st.fractions(0, 1, max_denominator=6))) for _ in range(size)]
+    return {"torus": {"J": [[str(x) for x in row] for row in (u_inv * j * u).tolist()]},
+            "endomorphism": {"M": [[str(x) for x in row] for row in (u_inv * m * u).tolist()],
+                             "tau": tau}}
+
+
+@given(gaussian_scenarios())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_classify_of_random_scenario_files_agrees_with_sympy(capsys, tmp_path, doc):
+    # a refusal is a domain error on one line; a report has sympy's charpoly
+    # of M as h1_charpoly and det(I - M) as its Lefschetz number
+    code, out, err = run(capsys, "classify", write_scenario(tmp_path, doc), "--format", "json")
+    if code:
+        assert code == 3 and out == ""
+        assert err.startswith("error[domain]: ") and err.count("\n") == 1
+        return
+    m = sympy.Matrix([[sympy.Integer(x) for x in row] for row in doc["endomorphism"]["M"]])
+    report = json.loads(out)
+    assert report["h1_charpoly"] == [str(c) for c in reversed(m.charpoly().all_coeffs())]
+    assert report["lefschetz"] == (sympy.eye(m.rows) - m).det()

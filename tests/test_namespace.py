@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "quadratic_order", "random_endo", "restrict_and_quotient",
     "root_magnitudes", "saturate", "serre_test", "smith_form",
     "subtorus_orbit", "torsion_dynamics", "unit_circle_root_count",
-    "unity_free", "verify_chain", "verify_iterates",
+    "unity_free", "verify_iterates",
 ]
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from toridyn import (ComplexStructureError, DomainError, NotSubtorusError,
                      RationalMatrix, canonical_ample_class, charpoly,
-                     cm_power_torus, is_ample, make_endo, make_subtorus,
-                     make_torus, neron_severi, ns_action, ns_vector_to_form,
-                     form_to_ns_vector, order_by_name)
+                     cm_power_torus, is_ample, make_subtorus, make_torus,
+                     neron_severi, ns_vector_to_form, form_to_ns_vector,
+                     order_by_name)
 
 from conftest import lattice_contains, ns_basis_reference
 
@@ -88,14 +88,13 @@ def test_ns_vector_form_round_trip(ee_torus):
         assert form_to_ns_vector(ee_torus, e) == tuple(vec)
 
 
-# the scenario orders' powers, a product of curves whose J is not the
-# standard one, and the torus of rank 0
+# the scenario orders' powers and a product of curves whose J is not the
+# standard one
 NS_TORI = ([cm_power_torus(order_by_name(name), n)
             for name in ("gaussian", "eisenstein", "quadratic(-2)", "quadratic(-5)")
             for n in (1, 2)]
            + [cm_power_torus(order_by_name("gaussian"), 3),
-              make_torus([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, -2], [0, 0, 1, -1]]),
-              make_torus([])])
+              make_torus([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, -2], [0, 0, 1, -1]])])
 
 
 @st.composite
@@ -121,13 +120,6 @@ def test_ns_coordinates_are_the_invariant_forms(case):
     assert torus.j.transpose() * e * torus.j == e
     assert ([[dict(unit).get(slot, 0) for slot in ns.slots] for unit in ns.units]
             == [list(row) for row in RationalMatrix.identity(ns.rho).entries])
-
-
-def test_ns_of_the_rank_0_torus_is_empty():
-    torus = make_torus([])
-    ns = neron_severi(torus)
-    assert ns.rho == 0
-    assert ns_action(make_endo(torus, [])) == RationalMatrix([])
 
 
 # -- ample classes
