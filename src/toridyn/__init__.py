@@ -6,7 +6,7 @@ from .errors import (ComplexStructureError, DomainError, InvarianceViolation,
                      NotSurjectiveError, ParseError, ResourceError, ToridynError)
 from .exactnum import (DEFAULT_PRECISION, CertifiedMagnitudeMultiset,
                        IntPolynomial, MagnitudeEntry, cyclotomic_poly,
-                       cyclotomic_root_count, is_kronecker, polynomial_class,
+                       cyclotomic_root_count, polynomial_class,
                        root_magnitudes, unit_circle_root_count)
 from .matlin import (RationalMatrix, SmithDecomposition, Sublattice, charpoly,
                      exterior_basis, exterior_power, restrict_and_quotient,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, inf, isqrt, lcm, nextafter
+from math import floor, inf, lcm, nextafter
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError
@@ -200,15 +200,9 @@ def _integer_nth_root(value: int, n: int):
     above, which ends at floor(value^(1/n)))."""
     if value < 1 or n < 1:
         return None
-    if n == 2:
-        r = isqrt(value)
-    else:
-        r = 1 << -(-value.bit_length() // n)
-        while True:
-            s = ((n - 1) * r + value // r ** (n - 1)) // n
-            if s >= r:
-                break
-            r = s
+    r = 1 << -(-value.bit_length() // n)
+    while (s := ((n - 1) * r + value // r ** (n - 1)) // n) < r:
+        r = s
     return r if r**n == value else None
 
 

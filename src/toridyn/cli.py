@@ -135,10 +135,7 @@ def _named_subtorus(endo, sublattices, name):
     if name not in sublattices:
         raise DomainError(
             f"unknown sublattice {name!r}; known: {', '.join(sorted(sublattices)) or 'none'}")
-    cols = sublattices[name]
-    basis = RationalMatrix.from_columns(
-        [tuple(Fraction(x) for x in col) for col in cols])
-    return make_subtorus(endo.torus, basis)
+    return make_subtorus(endo.torus, RationalMatrix.from_columns(sublattices[name]))
 
 
 # ---------------------------------------------------------------------------

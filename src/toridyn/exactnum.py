@@ -349,15 +349,6 @@ def cyclotomic_root_count(p: IntPolynomial):
     return count, factors
 
 
-def is_kronecker(p: IntPolynomial) -> bool:
-    """True iff every root of p lies on the unit circle; decided exactly as
-    p being a product of cyclotomic polynomials."""
-    if not p.is_monic():
-        raise DomainError("Kronecker test requires a monic polynomial")
-    count, _ = cyclotomic_root_count(p)
-    return count == p.degree
-
-
 # ---------------------------------------------------------------------------
 # Unit-circle root counting (exact, for roots that need not be cyclotomic)
 
@@ -756,14 +747,12 @@ def polynomial_class(p: IntPolynomial) -> str:
         raise DomainError("classification requires a nonzero constant term")
     if not p.is_monic():
         raise DomainError("classification requires a monic polynomial")
-    if is_kronecker(p):
-        return "cyclotomic-product"
-    reciprocal = p.is_reciprocal()
     circle = unit_circle_root_count(p)
-    if reciprocal:
+    if circle == p.degree:  # Kronecker: all roots are roots of unity
+        return "cyclotomic-product"
+    if p.is_reciprocal():
         # multiplicity-aware real root counts off the circle
-        above_one = 0
-        in_unit = 0
+        above_one = in_unit = 0
         for factor, mult in p.squarefree_decomposition():
             above_one += mult * _real_root_count(factor, 1, None)
             in_unit += mult * (_real_root_count(factor, 0, 1) - (factor(1) == 0))

@@ -54,19 +54,18 @@ def matmul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def bareiss(mat, jordan=False, definite=False):
+def bareiss(mat, jordan=False):
     """Fraction-free elimination (Bareiss 1968) of the integer rows `mat`,
     in place.
 
     Every entry after a pivot step is a minor of the input, so each
-    division by the previous pivot is exact.  Rows below a pivot are always
-    cleared; with `jordan` the rows above are cleared too, so the pivot
-    rows end as p * (reduced row echelon form), p the last pivot
-    (fraction-free Gauss-Jordan).  With `definite` no rows are swapped and
-    the elimination stops at the first leading principal minor <= 0.
+    division by the previous pivot is exact; while no row has been swapped
+    and no column skipped, the k-th pivot is the k-th leading principal
+    minor.  Rows below a pivot are always cleared; with `jordan` the rows
+    above are cleared too, so the pivot rows end as p * (reduced row
+    echelon form), p the last pivot (fraction-free Gauss-Jordan).
 
-    Returns (pivot columns, last pivot, number of row swaps), or None when
-    `definite` finds a leading principal minor <= 0."""
+    Returns (pivot columns, last pivot, number of row swaps)."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     pivots = []
@@ -76,16 +75,12 @@ def bareiss(mat, jordan=False, definite=False):
     for c in range(cols):
         if r == rows:
             break
-        if definite:
-            if mat[r][c] <= 0:
-                return None
-        else:
-            piv = next((i for i in range(r, rows) if mat[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                mat[r], mat[piv] = mat[piv], mat[r]
-                swaps += 1
+        piv = next((i for i in range(r, rows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            swaps += 1
         row_r = mat[r]
         p = row_r[c]
         lo = 0 if jordan else c

@@ -65,12 +65,6 @@ class CMOrder(Record):
     def rank(self) -> int:
         return self.generator.rows
 
-    def embed(self, a: int, b: int) -> RationalMatrix:
-        """Integral matrix of a + b*g."""
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise DomainError("order elements have integer coordinates")
-        return RationalMatrix.identity(self.rank) * a + self.generator * b
-
 
 def gaussian_order() -> CMOrder:
     j0 = RationalMatrix([[0, -1], [1, 0]])
@@ -166,24 +160,22 @@ def cm_power_torus(order: CMOrder, n: int) -> ComplexTorus:
 
 def cm_matrix_endo(torus: ComplexTorus, order: CMOrder, b, tau=None) -> TorusEndomorphism:
     """Realify an n x n matrix over the order into an endomorphism of the
-    n-fold power torus.  Entries are (a, b) integer pairs meaning a + b*g.
-    Commutation with J holds by construction and is re-checked by
-    make_endo."""
+    n-fold power torus.  An entry (a, c) of integers means a + c*g and
+    becomes the block a*I + c*G, G the matrix of g.  Commutation with J
+    holds by construction and is re-checked by make_endo."""
     n = len(b)
     r = order.rank
     if torus.rank != n * r:
         raise DomainError("torus is not the matching power of the order's curve")
-    rows = [[0] * (n * r) for _ in range(n * r)]
-    for i in range(n):
-        if len(b[i]) != n:
+    for row in b:
+        if len(row) != n:
             raise DomainError("order-matrix must be square")
-        for j in range(n):
-            a, bb = b[i][j]
-            block = order.embed(a, bb)
-            for p in range(r):
-                for q in range(r):
-                    rows[r * i + p][r * j + q] = block[p, q]
-    return make_endo(torus, RationalMatrix(rows), tau)
+        if not all(isinstance(a, int) and isinstance(c, int) for a, c in row):
+            raise DomainError("order elements have integer coordinates")
+    g = order.generator.entries
+    rows = [[a * (p == q) + c * g[p][q] for a, c in row for q in range(r)]
+            for row in b for p in range(r)]
+    return make_endo(torus, RationalMatrix._of(rows, True), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Subtori, the frame P = (v, Jv) in which J is
 [[0, -I], [I, 0]], Neron-Severi spaces (the J-invariant alternating forms
 on the lattice, read off that frame) and exact ample-cone membership.
 Rational J restricts the model to tori of CM type; this covers every
-worked example the library targets, and all verdicts that would need an
-irrational period matrix report inconclusive instead of guessing.
+worked example the library targets, and a torus whose period matrix is
+irrational is outside the model.
 """
 
 from __future__ import annotations
@@ -153,12 +153,15 @@ def form_to_ns_vector(torus: ComplexTorus, e: RationalMatrix) -> tuple:
 
 
 def _is_positive_definite(s) -> bool:
-    """Exact Sylvester test on a symmetric rational matrix via one
-    fraction-free elimination pass without row swaps: the k-th pivot is the
-    k-th leading principal minor of D*S (D > 0 clears the denominators), so
-    all pivots > 0 is equivalent and aborts early."""
-    mat = s if isinstance(s, RationalMatrix) else RationalMatrix(s)
-    return bareiss(mat.scaled_rows()[1], definite=True) is not None
+    """Exact Sylvester test on a symmetric rational matrix from one plain
+    fraction-free elimination pass over D*S (D > 0 clears the
+    denominators).  While no row is swapped the diagonal entries are the
+    leading principal minors; a swap or a skipped column means a minor
+    is 0."""
+    rows = (s if isinstance(s, RationalMatrix) else RationalMatrix(s)).scaled_rows()[1]
+    pivots, _, swaps = bareiss(rows)
+    return (not swaps and len(pivots) == len(rows)
+            and all(row[k] > 0 for k, row in enumerate(rows)))
 
 
 def is_ample(torus: ComplexTorus, omega) -> bool:

@@ -18,7 +18,7 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      charpoly, cm_matrix_endo, cm_power_torus,
                      dynamical_degrees, eigen_data, exterior_power,
                      finite_order, fixed_subtorus, full_report, is_ample,
-                     iterate, make_endo, make_subtorus, make_torus,
+                     iterate, make_endo, make_subtorus,
                      neron_severi, ns_action, ns_charpoly, order_by_name,
                      periodic_count, polarization_q_candidate, polarized,
                      random_endo, serre_test, subtorus_orbit,
@@ -522,19 +522,6 @@ def test_full_report_notes_on_unity_factor():
     r = full_report(get_example("mult_2_1").endo)
     assert not r.unity_free and r.amplified == "no"
     assert r.polarized != "yes"
-
-
-def test_full_report_rejects_the_zero_dimensional_torus(monkeypatch):
-    # the empty map is both unity-free and of finite order 1, so the
-    # verdicts would contradict each other; none of them is computed
-    import toridyn.classify as classify
-
-    def no_verdicts(*args):
-        raise AssertionError("a verdict was computed")
-
-    monkeypatch.setattr(classify, "eigen_data", no_verdicts)
-    with pytest.raises(DomainError, match="positive dimension"):
-        full_report(make_endo(make_torus([]), []))
 
 
 def test_report_to_dict_deterministic():

@@ -191,6 +191,13 @@ def test_fixed_points_finite(capsys, tmp_path):
     assert doc["kind"] == "finite" and doc["count"] == 4
 
 
+def test_fixed_points_of_a_pure_translation_are_empty(capsys, tmp_path):
+    doc = dict(DOUBLING, endomorphism={"M": [["1", "0"], ["0", "1"]], "tau": ["1/2", "0"]})
+    code, out, _ = run(capsys, "fixed-points", write_scenario(tmp_path, doc),
+                       "--format", "json")
+    assert (code, out) == (0, '{"iterate":1,"kind":"empty"}\n')
+
+
 def test_fixed_points_iterate(capsys, tmp_path):
     path = write_scenario(tmp_path, DOUBLING)
     code, out, _ = run(capsys, "fixed-points", path, "--iterate", "2", "--format", "json")
@@ -856,6 +863,21 @@ def test_parse_error_malformed_tau_or_sublattices(capsys, tmp_path, doc, message
     assert err == f"error[parse]: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "cannot read ", id="missing-file"),
+    pytest.param("[1]", ": top level must be an object", id="top-level-array"),
+    pytest.param(json.dumps(dict(DOUBLING, torus={"J": "x"})),
+                 "torus.J: expected a list of rows", id="J-not-rows"),
+])
+def test_parse_error_unreadable_scenario_file(capsys, tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[parse]: ") and err.count("\n") == 1 and message in err
+
+
 def test_parse_error_bad_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -1046,6 +1068,7 @@ def test_ragged_matrix_rejected(capsys, tmp_path):
     pytest.param(("classify", "--example", "--format", "json"), "--example",
                  id="missing-value"),
     pytest.param(("sweep", "--count", "abc"), "'abc'", id="bad-int"),
+    pytest.param(("sweep", "--count", "0"), "must be a positive integer", id="zero-count"),
     pytest.param(("degrees", "--example", "shear", "--precision", "1/0"), "'1/0'",
                  id="bad-rational"),
     pytest.param(("classify", "--example", "shear", "--format", "xml"), "'xml'",

@@ -115,8 +115,9 @@ def test_fixed_points_budget():
 
 
 def test_fixed_points_pure_translation_empty(e_torus):
-    f = make_endo(e_torus, [[1, 0], [0, 1]], tau=[Fraction(1, 3), 0])
-    assert fixed_points(f).kind == "empty"
+    for tau in ([Fraction(1, 3), 0], [Fraction(1, 2), 0]):
+        fp = fixed_points(make_endo(e_torus, [[1, 0], [0, 1]], tau=tau))
+        assert fp.kind == "empty" and fp.count() == 0
 
 
 def test_fixed_points_coset_family():
@@ -196,6 +197,8 @@ def test_periodic_count_doubling(e_torus):
     assert periodic_count(f, 1) == 1
     assert periodic_count(f, 2) == 9
     assert periodic_count(f, 3) == 49
+    with pytest.raises(DomainError, match="period must be >= 1"):
+        periodic_count(f, 0)
 
 
 def test_periodic_count_infinite_on_unity_factor():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from toridyn import (DEFAULT_PRECISION, DomainError, IntPolynomial,
                      cyclotomic_poly, cyclotomic_root_count,
-                     gaussian_order, is_kronecker, polynomial_class,
+                     gaussian_order, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
 from toridyn import exactnum
 
@@ -99,13 +99,6 @@ def test_cyclotomic_root_count():
     count, factors = cyclotomic_root_count(p)
     assert count == 4
     assert (4, 2) in factors
-
-
-def test_is_kronecker():
-    assert is_kronecker(cyclotomic_poly(12))
-    assert is_kronecker(cyclotomic_poly(1) * cyclotomic_poly(2))
-    assert not is_kronecker(IntPolynomial([-2, 1]))
-    assert not is_kronecker(IntPolynomial([1, -3, -4, -3, 1]))
 
 
 # -- unit circle counts
@@ -368,15 +361,43 @@ def test_magnitudes_beyond_float_range():
 
 # -- polynomial classification
 
-@pytest.mark.parametrize("coeffs,expected", [
+POLYNOMIAL_CLASS_CASES = [
     ([1, 0, 1], "cyclotomic-product"),
     ([1, -3, -4, -3, 1], "salem"),
     ([1, -3, 1], "off-circle-reciprocal"),
     ([-2, 1], "other"),
     ([2, 0, 0, 1], "other"),
-])
+    ([1, 0, -1, 0, 1], "cyclotomic-product"),  # Phi_12
+    ([-1, 0, 1], "cyclotomic-product"),        # Phi_1 * Phi_2
+]
+
+
+@pytest.mark.parametrize("coeffs,expected", POLYNOMIAL_CLASS_CASES)
 def test_polynomial_class(coeffs, expected):
     assert polynomial_class(IntPolynomial(coeffs)) == expected
+
+
+def test_polynomial_class_reads_kronecker_off_the_unit_circle_count(monkeypatch):
+    # a monic integer polynomial with p(0) != 0 and every root on the unit
+    # circle has only roots of unity as roots (Kronecker 1857), so the
+    # exact unit-circle count decides 'cyclotomic-product' with no
+    # cyclotomic trial division
+    from toridyn.classify import _radical
+    from toridyn.endo import eigen_data
+    from toridyn.scenarios import named_examples
+
+    cases = [(IntPolynomial(c), expected) for c, expected in POLYNOMIAL_CLASS_CASES]
+    radicals = [_radical(eigen_data(sc.endo).h1_charpoly)
+                for sc in named_examples().values()]
+    expected = [polynomial_class(p) for p in radicals]
+
+    def no_trial_division(p):
+        raise AssertionError("cyclotomic trial division was run")
+
+    monkeypatch.setattr(exactnum, "cyclotomic_root_count", no_trial_division)
+    assert [polynomial_class(p) for p, _ in cases] == [e for _, e in cases]
+    assert [polynomial_class(p) for p in radicals] == expected
+    assert "cyclotomic-product" in expected
 
 
 def test_serialize_round_trip():

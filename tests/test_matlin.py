@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, IntPolynomial, InvarianceViolation,
@@ -320,3 +320,34 @@ def test_positive_definite_test_is_exact():
     assert not _is_positive_definite([[0, 0], [0, 1]])
     assert not _is_positive_definite([[2, 3], [3, 2]])
     assert _is_positive_definite(RationalMatrix.identity(8) * 2)
+
+
+@st.composite
+def symmetric_rationals(draw):
+    """A symmetric rational matrix of size 1-6: either a Gram matrix
+    A^T A + cI (positive definite for c > 0, possibly singular for c = 0)
+    or a free symmetric draw, whose leading minors are often 0 or
+    negative."""
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(-4, 4, max_denominator=3)
+    if draw(st.booleans()):
+        a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        c = draw(st.sampled_from([0, Fraction(1, 2), 1]))
+        return [[sum(a[k][i] * a[k][j] for k in range(n)) + c * (i == j)
+                 for j in range(n)] for i in range(n)]
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_rationals())
+@example([[-1]])                              # negative first minor
+@example([[1, 2], [2, 1]])                    # negative second minor
+@example([[0, 1], [1, 0]])                    # zero first minor: a row swap
+@example([[0, 0], [0, 0]])                    # zero column: no pivot
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])   # zero second minor, skipped column
+@example([[2, 1, 0], [1, 2, 1], [0, 1, 2]])   # positive definite
+@settings(max_examples=60, deadline=None)
+def test_positive_definite_test_matches_sympy(rows):
+    from toridyn.torus import _is_positive_definite
+    s = frac_matrix(rows)
+    assert _is_positive_definite(s) == sympy_matrix(s).is_positive_definite

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "elliptic_curve", "exterior_basis", "exterior_power", "finite_order",
     "fixed_points", "fixed_subtorus", "form_to_ns_vector", "full_report",
     "gauss_poly_conj", "gauss_poly_mul", "gaussian_order", "get_example",
-    "h1_magnitudes", "is_ample", "is_kronecker", "iterate", "lefschetz_number",
+    "h1_magnitudes", "is_ample", "iterate", "lefschetz_number",
     "make_endo", "make_subtorus", "make_torus", "minimal_unity_iterate",
     "named_examples", "neron_severi", "ns_action", "ns_charpoly",
     "ns_vector_to_form", "order_by_name", "periodic_count",

@@ -52,20 +52,26 @@ def test_order_post_init_validates():
         CMOrder("bad", g.generator, g.j_block, (1, 1, 1))  # wrong minpoly
 
 
-def test_embed_is_ring_homomorphism():
+def _order_element(o, a, b):
+    """The integral matrix of a + b*g, realified by cm_matrix_endo from a
+    1 x 1 matrix over the order."""
+    return cm_matrix_endo(cm_power_torus(o, 1), o, [[(a, b)]]).m
+
+
+def test_cm_matrix_endo_is_ring_homomorphism():
     for o in (gaussian_order(), eisenstein_order(), quadratic_order(3)):
         a1, b1, a2, b2 = 2, -1, 3, 2
-        lhs = o.embed(a1, b1) * o.embed(a2, b2)
+        lhs = _order_element(o, a1, b1) * _order_element(o, a2, b2)
         # (a1 + b1 g)(a2 + b2 g) with g^2 = -c - s g from the minimal poly
         c, s = o.minimal_poly[0], o.minimal_poly[1]
         prod_a = a1 * a2 - b1 * b2 * c
         prod_b = a1 * b2 + a2 * b1 - b1 * b2 * s
-        assert lhs == o.embed(prod_a, prod_b)
+        assert lhs == _order_element(o, prod_a, prod_b)
 
 
-def test_embed_rejects_non_integers():
-    with pytest.raises(DomainError):
-        gaussian_order().embed(1, 0.5)
+def test_cm_matrix_endo_rejects_non_integers():
+    with pytest.raises(DomainError, match="integer coordinates"):
+        _order_element(gaussian_order(), 1, 0.5)
 
 
 # -- tori

@@ -22,6 +22,11 @@ def test_make_torus_validates():
         make_torus([[0, 1, 0], [-1, 0, 0]])  # non-square
 
 
+def test_make_torus_rejects_the_zero_dimensional_torus():
+    with pytest.raises(DomainError, match="positive dimension"):
+        make_torus([])
+
+
 def test_torus_rank_and_dim(e_torus, ee_torus):
     assert (e_torus.n, e_torus.rank) == (1, 2)
     assert (ee_torus.n, ee_torus.rank) == (2, 4)
