@@ -21,6 +21,8 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from types import SimpleNamespace
 
 from .errors import DomainError, InvariantViolation, ParseError, ResourceError
@@ -212,13 +214,21 @@ def cmd_degrees(args):
 
 def _emit_with_rows(doc, key, fps, fmt):
     """emit() of doc with `key` set to the rows of a fixed point set as
-    coordinate strings, for a key that sorts after every key of doc.  No
-    row is built: each distinct numerator becomes a token once (json.dumps
-    of its str() for JSON, repr for text), and the row array is joined from
-    the zipped token columns."""
+    coordinate strings, for a key that sorts after every key of doc.  Each
+    distinct numerator becomes a token once (json.dumps of its str() for
+    JSON, repr for text), the rows of each distinct tail are joined once,
+    and each parent is written as its head before each of its tail's rows:
+    head + (rowsep + head).join(tail rows), with no Python work per point."""
     token, sep = (json.dumps, ",") if fmt == "json" else (repr, ", ")
-    rows = fps.rows_as(lambda x: token(str(x)))
-    array = "[[" + f"]{sep}[".join(map(sep.join, rows)) + "]]"  # never empty
+    heads, tails = fps.listing_as(lambda x: token(str(x)))
+    # each head ends in sep, and is "" when the listing has no head columns
+    heads = list(map(sep.join, zip(*heads, repeat("", len(fps.tail_index)))))
+    rows, n = list(map(sep.join, zip(*tails))), fps.tail_length
+    starts = list(map(mul, fps.tail_index, repeat(n)))  # of each parent's tail
+    tails = map(rows.__getitem__, map(slice, starts, map(add, starts, repeat(n))))
+    rowsep = f"]{sep}["
+    parents = map(add, heads, map(str.join, map(rowsep.__add__, heads), tails))
+    array = "[[" + rowsep.join(parents) + "]]"  # never empty
     if fmt == "json":
         head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         print(f'{head[:-1]},"{key}":{array}}}')

@@ -2,25 +2,27 @@
 orbit graphs, and subtorus orbit behaviour.
 
 Fixed-point congruences are solved through the Smith normal form: the
-solutions form a coset of a lattice mod a common denominator D, listed as
-integer columns, one per coordinate, from a triangular (Hermite) basis of
-that lattice; the rows they form are in lexicographic order.  The number
-of points is |det(M - I)| when that is nonzero, budgeted before the Smith
-form, and otherwise known from the Smith factors and budgeted before any
-column is built.  Orbit graphs on the
-m-torsion lattice are counted, not built: their cycle and tail histograms
-follow from Smith forms of powers of f reduced mod m, and the node budget
-bounds the trial division this needs.  Subtorus orbits are followed on
-integer bases, each image tested for inclusion in the start span by the
-rows of the start lattice's Smith coordinates that annihilate it, up to a
-bound: 'escaping' is a bounded verdict.
+solutions form a coset of a lattice mod a common denominator D, listed in
+lexicographic order from a triangular (Hermite) basis of that lattice.
+The listing stops at the last level K that offers more than one choice:
+the choices of coordinates before K give the parents, and each parent
+ends in the tail that level K spans from its state, so a tail shared by
+many parents is built once.  The number of points is |det(M - I)| when
+that is nonzero, budgeted before the Smith form, and otherwise known from
+the Smith factors and budgeted before anything is listed.  Orbit graphs
+on the m-torsion lattice are counted, not built: their cycle and tail
+histograms follow from Smith forms of powers of f reduced mod m, and the
+node budget bounds the trial division this needs.  Subtorus orbits are
+followed on integer bases, each image tested for inclusion in the start
+span by the rows of the start lattice's Smith coordinates that annihilate
+it, up to a bound: 'escaping' is a bounded verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, pairwise, product, repeat, starmap
 from math import gcd, lcm, prod
 from operator import add, lt, mod, mul
 
@@ -55,27 +57,60 @@ class FixedPointSet(Record):
     subtorus plus a finite transversal of rational translates.  kind
     'empty': the congruence is inconsistent (pure translation).
 
-    The points (or the transversal) are stored as `columns`: column t
-    holds the integer numerator of coordinate t of every point, over the
-    common `denominator`, and the rows they form are strictly increasing.
-    `rows` (integer tuples), `points` and `transversal` (Fraction tuples)
-    are derived from the columns when first asked for."""
+    The points (or the transversal) are listed by their integer numerators
+    over the common `denominator`, as parents that share tails.  Parent p
+    is a head, coordinates 0..K-1 (column t of `heads` holds coordinate t
+    of every parent), followed in turn by each of the `tail_length` rows
+    of tail block `tail_index[p]`, coordinates K..d-1: block i is rows
+    i * tail_length up to (i + 1) * tail_length of the columns `tails`.
+    Each distinct tail is stored once however many parents end in it.
+    Building the set checks that the heads strictly increase and that
+    coordinate K strictly increases inside every tail block, which makes
+    the rows strictly increasing.  `columns` (one integer column per
+    coordinate), `rows` (integer tuples), `points` and `transversal`
+    (Fraction tuples) are derived from the listing when first asked for."""
 
     kind: str
     denominator: int = 1
-    columns: tuple = ()
+    heads: tuple = ()
+    tail_index: tuple = ()
+    tails: tuple = ()
+    tail_length: int = 1
     subtorus: Subtorus | None = None
+
+    def __post_init__(self):
+        heads = pairwise(_head_rows(self.heads, self.tail_index))
+        first = self.tails[0] if self.tails else ()
+        steps = list(map(lt, first, first[1:]))
+        del steps[self.tail_length - 1::self.tail_length]  # block boundaries
+        if not (all(starmap(lt, heads)) and all(steps)):
+            raise DomainError("fixed point rows are not strictly increasing")
+
+    def listing_as(self, convert):
+        """(heads, tails), the columns of those two fields with each
+        numerator k read as convert(k / denominator), converted once per
+        distinct numerator; each column is an iterator."""
+        values = {k: convert(Fraction(k, self.denominator))
+                  for k in set().union(*self.heads, *self.tails)}
+        return ([map(values.__getitem__, column) for column in self.heads],
+                [map(values.__getitem__, column) for column in self.tails])
 
     def rows_as(self, convert):
         """The rows with each numerator k read as convert(k / denominator),
-        converted once per distinct numerator and mapped column by column;
-        an iterable of tuples."""
-        values = {k: convert(Fraction(k, self.denominator)) for k in set().union(*self.columns)}
-        return zip(*(map(values.__getitem__, column) for column in self.columns))
+        converted once per distinct numerator; an iterable of tuples."""
+        heads, tails = self.listing_as(convert)
+        heads = _head_rows(heads, self.tail_index)
+        rows, n = list(zip(*tails)), self.tail_length
+        return (head + row for head, i in zip(heads, self.tail_index)
+                for row in rows[i * n:(i + 1) * n])
 
     @cached_property
     def rows(self) -> tuple:
-        return tuple(zip(*self.columns))
+        return tuple(self.rows_as(lambda x: int(x * self.denominator)))
+
+    @cached_property
+    def columns(self) -> tuple:
+        return tuple(zip(*self.rows))
 
     @cached_property
     def points(self) -> tuple:
@@ -87,10 +122,16 @@ class FixedPointSet(Record):
 
     def count(self):
         if self.kind == "finite":
-            return len(self.columns[0])
+            return len(self.tail_index) * self.tail_length
         if self.kind == "empty":
             return 0
         return None  # infinite
+
+
+def _head_rows(columns, tail_index):
+    """The head of every parent as a tuple, from the head columns; () for
+    each parent when there are no head columns."""
+    return zip(*columns) if columns else repeat((), len(tail_index))
 
 
 def _smith_reduce(m_minus_i: RationalMatrix, rhs):
@@ -106,9 +147,9 @@ def _smith_reduce(m_minus_i: RationalMatrix, rhs):
 
 
 def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
-    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, columns,
-    free_directions): the solutions as the columns of strictly increasing
-    integer rows x D over one common denominator D, and integer kernel
+    """All x mod 1 with (M - I) x = rhs (mod Z^d); returns (D, listing,
+    free_directions): the solutions as integer rows x D over one common
+    denominator D, listed by _coset_listing, and integer kernel
     generators.  Returns None when inconsistent, and raises ResourceError
     before any enumeration when there would be more than `budget` rows.
 
@@ -131,10 +172,8 @@ def _solve_congruence(m_minus_i: RationalMatrix, rhs, budget):
     steps = [denom // di if di else denom for di in factors]
     point = v.apply([ci * step for ci, step in zip(c, steps)])  # c_i D / d_i is integral
     basis = _hermite_basis((v * RationalMatrix.diagonal(steps)).columns(), denom)
-    columns = _coset_columns(basis, point, denom)
-    if not all(map(lt, zip(*columns), islice(zip(*columns), 1, None))):
-        raise DomainError("fixed point rows are not strictly increasing")  # pragma: no cover
-    return denom, columns, [v.column(i) for i, di in enumerate(factors) if di == 0]
+    listing = _coset_listing(basis, point, denom)
+    return denom, listing, [v.column(i) for i, di in enumerate(factors) if di == 0]
 
 
 def _hermite_basis(generators, denom):
@@ -162,36 +201,54 @@ def _hermite_basis(generators, denom):
     return basis
 
 
-def _coset_columns(basis, point, denom):
+def _coset_listing(basis, point, denom):
     """The points of point + L in [0, denom)^d, L the lattice of the
-    triangular `basis` from _hermite_basis, as d tuples: column t holds
-    coordinate t of every point, and the rows they form are in strictly
-    increasing lexicographic order.
+    triangular `basis` from _hermite_basis, in strictly increasing
+    lexicographic order, as the fields (heads, tail_index, tails,
+    tail_length) of a FixedPointSet.
 
-    Coordinate k is chosen column by column: the lattice vectors that vanish
-    before column k have k-th coordinates h_k Z, so a partial point w takes
-    x_k = (w_k mod h_k) + j h_k for 0 <= j < denom / h_k, and row k of the
-    basis, added lift = -(w_k // h_k) + j times, moves w there.  Each level
-    keeps the order of the one before and adds increasing x_k, so the rows
-    come out sorted; a level with h_k = denom has one option and is
-    skipped."""
+    Coordinate k is chosen level by level (_choose): each level keeps the
+    order of the one before and adds increasing x_k; a level with
+    h_k = denom has one option and is skipped.  The levels before the last
+    active one, K, are chosen over the parents.  Level K then depends on a
+    parent only through its tail state, (w_K mod h_K, (w_t - (w_K // h_K)
+    e_t) mod denom for t > K) with e row K of the basis, so it is chosen
+    once per distinct state, the states numbered in first-seen order."""
+    active = [k for k, row in enumerate(basis) if row[k] < denom]
+    last = active.pop() if active else len(basis) - 1
     columns = [(x % denom,) for x in point]
-    for k, row in enumerate(basis):
-        h = row[k]
-        if h == denom:
-            continue
-        n = denom // h
-        lifts = [-(w // h) for w in columns[k]]
-        columns[k] = tuple(chain.from_iterable(
-            map(range, [w % h for w in columns[k]], repeat(denom), repeat(h))))
-        for t, (column, e) in enumerate(zip(columns, row)):
-            if t < k:  # row k is zero here: each point repeats n times
-                columns[t] = tuple(chain.from_iterable(map(repeat, column, repeat(n))))
-            elif t > k:  # every moved w_t plus every shift j e, mod denom
-                bases = map(add, column, map(mul, lifts, repeat(e)))
-                sums = starmap(add, product(bases, map(mul, range(n), repeat(e))))
-                columns[t] = tuple(map(mod, sums, repeat(denom)))
-    return tuple(columns)
+    for k in active:
+        _choose(columns, basis[k], k, denom)
+    row, h = basis[last], basis[last][last]
+    lifts = [w // h for w in columns[last]]
+    states = [[w % h for w in columns[last]], *(
+        [(w - q * e) % denom for w, q in zip(column, lifts)]
+        for column, e in zip(columns[last + 1:], row[last + 1:]))]
+    numbers = {state: i for i, state in enumerate(dict.fromkeys(zip(*states)))}
+    tail_index = tuple(map(numbers.__getitem__, zip(*states)))
+    tails = list(zip(*numbers))
+    _choose(tails, row[last:], 0, denom)
+    return tuple(columns[:last]), tail_index, tuple(tails), denom // h
+
+
+def _choose(columns, row, k, denom):
+    """Chooses coordinate k for every partial point of `columns` (one
+    tuple per coordinate), in place: the lattice vectors that vanish before
+    column k have k-th coordinates h_k Z, h_k = row[k], so a partial point
+    w takes x_k = (w_k mod h_k) + j h_k for 0 <= j < denom / h_k, and
+    `row`, added -(w_k // h_k) + j times, moves w there."""
+    h = row[k]
+    n = denom // h
+    lifts = [-(w // h) for w in columns[k]]
+    columns[k] = tuple(chain.from_iterable(
+        map(range, [w % h for w in columns[k]], repeat(denom), repeat(h))))
+    for t, (column, e) in enumerate(zip(columns, row)):
+        if t < k:  # row is zero here: each point repeats n times
+            columns[t] = tuple(chain.from_iterable(map(repeat, column, repeat(n))))
+        elif t > k:  # every moved w_t plus every shift j e, mod denom
+            bases = map(add, column, map(mul, lifts, repeat(e)))
+            sums = starmap(add, product(bases, map(mul, range(n), repeat(e))))
+            columns[t] = tuple(map(mod, sums, repeat(denom)))
 
 
 def fixed_points(f: TorusEndomorphism,
@@ -209,14 +266,14 @@ def fixed_points(f: TorusEndomorphism,
     solved = _solve_congruence(m_minus_i, rhs, budget)
     if solved is None:
         return FixedPointSet("empty")
-    denom, columns, free_dirs = solved
+    denom, listing, free_dirs = solved
     if not free_dirs:
-        fps = FixedPointSet("finite", denom, columns)
+        fps = FixedPointSet("finite", denom, *listing)
         if fps.count() != det:
             raise DomainError("fixed point count mismatch")  # pragma: no cover
         return fps
     sub = make_subtorus(f.torus, RationalMatrix.from_columns(free_dirs))
-    return FixedPointSet("coset-family", denom, columns, sub)
+    return FixedPointSet("coset-family", denom, *listing, sub)
 
 
 def periodic_count(f: TorusEndomorphism, k: int):

@@ -402,13 +402,15 @@ def _real_root_count(p: IntPolynomial, lo, hi) -> int:
     return variations(lo, -1) - variations(hi, 1)
 
 
+@lru_cache(maxsize=1024)
 def unit_circle_root_count(p: IntPolynomial) -> int:
     """Exact count (with multiplicity) of roots of p on the unit circle.
 
     Unit-circle roots of a real polynomial are closed under z -> 1/z, so
     they live in gcd(p, reversal(p)); after stripping x = +/-1 the rest is
     palindromic of even degree and reduces to counting real roots of the
-    trace polynomial in (-2, 2)."""
+    trace polynomial in (-2, 2).  Cached: the candidate modulus 1 of
+    root_magnitudes and polynomial_class count the same radical."""
     if p.is_zero():
         raise DomainError("zero polynomial")
     total = 0

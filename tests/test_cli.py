@@ -671,6 +671,17 @@ PINNED_DYNAMICS = [
      "7682cb5574d5b8b05b792016754260a0ecd72546dc10b4af41324abe51e65802"),
     (("fixed-points", "--example", "gtz_diag", "--iterate", "4", "--format", "text"),
      "a89f17fefbd485a8773e51151e7d26e003b616c58e17a319a30335ef08bdb0af"),
+    # recorded when fixed points were listed column by column over every
+    # point: all 1,274 parents of mult_2_3 --iterate 3 end in one tail, and
+    # the 512 parents of e4_auto --iterate 3 in 64 distinct tails
+    (("fixed-points", "--example", "mult_2_3", "--iterate", "3", "--format", "json"),
+     "6c3b15ead8781dedbad8597895dd32e3860982ea68324a423d6b5b4326c48f39"),
+    (("fixed-points", "--example", "mult_2_3", "--iterate", "3", "--format", "text"),
+     "e2a46bf45e6f05cb32a2fb3aefe36af73f4387d3b19845679d86e19d3d773e0c"),
+    (("fixed-points", "--example", "e4_auto", "--iterate", "3", "--format", "json"),
+     "6f04e8364d76564dc1a2cc8c1d66779babdc89a9a686e0f4a5ab9f33607b5ee6"),
+    (("fixed-points", "--example", "e4_auto", "--iterate", "3", "--format", "text"),
+     "329363aabe65aea2a3a3d17b868ced6d30a1786e184c953b9095a4f24f848263"),
 ]
 
 

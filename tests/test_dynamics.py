@@ -2,6 +2,7 @@
 subtorus orbits."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -11,15 +12,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from toridyn import (DomainError, InvarianceViolation, RationalMatrix,
+from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMatrix,
                      ResourceError, fixed_points, iterate, lefschetz_number,
                      make_endo, make_subtorus, order_by_name, periodic_count,
                      random_endo, restrict_and_quotient, saturate,
                      subtorus_orbit, torsion_dynamics)
+from toridyn.cli import _default_text, main
 from toridyn.dynamics import _smith_reduce
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
@@ -187,6 +189,78 @@ def test_fixed_points_match_the_sorted_smith_grid(f):
         return
     fp = fixed_points(f, budget)
     assert (fp.kind, fp.denominator, fp.rows) == expected
+
+
+@given(fixed_point_maps())
+@example(get_example("mult_2_1").endo)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fixed_points_cli_bytes_match_the_sorted_smith_grid(capsys, tmp_path, f):
+    # the CLI's JSON and text documents against the same documents built
+    # with str() from the reference rows, never from a FixedPointSet
+    budget = 5000
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "torus": {"J": [[str(x) for x in row] for row in f.torus.j.entries]},
+        "endomorphism": {"M": [[str(x) for x in row] for row in f.m.entries],
+                         "tau": [str(t) for t in f.tau]}}))
+    expected = grid_fixed_points(f, budget)
+    for fmt in ("json", "text"):
+        code = main(["fixed-points", str(path), "--budget", str(budget), "--format", fmt])
+        out = capsys.readouterr().out
+        if expected is None:
+            assert code == 4 and out == ""
+            continue
+        kind, denom, rows = expected
+        doc = {"iterate": 1, "kind": kind}
+        strings = [[str(Fraction(k, denom)) for k in row] for row in rows]
+        if kind == "finite":
+            doc.update(count=len(rows), points=strings)
+        elif kind == "coset-family":
+            m = sympy.Matrix(f.m.entries)
+            doc.update(subtorus_rank=m.rows - (m - sympy.eye(m.rows)).rank(),
+                       transversal=strings)
+        text = (json.dumps(doc, sort_keys=True, separators=(",", ":")) if fmt == "json"
+                else _default_text(doc))
+        assert code == 0 and out == text + "\n"
+
+
+@pytest.mark.parametrize("name, k, parents, distinct, tail_length", [
+    ("gtz_diag", 2, 320, 5, 2),
+    ("gtz_diag", 3, 148, 1, 122),
+    ("mult_2_3", 3, 1274, 1, 26),
+    ("e4_auto", 3, 512, 64, 2),
+])
+def test_fixed_point_parents_share_tails(name, k, parents, distinct, tail_length):
+    fp = fixed_points(iterate(get_example(name).endo, k))
+    assert len(fp.tail_index) == parents and fp.tail_length == tail_length
+    assert sorted(set(fp.tail_index)) == list(range(distinct))
+    assert all(len(column) == distinct * tail_length for column in fp.tails)
+    assert fp.count() == parents * tail_length == len(set(fp.rows))
+
+
+def test_fixed_point_listing_expands_parents_and_tails():
+    # two parents (0,) and (1,), two tails: rows (0, 2), (0, 6) | (1, 1), (1, 5)
+    fp = FixedPointSet("finite", 8, heads=((0, 1),), tail_index=(0, 1),
+                       tails=((2, 6, 1, 5),), tail_length=2)
+    assert fp.rows == ((0, 2), (0, 6), (1, 1), (1, 5))
+    assert fp.columns == ((0, 0, 1, 1), (2, 6, 1, 5))
+    assert fp.points[1] == (Fraction(0), Fraction(3, 4)) and fp.count() == 4
+    empty = FixedPointSet("empty")
+    assert (empty.denominator, empty.columns, empty.subtorus) == (1, (), None)
+
+
+@pytest.mark.parametrize("heads, tail_index, tails", [
+    (((1, 0),), (0, 0), ((0, 2),)),        # the second parent's head is smaller
+    (((0, 0), (1, 1)), (0, 0), ((0, 2),)),  # two parents with one head
+    ((), (0, 0), ((0, 2),)),                # two parents with no head columns
+    (((0, 1),), (0, 0), ((2, 0),)),        # coordinate K falls inside the block
+    (((0, 1),), (0, 1), ((0, 2, 3, 3),)),  # or repeats inside the second block
+])
+def test_fixed_point_order_certificate_refuses_unsorted_listings(heads, tail_index, tails):
+    with pytest.raises(DomainError, match="not strictly increasing"):
+        FixedPointSet("finite", 4, heads=heads, tail_index=tail_index, tails=tails,
+                      tail_length=2)
 
 
 # -- periodic counts

@@ -400,6 +400,23 @@ def test_polynomial_class_reads_kronecker_off_the_unit_circle_count(monkeypatch)
     assert "cyclotomic-product" in expected
 
 
+@pytest.mark.parametrize("name", ["e4_auto", "mult_2_1", "mult_by_i", "shear"])
+def test_unit_circle_count_of_the_radical_is_computed_once(name):
+    # the certified magnitudes count the unit-circle roots of the radical
+    # of h1 for the candidate modulus 1, and polynomial_class reuses it
+    from toridyn.classify import _radical
+    from toridyn.endo import eigen_data
+    from toridyn.scenarios import get_example
+
+    h1 = eigen_data(get_example(name).endo).h1_charpoly
+    unit_circle_root_count.cache_clear()
+    for factor, _ in h1.squarefree_decomposition():
+        exactnum._disk_magnitudes(factor, DEFAULT_PRECISION)
+    computed = unit_circle_root_count.cache_info().misses
+    polynomial_class(_radical(h1))
+    assert unit_circle_root_count.cache_info().misses == computed >= 1
+
+
 def test_serialize_round_trip():
     p = IntPolynomial([5, -2, 1])
     assert p.serialize() == ["5", "-2", "1"]
