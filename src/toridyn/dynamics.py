@@ -10,25 +10,30 @@ ends in the tail that level K spans from its state, so a tail shared by
 many parents is built once.  The number of points is |det(M - I)| when
 that is nonzero, budgeted before the Smith form, and otherwise known from
 the Smith factors and budgeted before anything is listed.  Orbit graphs
-on the m-torsion lattice are counted, not built: their cycle and tail
-histograms follow from Smith forms of powers of f reduced mod m, and the
-node budget bounds the trial division this needs.  Subtorus orbits are
-followed on integer bases, each image tested for inclusion in the start
-span by the rows of the start lattice's Smith coordinates that annihilate
-it, up to a bound: 'escaping' is a bounded verdict.
+on the m-torsion lattice are counted, not built: every count solves a
+congruence with a power of f mod m, by elimination over Z/p^e for each
+p^e || m; the order of f on the periodic nodes is bounded from the degrees
+of the factors of its charpoly mod p and tested as f^(N+L) = f^N on
+augmented matrices, and the node budget bounds the trial division this
+needs.  Subtorus orbits are followed on integer bases, each image tested
+for inclusion in the start span by the rows of the start lattice's Smith
+coordinates that annihilate it, up to a bound: 'escaping' is a bounded
+verdict.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import chain, pairwise, product, repeat, starmap
 from math import gcd, lcm, prod
 from operator import add, lt, mod, mul
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .matlin import RationalMatrix, matmul, smith_form
+from .exactnum import cyclotomic_poly
+from .matlin import RationalMatrix, charpoly, matmul, smith_form
 from .endo import TorusEndomorphism, eigen_data, iterate
 from .torus import Subtorus, make_subtorus
 
@@ -316,7 +321,9 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
 
     Torsion points a = x/m; f(a) has coordinates (M x + m tau)/m, so the
     translation must have denominators dividing m.  The budget bounds
-    m^d, and with it every number the counts factor by trial division."""
+    m^d, and with it every number the counts factor by trial division:
+    m and the cyclotomic values Phi_e(p), p | m, which divide some
+    p^j - 1 < m^d."""
     if m < 1:
         raise DomainError("torsion level must be >= 1")
     for t in f.tau:
@@ -330,33 +337,40 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
 
 
-def _prime_factors(n: int) -> set:
-    """The primes dividing n >= 1, by trial division."""
-    primes, p = set(), 2
+def _prime_factors(n: int) -> dict:
+    """{p: e} with p^e exactly dividing n >= 1, by trial division."""
+    primes, p = {}, 2
     while p * p <= n:
-        if n % p == 0:
-            primes.add(p)
-            while n % p == 0:
-                n //= p
+        while n % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            n //= p
         p += 1 + p % 2
-    return primes | {n} if n > 1 else primes
+    return primes | {n: 1} if n > 1 else primes
 
 
 def _orbit_histograms(f, m):
     """(cycle length -> cycles, tail length -> nodes) of the orbit graph
-    on (Z/m)^d, counted from Smith forms of d x d matrices mod m.
+    of f = (M, c) on (Z/m)^d, counted from powers of the augmented matrix
+    [[M, c], [0, 1]] mod m.
 
-    With U A V = diag(d_i), A x = c has prod gcd(d_i, m) solutions when
-    each gcd(d_i, m) divides (U c)_i, and none otherwise.  The periodic
-    nodes are a coset of E = M^N (Z/m)^d, N the step where |ker M^t|
-    stops growing, and the nodes of tail at most t number |E| |ker M^t|.
-    Fix(k) counts the solutions of (M^k - I) x = -c_k, f^k = (M^k, c_k).
-    The order L of f on the periodic coset divides lcm(p^j - 1 : p | m,
-    j <= d) times a power of rad(m), and Fix over the divisors of L gives
-    the nodes of each exact period."""
+    The nodes of tail at most t number |E| |ker M^t|, E = M^N (Z/m)^d and
+    N the step where |ker M^t| stops growing; the periodic nodes are the
+    coset f^N((Z/m)^d) of E.  So L is a multiple of the order of f on
+    them exactly when f^(N+L) = f^N, as augmented matrices mod m.  Over
+    p^e || m, E lies in the part where M is invertible, whose charpoly
+    mod p is chi = det(xI - M) mod p with its factors x dropped, so the
+    order divides lcm(p^j - 1) times a power of p, j over 1 and the
+    degrees of the irreducible factors of that part (_factor_degrees);
+    p^j - 1 is the product of the Phi_e(p), e | j, whose primes are the
+    candidates for stripping the bound to the order L.  The nodes of each
+    exact period follow from Fix(k), the solutions of (M^k - I) x = -c_k
+    for f^k = (M^k, c_k), over the divisors k of L.  Every count is a
+    product over p^e || m (_local_count)."""
     d = f.torus.rank
     aug = [[x % m for x in row] + [int(t * m) % m]
-           for row, t in zip(f.m.to_integer(), f.tau)] + [[0] * d + [1]]
+           for row, t in zip(f.m.to_integer(), f.tau)] + [[0] * d + [1 % m]]
+    identity = [[int(i == j) % m for j in range(d + 1)] for i in range(d + 1)]
+    factors = _prime_factors(m)
 
     def product(a, b):
         return [[x % m for x in row] for row in matmul(a, b)]
@@ -366,16 +380,13 @@ def _orbit_histograms(f, m):
     def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
         while len(squares) < k.bit_length():
             squares.append(product(squares[-1], squares[-1]))
-        return reduce(product, (a for i, a in enumerate(squares) if k >> i & 1))
+        chosen = [a for i, a in enumerate(squares) if k >> i & 1]
+        return reduce(product, chosen) if chosen else identity
 
-    @cache  # the order search and the divisor sum ask for some Fix(k) twice
     def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
-        top = power(k)[:d]
-        dec = smith_form([[x - s * (i == j) for j, x in enumerate(row[:d])]
-                          for i, row in enumerate(top)])
-        gs = [gcd(x, m) for x in dec.invariant_factors]
-        uc = dec.u.apply([-s * row[d] for row in top])
-        return 0 if any(x % g for x, g in zip(uc, gs)) else prod(gs)
+        rows = [[x - s * (i == j) for j, x in enumerate(row[:d])] + [-s * row[d]]
+                for i, row in enumerate(power(k)[:d])]
+        return prod(_local_count(rows, p**e) for p, e in factors.items())
 
     kernels = [1, solutions(1, 0)]  # |ker M^t| until it stops growing
     while kernels[-1] != kernels[-2]:
@@ -383,25 +394,117 @@ def _orbit_histograms(f, m):
     periodic = m**d // kernels[-1]
     tails = {t: periodic * (kernels[t] - kernels[t - 1]) if t else periodic
              for t in range(len(kernels) - 1)}
-    primes = _prime_factors(m)
-    orders = [p**j - 1 for p in primes for j in range(1, d + 1)]
-    order = lcm(1, *orders)
-    while solutions(order, 1) != periodic:
-        order *= prod(primes)
+    n = len(kernels) - 2  # N
+    start = power(n)
+
+    def closes(k):  # f^k is the identity on the periodic nodes
+        return power(n + k) == start
+
+    chi = charpoly(f.m)
+    order, primes = 1, set(factors)
+    for p in factors:
+        for j in {1} | _factor_degrees(chi.coeffs, p):
+            order = lcm(order, p**j - 1)
+            for e in range(1, j + 1):
+                if j % e == 0:
+                    primes.update(_prime_factors(cyclotomic_poly(e)(p)))
+    while not closes(order):  # the p-power parts: unipotent, translations
+        order *= prod(factors)
     divisors = [1]
-    for r in primes.union(*map(_prime_factors, orders)):
-        # strip r, then put back the least power of it that L needs
-        powers = [1]
-        while order % r == 0:
-            order //= r
-            powers.append(powers[-1] * r)
-        e = next(e for e, q in enumerate(powers) if solutions(order * q, 1) == periodic)
-        order *= powers[e]
-        divisors = [k * q for k in divisors for q in powers[:e + 1]]
+    for r in primes:
+        v = 0  # r^v || order
+        while order % r**(v + 1) == 0:
+            v += 1
+        # the least i <= v with f^(order / r^(v - i)) closing: tests are monotone in i
+        i = bisect_left(range(v), True, key=lambda t: closes(order // r**(v - t)))
+        order //= r**(v - i)
+        divisors = [k * r**e for k in divisors for e in range(i + 1)]
     exact = {}  # period -> nodes of exactly that period
     for k in sorted(divisors):
         exact[k] = solutions(k, 1) - sum(v for j, v in exact.items() if k % j == 0)
     return {k: v // k for k, v in exact.items() if v}, tails
+
+
+def _local_count(rows, q):
+    """The number of x in (Z/q)^d, q a prime power, with A x = b, [A | b]
+    the integer `rows`, by elimination over Z/q that pivots on an entry x
+    of least g = gcd(x, q): g divides the rest of its row and column, so
+    column operations, which leave b alone, would clear its row.  A pivot
+    takes g values when g divides its right-hand side, a free column q,
+    and the system has none when a pivot or a zero row refuses."""
+    rows = [[x % q for x in row] for row in rows]
+    free = list(range(len(rows[0]) - 1))
+    count = 1
+    while rows:
+        g, i, j = min(((gcd(x, q), i, j) for i, row in enumerate(rows)
+                       for j in free if (x := row[j])), default=(q, 0, 0))
+        if g == q:  # every row left is zero
+            break
+        pivot = rows.pop(i)
+        free.remove(j)
+        if pivot[-1] % g:
+            return 0
+        count *= g
+        unit = pow(pivot[j] // g, -1, q)
+        for row in rows:
+            factor = row[j] // g * unit
+            row[:] = [(x - factor * y) % q for x, y in zip(row, pivot)]
+    return 0 if any(row[-1] for row in rows) else count * q**len(free)
+
+
+def _factor_degrees(coeffs, p):
+    """The degrees of the irreducible factors other than x of the monic
+    integer polynomial `coeffs` (ascending) reduced mod p, by
+    distinct-degree factorisation (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 14.2): gcd(g, x^(p^j) - x) is the product of the
+    distinct irreducible factors of g of degree dividing j, so its degree
+    is the sum over i | j of i times the number n_i of those of degree i.
+    Polynomials mod p are ascending lists without trailing zeros."""
+    g = [c % p for c in coeffs]
+    while len(g) > 1 and g[0] == 0:
+        del g[0]  # the factors of x belong to the tails
+    found, h = {}, [0, 1]  # found[i] = i n_i; h = x^(p^j) mod g
+    for j in range(1, len(g)):
+        power = [1]
+        for bit in bin(p)[2:]:
+            power = _poly_mulmod(power, power, g, p)
+            if bit == "1":
+                power = _poly_mulmod(power, h, g, p)
+        h = power
+        h_minus_x = _poly_rem([c - (i == 1) for i, c in enumerate(h + [0, 0])], g, p)
+        u = _poly_gcd(g, h_minus_x, p)
+        found[j] = len(u) - 1 - sum(v for i, v in found.items() if j % i == 0)
+    return {i for i, v in found.items() if v}
+
+
+def _poly_rem(a, g, p):
+    """a mod the monic g over Z/p."""
+    a, n = list(a), len(g) - 1
+    while len(a) > n:
+        c = a.pop() % p
+        for t in range(n):
+            a[len(a) - n + t] -= c * g[t]
+    a = [x % p for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a, b, g, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_rem(out, g, p)
+
+
+def _poly_gcd(a, b, p):
+    """The monic gcd of a and b over Z/p, a monic."""
+    while b:
+        inverse = pow(b[-1], -1, p)
+        b = [x * inverse % p for x in b]
+        a, b = b, _poly_rem(a, b, p)
+    return a
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,

@@ -5,8 +5,10 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMatrix,
                      ResourceError, fixed_points, iterate, lefschetz_number,
@@ -22,7 +25,7 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
                      random_endo, restrict_and_quotient, saturate,
                      subtorus_orbit, torsion_dynamics)
 from toridyn.cli import _default_text, main
-from toridyn.dynamics import _smith_reduce
+from toridyn.dynamics import _factor_degrees, _smith_reduce
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -454,6 +457,82 @@ def test_torsion_dynamics_of_10_12_nodes_against_sympy_smith_forms():
                                 domain=sympy.ZZ)
         kernel = math.prod(math.gcd(int(snf[i, i]), m) for i in range(4))
         assert sum(l * c for l, c in graph.cycle_histogram.items() if k % l == 0) == kernel
+
+
+@pytest.mark.parametrize("name, p", [("gtz_diag", 10**9 + 7), ("mult_by_i", 2**31 - 1)])
+def test_torsion_dynamics_at_a_large_prime_level(name, p):
+    # chi splits mod p into factors of degree at most 2, so the order
+    # bound is p^2 - 1 and only p - 1 and p + 1 are factored
+    f = get_example(name).endo
+    d = f.torus.rank
+    start = time.perf_counter()
+    graph = torsion_dynamics(f, p, budget=10**40)
+    assert time.perf_counter() - start < 2
+    assert sum(l * c for l, c in graph.cycle_histogram.items()) == graph.tail_histogram[0] == p**d
+    assert all((p * p - 1) % l == 0 for l in graph.cycle_histogram)
+    m_minus_i = sympy.Matrix(f.m.to_integer()) - sympy.eye(d)
+    rank = DomainMatrix.from_Matrix(m_minus_i).convert_to(sympy.GF(p)).rank()
+    assert graph.fixed_node_count() == p**(d - rank)
+
+
+def test_torsion_dynamics_at_level_1(capsys):
+    # (Z/1)^d is one node, fixed by f
+    f = get_example("gtz_diag").endo
+    graph = torsion_dynamics(f, 1)
+    assert (graph.node_count, graph.cycle_histogram, graph.tail_histogram) == (1, {1: 1}, {0: 1})
+    assert main(["torsion", "--example", "gtz_diag", "--level", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "level": 1, "node_count": 1, "cycle_histogram": {"1": 1}, "tail_histogram": {"0": 1},
+        "periodic_node_count": 1, "fixed_node_count": 1}
+
+
+TORSION_LEVELS = {2: (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 6, 10, 12, 15, 18, 20, 36),
+                  4: (2, 3, 4, 5, 7, 8, 6)}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_torsion_dynamics_matches_brute_force_on_random_maps(seed):
+    # a random Gaussian or Eisenstein map of rank 2 or 4 with a random
+    # translation, at a prime-power or composite level of at most 4096
+    # nodes; a row scaled by p | m makes M singular mod p, so the counts
+    # take pivots of positive p-valuation
+    rng = random.Random(seed)
+    name, n = rng.choice([("gaussian", 1), ("gaussian", 2), ("eisenstein", 1)])
+    order = order_by_name(name)
+    torus = cm_power_torus(order, n)
+    m = rng.choice(TORSION_LEVELS[torus.rank])
+    b = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.4:
+        p = min(q for q in range(2, m + 1) if m % q == 0)
+        b[0] = [(x * p, y * p) for x, y in b[0]]
+    tau = [Fraction(rng.randrange(m), m) if rng.random() < 0.5 else 0 for _ in range(torus.rank)]
+    assert_matches_brute_force(cm_matrix_endo(torus, order, b, tau), m)
+
+
+def test_torsion_counts_take_no_smith_form(monkeypatch):
+    # the torsion counts eliminate over Z/p^e; fixed points still take the
+    # Smith form, which shows the patch reaches it
+    def refuse(a):
+        raise AssertionError("smith_form was called")
+
+    monkeypatch.setattr("toridyn.dynamics.smith_form", refuse)
+    f = get_example("gtz_diag").endo
+    assert torsion_dynamics(f, 31).cycle_histogram == {1: 1, 96: 9620}
+    with pytest.raises(AssertionError, match="smith_form was called"):
+        fixed_points(f)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+       st.sampled_from([2, 3, 5, 7, 31, 997]))
+@settings(max_examples=100, deadline=None)
+def test_factor_degrees_match_sympy(coeffs, p):
+    # the degrees of the irreducible factors other than x of a monic
+    # polynomial mod p, against sympy's factorisation over GF(p)
+    x = sympy.symbols("x")
+    poly = sympy.Poly(list(reversed(coeffs + [1])), x, modulus=p)
+    expected = {g.degree() for g, _ in poly.factor_list()[1] if g != sympy.Poly(x, x, modulus=p)}
+    assert _factor_degrees(coeffs + [1], p) == expected
 
 
 def test_torsion_dynamics_doubling_level3(e_torus):
