@@ -11,8 +11,8 @@ many parents is built once.  The number of points is |det(M - I)| when
 that is nonzero, budgeted before the Smith form, and otherwise known from
 the Smith factors and budgeted before anything is listed.  Orbit graphs
 on the m-torsion lattice are counted, not built: every count solves a
-congruence with a power of f mod m, by elimination over Z/p^e for each
-p^e || m; the order of f on the periodic nodes is bounded from the degrees
+congruence with a power of f mod m, from the same triangular basis, taken
+mod m; the order of f on the periodic nodes is bounded from the degrees
 of the factors of its charpoly mod p and tested as f^(N+L) = f^N on
 augmented matrices, and the node budget bounds the trial division this
 needs.  Subtorus orbits are followed on integer bases, each image tested
@@ -27,14 +27,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, pairwise, product, repeat, starmap
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, lt, mod, mul
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .exactnum import cyclotomic_poly
+from .exactnum import _prime_factors, cyclotomic_poly
 from .matlin import RationalMatrix, charpoly, matmul, smith_form
-from .endo import TorusEndomorphism, eigen_data, iterate
+from .endo import TorusEndomorphism, _affine_rows, eigen_data, iterate
 from .torus import Subtorus, make_subtorus
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -337,17 +337,6 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
 
 
-def _prime_factors(n: int) -> dict:
-    """{p: e} with p^e exactly dividing n >= 1, by trial division."""
-    primes, p = {}, 2
-    while p * p <= n:
-        while n % p == 0:
-            primes[p] = primes.get(p, 0) + 1
-            n //= p
-        p += 1 + p % 2
-    return primes | {n: 1} if n > 1 else primes
-
-
 def _orbit_histograms(f, m):
     """(cycle length -> cycles, tail length -> nodes) of the orbit graph
     of f = (M, c) on (Z/m)^d, counted from powers of the augmented matrix
@@ -364,11 +353,10 @@ def _orbit_histograms(f, m):
     p^j - 1 is the product of the Phi_e(p), e | j, whose primes are the
     candidates for stripping the bound to the order L.  The nodes of each
     exact period follow from Fix(k), the solutions of (M^k - I) x = -c_k
-    for f^k = (M^k, c_k), over the divisors k of L.  Every count is a
-    product over p^e || m (_local_count)."""
+    for f^k = (M^k, c_k), over the divisors k of L.  Every count is one
+    _congruence_count mod m."""
     d = f.torus.rank
-    aug = [[x % m for x in row] + [int(t * m) % m]
-           for row, t in zip(f.m.to_integer(), f.tau)] + [[0] * d + [1 % m]]
+    aug = [[x % m for x in row] for row in _affine_rows(f, m)]
     identity = [[int(i == j) % m for j in range(d + 1)] for i in range(d + 1)]
     factors = _prime_factors(m)
 
@@ -384,9 +372,10 @@ def _orbit_histograms(f, m):
         return reduce(product, chosen) if chosen else identity
 
     def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
-        rows = [[x - s * (i == j) for j, x in enumerate(row[:d])] + [-s * row[d]]
-                for i, row in enumerate(power(k)[:d])]
-        return prod(_local_count(rows, p**e) for p, e in factors.items())
+        *columns, c = zip(*power(k)[:d])  # the columns of M^k, then c_k
+        columns = [[x - s * (i == j) for i, x in enumerate(column)]
+                   for j, column in enumerate(columns)]
+        return _congruence_count(columns, [-s * x for x in c], m)
 
     kernels = [1, solutions(1, 0)]  # |ker M^t| until it stops growing
     while kernels[-1] != kernels[-2]:
@@ -425,31 +414,20 @@ def _orbit_histograms(f, m):
     return {k: v // k for k, v in exact.items() if v}, tails
 
 
-def _local_count(rows, q):
-    """The number of x in (Z/q)^d, q a prime power, with A x = b, [A | b]
-    the integer `rows`, by elimination over Z/q that pivots on an entry x
-    of least g = gcd(x, q): g divides the rest of its row and column, so
-    column operations, which leave b alone, would clear its row.  A pivot
-    takes g values when g divides its right-hand side, a free column q,
-    and the system has none when a pivot or a zero row refuses."""
-    rows = [[x % q for x in row] for row in rows]
-    free = list(range(len(rows[0]) - 1))
-    count = 1
-    while rows:
-        g, i, j = min(((gcd(x, q), i, j) for i, row in enumerate(rows)
-                       for j in free if (x := row[j])), default=(q, 0, 0))
-        if g == q:  # every row left is zero
-            break
-        pivot = rows.pop(i)
-        free.remove(j)
-        if pivot[-1] % g:
+def _congruence_count(columns, b, m):
+    """The number of x in (Z/m)^d with A x = b (mod m), A the integer
+    `columns`.  These and m Z^d span a lattice L, with the triangular basis
+    of _hermite_basis, pivots h_k | m.  A maps (Z/m)^d onto L / m Z^d, of
+    order m^d / prod h_k, so a consistent system has prod h_k solutions;
+    it is consistent exactly when b lies in L, that is, when reducing b
+    by the basis rows in turn meets only entries b_k divisible by h_k."""
+    basis = _hermite_basis(columns, m)
+    for k, row in enumerate(basis):
+        q, r = divmod(b[k], row[k])
+        if r:
             return 0
-        count *= g
-        unit = pow(pivot[j] // g, -1, q)
-        for row in rows:
-            factor = row[j] // g * unit
-            row[:] = [(x - factor * y) % q for x, y in zip(row, pivot)]
-    return 0 if any(row[-1] for row in rows) else count * q**len(free)
+        b = [(x - q * y) % m for x, y in zip(b, row)]
+    return prod(row[k] for k, row in enumerate(basis))
 
 
 def _factor_degrees(coeffs, p):

@@ -87,10 +87,16 @@ def iterate(f: TorusEndomorphism, k: int) -> TorusEndomorphism:
     if k < 1:
         raise DomainError("iteration count must be >= 1")
     size, q = f.torus.rank, lcm(*(t.denominator for t in f.tau))
-    affine = [row + (int(q * t),) for row, t in zip(f.m.entries, f.tau)]
-    power = (RationalMatrix._of(affine + [(0,) * size + (1,)], True) ** k).entries[:size]
+    power = (RationalMatrix._of(_affine_rows(f, q), True) ** k).entries[:size]
     return TorusEndomorphism(f.torus, RationalMatrix._of([row[:size] for row in power], True),
                              tuple(_quotient(row[size] % q, q) for row in power))
+
+
+def _affine_rows(f: TorusEndomorphism, q: int):
+    """The integer rows of [[M, q tau], [0, 1]], q a multiple of every
+    denominator of tau."""
+    rows = [[*row, int(q * t)] for row, t in zip(f.m.entries, f.tau)]
+    return rows + [[0] * f.torus.rank + [1]]
 
 
 # ---------------------------------------------------------------------------

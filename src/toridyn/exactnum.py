@@ -303,18 +303,19 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     return p
 
 
+def _prime_factors(n: int) -> dict:
+    """{p: e} with p^e exactly dividing n >= 1, by trial division."""
+    primes, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            n //= p
+        p += 1 + p % 2
+    return primes | {n: 1} if n > 1 else primes
+
+
 def _euler_phi(n: int) -> int:
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod((p - 1) * p**(e - 1) for p, e in _prime_factors(n).items())
 
 
 @lru_cache(maxsize=None)

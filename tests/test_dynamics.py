@@ -4,6 +4,7 @@ subtorus orbits."""
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -25,7 +26,7 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
                      random_endo, restrict_and_quotient, saturate,
                      subtorus_orbit, torsion_dynamics)
 from toridyn.cli import _default_text, main
-from toridyn.dynamics import _factor_degrees, _smith_reduce
+from toridyn.dynamics import _congruence_count, _factor_degrees, _smith_reduce
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -521,6 +522,53 @@ def test_torsion_counts_take_no_smith_form(monkeypatch):
     assert torsion_dynamics(f, 31).cycle_histogram == {1: 1, 96: 9620}
     with pytest.raises(AssertionError, match="smith_form was called"):
         fixed_points(f)
+
+
+def enumerated_count(a, b, m):
+    """The number of x in (Z/m)^d with A x = b (mod m), by listing them."""
+    return sum(all((sum(map(operator.mul, row, x)) - bi) % m == 0 for row, bi in zip(a, b))
+               for x in itertools.product(range(m), repeat=len(a)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_congruence_count_matches_enumeration(seed):
+    # A x = b over (Z/m)^d, d <= 3: a random, singular (a row or column
+    # scaled by a prime of m, or a repeated column) or zero A, against a
+    # consistent b = A x0 and a random b, which is often inconsistent
+    rng = random.Random(seed)
+    d, m = rng.randint(1, 3), rng.choice([1, 2, 4, 6, 9, 10, 12])
+    a = [[rng.randint(-12, 12) for _ in range(d)] for _ in range(d)]
+    p = next((q for q in range(2, m + 1) if m % q == 0), 0)  # 0 at m = 1
+    kind = rng.choice(["random", "row", "column", "repeat", "zero"])
+    if kind == "zero":
+        a = [[0] * d for _ in range(d)]
+    elif kind == "row":
+        a[0] = [x * p for x in a[0]]
+    for row in a:
+        if kind == "column":
+            row[-1] *= p
+        elif kind == "repeat":
+            row[-1] = row[0] * rng.randint(-2, 2)
+    columns = [list(column) for column in zip(*a)]
+    x0 = [rng.randrange(m) for _ in range(d)]
+    image = [sum(map(operator.mul, row, x0)) for row in a]
+    kernel = enumerated_count(a, [0] * d, m)
+    assert _congruence_count(columns, image, m) == enumerated_count(a, image, m) == kernel
+    b = [rng.randint(-2 * m, 2 * m) for _ in range(d)]
+    assert _congruence_count(columns, b, m) == enumerated_count(a, b, m) in (0, kernel)
+
+
+@pytest.mark.parametrize("a, b, m", [
+    ([[0, 0], [0, 0]], [0, 1], 4),          # zero A, b != 0
+    ([[2, 0], [0, 2]], [1, 0], 4),          # b_0 off the pivot 2
+    ([[2, 0], [0, 3]], [0, 1], 6),          # b_1 off the pivot 3
+    ([[1, 2], [2, 4]], [1, 1], 10),         # rank 1 over Z: b off its image
+    ([[3, 0, 0], [0, 0, 0], [0, 3, 6]], [3, 0, 4], 9),
+])
+def test_congruence_count_of_inconsistent_systems(a, b, m):
+    assert enumerated_count(a, b, m) == 0
+    assert _congruence_count([list(column) for column in zip(*a)], b, m) == 0
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8),

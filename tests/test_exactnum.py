@@ -94,6 +94,26 @@ def test_cyclotomic_degree_is_totient(n):
     assert cyclotomic_poly(n).degree == sympy.totient(n)
 
 
+def test_prime_factors_match_sympy_up_to_5000():
+    for n in range(1, 5001):
+        assert exactnum._prime_factors(n) == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize("n", [10007 * 10009, 999983 * 1000003, 2**20 * 999983,
+                               3**12 * 5**7, 2**40])
+def test_prime_factors_of_semiprimes_and_prime_powers_match_sympy(n):
+    assert exactnum._prime_factors(n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cyclotomic_indices_are_every_totient_at_most_n(n):
+    # phi(k) >= sqrt(k / 2), so no k past 2 n^2 has phi(k) <= n
+    bound = 2 * n * n + 2
+    indices = exactnum._cyclotomic_indices(n)
+    assert indices == tuple(k for k in range(1, bound + 1) if sympy.totient(k) <= n)
+    assert all(sympy.totient(k) > n for k in range(bound + 1, 2 * bound))
+
+
 def test_cyclotomic_root_count():
     p = cyclotomic_poly(4) * cyclotomic_poly(4) * IntPolynomial([-2, 1])
     count, factors = cyclotomic_root_count(p)
