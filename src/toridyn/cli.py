@@ -11,17 +11,21 @@ denominator has at most sys.get_int_max_str_digits() digits:
 
 Exit codes: 0 success, 1 property violation, 2 parse error, 3 domain or
 validation error, 4 resource budget exceeded, 5 internal error (an
-unexpected exception, reported on one stderr line).
+unexpected exception, reported on one stderr line), 141 stdout closed by
+its reader (128 + SIGPIPE, the code a shell gives a process that signal
+ends; reported as `error[io]: stdout was closed`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import add, mul
 from types import SimpleNamespace
 
@@ -38,6 +42,7 @@ from .classify import (_decimal, amplified, chain_violations,
 from .scenarios import get_example, order_by_name, named_examples, random_endo
 
 EXIT_OK, EXIT_VIOLATION, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
+EXIT_CLOSED = 141  # 128 + SIGPIPE
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +219,41 @@ def cmd_degrees(args):
 
 def _emit_with_rows(doc, key, fps, fmt):
     """emit() of doc with `key` set to the rows of a fixed point set as
-    coordinate strings, for a key that sorts after every key of doc.  Each
-    distinct numerator becomes a token once (json.dumps of its str() for
-    JSON, repr for text), the rows of each distinct tail are joined once,
-    and each parent is written as its head before each of its tail's rows:
-    head + (rowsep + head).join(tail rows), with no Python work per point."""
-    token, sep = (json.dumps, ",") if fmt == "json" else (repr, ", ")
-    heads, tails = fps.listing_as(lambda x: token(str(x)))
+    coordinate strings, for a key that sorts after every key of doc,
+    streamed to stdout parent by parent with no string of the whole
+    listing.  Each distinct numerator k becomes a token once: str(k /
+    denominator), quoted as json.dumps (JSON) or repr (text) would, built
+    from integers under _whole_numbers().  The rows of each distinct tail
+    are joined once, and each parent is written as its head before each
+    of its tail's rows, head + (rowsep + head).join(tail rows), with no
+    Python work per point.  Everything that can raise is built before
+    the first write, so a failure leaves stdout empty."""
+    quote, sep = ('"', ",") if fmt == "json" else ("'", ", ")
+    denom = fps.denominator
+
+    def token(k):  # str(Fraction(k, denom)), quoted
+        g = gcd(k, denom)
+        return f"{quote}{k // g}{quote}" if g == denom else f"{quote}{k // g}/{denom // g}{quote}"
+
+    with _whole_numbers():
+        heads, tails = fps.listing_as(token)
     # each head ends in sep, and is "" when the listing has no head columns
     heads = list(map(sep.join, zip(*heads, repeat("", len(fps.tail_index)))))
     rows, n = list(map(sep.join, zip(*tails))), fps.tail_length
+    if fmt == "json":
+        head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        prefix, end = f'{head[:-1]},"{key}":[[', "]]}\n"
+    else:
+        prefix, end = f"{_default_text(doc)}\n{key}: [[", "]]\n"
     starts = list(map(mul, fps.tail_index, repeat(n)))  # of each parent's tail
     tails = map(rows.__getitem__, map(slice, starts, map(add, starts, repeat(n))))
     rowsep = f"]{sep}["
     parents = map(add, heads, map(str.join, map(rowsep.__add__, heads), tails))
-    array = "[[" + rowsep.join(parents) + "]]"  # never empty
-    if fmt == "json":
-        head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        print(f'{head[:-1]},"{key}":{array}}}')
-    else:
-        print(f"{_default_text(doc)}\n{key}: {array}")
+    out = sys.stdout
+    out.write(prefix)
+    out.write(next(parents))  # there is always a parent
+    out.writelines(map(rowsep.__add__, parents))
+    out.write(end)
 
 
 def cmd_fixed_points(args):
@@ -433,7 +453,7 @@ def _fail(where, message):
 
 
 def _help(command=None):
-    print(_usage(command))
+    print(_usage(command), flush=True)  # a closed stdout fails inside main
     raise SystemExit(EXIT_OK)
 
 
@@ -511,12 +531,31 @@ def parse_args(argv=None):
     return SimpleNamespace(**values)
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    # looked up per call, so a replaced handler takes effect
-    handler = globals()["cmd_" + args.command.replace("-", "_")]
+def _detach_stdout():
+    """Points stdout's descriptor at os.devnull, so that what is still
+    buffered for a reader that has gone is dropped at exit instead of
+    failing again; a stdout with no descriptor (a StringIO) is left alone."""
     try:
-        return handler(args)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None):
+    try:
+        args = parse_args(argv)  # --help writes to stdout too
+        # looked up per call, so a replaced handler takes effect
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        _detach_stdout()
+        print("error[io]: stdout was closed", file=sys.stderr)
+        return EXIT_CLOSED
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,10 +15,11 @@ congruence with a power of f mod m, from the same triangular basis, taken
 mod m; the order of f on the periodic nodes is bounded from the degrees
 of the factors of its charpoly mod p and tested as f^(N+L) = f^N on
 augmented matrices, and the node budget bounds the trial division this
-needs.  Subtorus orbits are followed on integer bases, each image tested
-for inclusion in the start span by the rows of the start lattice's Smith
+needs.  Subtorus orbits are followed on integer bases, pushed by the
+integer rows of M, each image tested for inclusion in the start span by
+integer dot products with the rows of the start lattice's Smith
 coordinates that annihilate it, up to a bound: 'escaping' is a bounded
-verdict.
+verdict.  No step of an orbit makes a Fraction.
 """
 
 from __future__ import annotations
@@ -93,25 +94,27 @@ class FixedPointSet(Record):
 
     def listing_as(self, convert):
         """(heads, tails), the columns of those two fields with each
-        numerator k read as convert(k / denominator), converted once per
-        distinct numerator; each column is an iterator."""
-        values = {k: convert(Fraction(k, self.denominator))
-                  for k in set().union(*self.heads, *self.tails)}
+        numerator k read as convert(k), converted once per distinct
+        numerator; each column is an iterator."""
+        values = {k: convert(k) for k in set().union(*self.heads, *self.tails)}
         return ([map(values.__getitem__, column) for column in self.heads],
                 [map(values.__getitem__, column) for column in self.tails])
 
     def rows_as(self, convert):
-        """The rows with each numerator k read as convert(k / denominator),
-        converted once per distinct numerator; an iterable of tuples."""
+        """The rows with each numerator k read as convert(k), converted
+        once per distinct numerator; an iterable of tuples."""
         heads, tails = self.listing_as(convert)
         heads = _head_rows(heads, self.tail_index)
         rows, n = list(zip(*tails)), self.tail_length
         return (head + row for head, i in zip(heads, self.tail_index)
                 for row in rows[i * n:(i + 1) * n])
 
+    def _fractions(self):
+        return tuple(self.rows_as(lambda k: Fraction(k, self.denominator)))
+
     @cached_property
     def rows(self) -> tuple:
-        return tuple(self.rows_as(lambda x: int(x * self.denominator)))
+        return tuple(self.rows_as(int))
 
     @cached_property
     def columns(self) -> tuple:
@@ -119,11 +122,11 @@ class FixedPointSet(Record):
 
     @cached_property
     def points(self) -> tuple:
-        return tuple(self.rows_as(Fraction)) if self.kind == "finite" else ()
+        return self._fractions() if self.kind == "finite" else ()
 
     @cached_property
     def transversal(self) -> tuple:
-        return tuple(self.rows_as(Fraction)) if self.kind == "coset-family" else ()
+        return self._fractions() if self.kind == "coset-family" else ()
 
     def count(self):
         if self.kind == "finite":
@@ -497,12 +500,13 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
     if not f.surjective:
         raise NotSurjectiveError("subtorus orbits require det M != 0")
     # M^k V has the dimension of V, so it is V as soon as it lies in V:
-    # each step pushes the integer basis forward and tests inclusion
-    in_start = sub.lattice.spans_vector
-    m_t = f.m.transpose().entries
-    current = sub.lattice.basis.columns()
+    # each step pushes the integer basis forward by the integer rows of M
+    # and tests inclusion by the integer rows that annihilate V
+    lattice, rows = sub.lattice, f.m.entries
+    annihilator = lattice.coordinates.entries[lattice.rank:]
+    current = lattice.basis.columns()
     for step in range(1, bound + 1):
-        current = matmul(current, m_t)  # rows M v
-        if all(map(in_start, current)):
+        current = [[sum(map(mul, row, v)) for row in rows] for v in current]
+        if not any(sum(map(mul, a, v)) for v in current for a in annihilator):
             return ("invariant" if step == 1 else ("periodic", step)), step + 1
     return "escaping", bound + 1

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,6 +369,36 @@ def test_degrees_and_classify_print_results_past_the_digit_limit(capsys, tmp_pat
     assert f"  lefschetz: {lefschetz_text}\n" in text_report
 
 
+def test_fixed_points_print_coordinates_past_the_digit_limit(capsys, tmp_path):
+    # M = (2, 1; 0, 2) over the Gaussian order on E x E makes M - I
+    # unimodular, so the one fixed point solves (M - I) x = -tau; its first
+    # coordinate 1/b - 1/a has the 8,001-digit denominator a b
+    a, b = 10**4000 + 1, 10**4000 + 3
+    m = [["2", "0", "1", "0"], ["0", "2", "0", "1"], ["0", "0", "2", "0"], ["0", "0", "0", "2"]]
+    tau = [Fraction(1, a), 0, Fraction(1, b), 0]
+    path = write_scenario(tmp_path, {"torus": {"J": J4},
+                                     "endomorphism": {"M": m, "tau": [str(t) for t in tau]}})
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "fixed-points", path, "--format", "json")
+    assert (code, err) == (0, "")
+    code, text, err = run(capsys, "fixed-points", path)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    assert text == _default_text(doc) + "\n"
+    sys.set_int_max_str_digits(0)
+    try:
+        points = [[Fraction(c) for c in x] for x in doc["points"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["count"] == len(points) == 1
+    (x,) = points
+    assert all(0 <= c < 1 for c in x) and x[0].denominator == a * b
+    images = [sum((int(mij) - (i == j)) * c for j, (mij, c) in enumerate(zip(row, x)))
+              for i, row in enumerate(m)]
+    assert all((y + t).denominator == 1 for y, t in zip(images, tau))
+
+
 def test_degrees_of_roots_far_beyond_float_range_are_fast(capsys, tmp_path):
     # diag(10^600 + i, 3 + 2i): the H^1 roots 10^600 +/- i are 2 apart at
     # modulus 10^600, so the float proposals overflow and the Weierstrass
@@ -691,6 +722,104 @@ def test_dynamics_bytes_are_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *(path if a is None else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class DigestSink:
+    """A stdout that hashes what is written to it and keeps only the
+    digest, the number of bytes and the length of the longest write."""
+
+    def __init__(self):
+        self.sha, self.size, self.largest = hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+        self.largest = max(self.largest, len(data))
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt, sep", [("json", ","), ("text", ", ")])
+def test_fixed_point_listing_is_never_held_whole(monkeypatch, fmt, sep):
+    # gtz_diag --iterate 4 lists 409,600 points as 51,200 parents of 8 rows
+    # each (12,963,896 JSON bytes): every write holds at most one parent,
+    # and memory stays well below the size of the listing
+    argv = ("fixed-points", "--example", "gtz_diag", "--iterate", "4", "--format", fmt)
+    fps = fixed_points(iterate(get_example("gtz_diag").endo, 4))
+    # a parent is rowsep before each of its rows, of d tokens "k/D" and seps
+    token, d = 3 + 2 * len(str(fps.denominator)), len(fps.heads) + len(fps.tails)
+    block = fps.tail_length * (len(f"]{sep}[") + d * (token + len(sep)))
+    del fps
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.sha.hexdigest() == dict(PINNED_DYNAMICS)[argv]
+    assert sink.largest <= block
+    assert peak < sink.size / 2
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, *args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    writelines = flush = write
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("fixed-points", "--help"), ("examples",),
+    ("orbit", "--example", "gtz_diag", "--sublattice", "diagonal"),
+    ("fixed-points", "--example", "gtz_diag", "--iterate", "2", "--format", "json"),
+])
+def test_every_write_to_a_closed_stdout_exits_141(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(list(argv)) == 141
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "error[io]: stdout was closed\n")
+
+
+@pytest.mark.parametrize("argv, keep", [
+    (("fixed-points", "--example", "gtz_diag", "--iterate", "4", "--format", "json"), 20),
+    (("examples",), 0),
+    (("--help",), 0),
+])
+def test_a_closed_stdout_exits_141_with_one_stderr_line(argv, keep):
+    # stdout stays block-buffered, as on any pipe, and the child starts
+    # when its stdin closes.  The listing, 12,963,896 bytes, is far more
+    # than a pipe holds, so its writes fail once the reader has read `keep`
+    # bytes and gone; the list of examples and the usage are still in the
+    # buffer when they meet a reader that went before the child started
+    script = ("import sys; sys.stdin.read(); from toridyn.cli import main; "
+              f"sys.exit(main({argv!r}))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)})
+    if keep:
+        proc.stdin.close()
+        head = proc.stdout.read(keep)
+        proc.stdout.close()
+        assert head == b'{"count":409600,"ite'
+    else:
+        proc.stdout.close()
+        proc.stdin.close()
+    code = proc.wait(timeout=60)  # stderr is one line, which the pipe holds
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (code, err) == (141, b"error[io]: stdout was closed\n")
 
 
 # -- sweep and examples

@@ -21,7 +21,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMatrix,
-                     ResourceError, fixed_points, iterate, lefschetz_number,
+                     ResourceError, Sublattice, fixed_points, iterate, lefschetz_number,
                      make_endo, make_subtorus, order_by_name, periodic_count,
                      random_endo, restrict_and_quotient, saturate,
                      subtorus_orbit, torsion_dynamics)
@@ -684,6 +684,20 @@ def test_span_questions_take_no_elimination(monkeypatch):
     column = diagonal.lattice.basis.column(0)
     assert diagonal.lattice.spans_vector(column)
     assert not diagonal.lattice.spans_vector(gtz.m.apply(column))
+
+
+def test_orbit_takes_no_fraction_path(monkeypatch):
+    # the basis is pushed by the integer rows of M and each image is tested
+    # against the integer annihilator rows, with no entry normalised by apply
+    gtz, diagonal = example_subtorus("gtz_diag", "diagonal")
+    assert gtz.surjective
+
+    def no_fraction_path(*args, **kwargs):
+        raise AssertionError("a vector took the RationalMatrix.apply path")
+
+    monkeypatch.setattr(Sublattice, "spans_vector", no_fraction_path)
+    monkeypatch.setattr(RationalMatrix, "apply", no_fraction_path)
+    assert subtorus_orbit(gtz, diagonal) == ("escaping", 65)
 
 
 def saturating_orbit(f, sub, bound):
