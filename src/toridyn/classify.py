@@ -5,7 +5,8 @@ verification of the implication chain and its stability under iteration.
 Amplified and polarized are decided exactly from the spectrum of M, with
 no search; each "yes" carries an integer NS witness.  The spectrum of f^*
 on NS comes from the analytic charpoly (ns_charpoly), so no decision
-builds the rho x rho matrix ns_action.
+builds the rho x rho matrix ns_action.  The Serre test is an integer root
+count: no yes/no field reads the precision, which sets degree widths only.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import floor, inf, lcm, nextafter
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _from_power_sums,
-                       _power_sums, polynomial_class, root_magnitudes,
-                       unit_circle_root_count)
+                       _modulus_root_count, _power_sums, polynomial_class,
+                       root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
 from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks, eigen_data,
                    iterate, minimal_unity_iterate, unity_free)
@@ -37,7 +38,6 @@ def h1_magnitudes(f: TorusEndomorphism, precision=DEFAULT_PRECISION):
 # NS action
 
 
-@lru_cache(maxsize=512)
 def ns_action(f: TorusEndomorphism) -> RationalMatrix:
     """Action A of f^* on NS in the coordinates of neron_severi.  f^*E is
     M^T E M; in the frame P it takes the block form B to M_P^T B M_P,
@@ -212,13 +212,16 @@ def polarization_q_candidate(f: TorusEndomorphism):
     return q if q is not None and q >= 2 else None
 
 
-def serre_test(f: TorusEndomorphism, q: int,
-               precision: Fraction = DEFAULT_PRECISION) -> bool:
-    """Necessary condition for f^*L = qL with L ample: every certified H^1
-    root magnitude interval must contain sqrt(q).  Reported by full_report
-    as serre_consistent; polarized does not use it."""
-    mags = h1_magnitudes(f, precision)
-    return all(e.lower**2 <= q <= e.upper**2 for e in mags.entries)
+def serre_test(f: TorusEndomorphism, q: int) -> bool:
+    """Necessary condition for f^*L = qL with L ample: every H^1
+    eigenvalue has modulus sqrt(q).  The roots of g, g(x^2) = h1(x) h1(-x)
+    (one Graeffe step), are their squares, so it holds exactly when all deg
+    g roots of g have modulus q.  Reported by full_report as
+    serre_consistent; polarized does not use it."""
+    h1 = eigen_data(f).h1_charpoly
+    even = h1 * IntPolynomial((-1) ** j * c for j, c in enumerate(h1.coeffs))
+    g = IntPolynomial(even.coeffs[::2])
+    return q > 0 and _modulus_root_count(g, Fraction(q)) == g.degree
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +421,6 @@ def full_report(f: TorusEndomorphism,
     amp = amplified(f)
     pol = polarized(f)
     degrees = dynamical_degrees(f, precision)
-    q_cand = polarization_q_candidate(f)
-    serre_ok = serre_test(f, q_cand, precision) if q_cand is not None else True
     notes = []
     if not free and degrees.equal_consecutive_pairs:
         notes.append("equal consecutive dynamical degrees computed for a "
@@ -437,7 +438,7 @@ def full_report(f: TorusEndomorphism,
         polarized=pol.verdict,
         polarized_q=pol.q if pol.verdict == "yes" else None,
         polarized_witness=pol.witness,
-        serre_consistent=serre_ok,
+        serre_consistent=pol.q is None or serre_test(f, pol.q),
         dynamical_degrees=degrees.intervals,
         equal_consecutive_pairs=degrees.equal_consecutive_pairs,
         exact_equalities=degrees.exact_equalities,

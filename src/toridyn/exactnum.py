@@ -663,6 +663,14 @@ def _rounds(coeffs, k: int):
     raise ResourceError(f"root magnitude refinement passed its limit of {limit} bits")
 
 
+def _modulus_root_count(p: IntPolynomial, r: Fraction) -> int:
+    """The number of roots of p of modulus r = a/b > 0, with multiplicity:
+    the roots of b^d p(a x / b) on the unit circle, d the degree of p."""
+    a, b, d = r.numerator, r.denominator, p.degree
+    return unit_circle_root_count(IntPolynomial(
+        [c * a**j * b**(d - j) for j, c in enumerate(p.coeffs)]))
+
+
 def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
     """Certified (lower, upper) |root| intervals, one per root, for a
     squarefree integer polynomial with nonzero constant term.
@@ -670,11 +678,11 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
     Each round of _rounds gives disjoint inclusion disks, one root each.  A
     rational |root| is k/|a_d| for an integer k >= 1, since a_d z is an
     algebraic integer.  A round is accepted when each interval holds at
-    most one such candidate, the intervals holding a candidate r = a/b
-    number exactly the roots of modulus r (the unit-circle roots of
-    b^d q(a x / b)), and every other interval is at most `precision` wide.
-    The intervals holding a candidate snap to the point [r, r]."""
-    coeffs, d = q.coeffs, q.degree
+    most one such candidate, the intervals holding a candidate r number
+    exactly the roots of modulus r (_modulus_root_count), and every other
+    interval is at most `precision` wide.  The intervals holding a
+    candidate snap to the point [r, r]."""
+    coeffs = q.coeffs
     lead = abs(coeffs[-1])
     # intervals are rounded outward to the grid 2^-scale
     scale = (precision.denominator // precision.numerator).bit_length() + 8
@@ -695,9 +703,7 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
                     for first, last in spans]
             candidates = set(held) - {None}
             for r in candidates - on_modulus.keys():
-                a, b = r.numerator, r.denominator
-                on_modulus[r] = unit_circle_root_count(IntPolynomial(
-                    [c * a**j * b**(d - j) for j, c in enumerate(coeffs)]))
+                on_modulus[r] = _modulus_root_count(q, r)
             if not (any(last > first for first, last in spans) or any(
                     held.count(r) != on_modulus[r] for r in candidates)):
                 break
@@ -712,13 +718,8 @@ def _disk_magnitudes(q: IntPolynomial, precision: Fraction):
 def root_magnitudes(p: IntPolynomial, precision=DEFAULT_PRECISION) -> CertifiedMagnitudeMultiset:
     """Certified enclosures of all root magnitudes of p with exact
     multiplicities; each interval has width <= precision or is an exact
-    point.  Cached: the classification layer asks for the same charpoly
-    repeatedly."""
-    return _root_magnitudes_cached(p, Fraction(precision))
-
-
-@lru_cache(maxsize=1024)
-def _root_magnitudes_cached(p: IntPolynomial, precision: Fraction) -> CertifiedMagnitudeMultiset:
+    point."""
+    precision = Fraction(precision)
     if p.is_zero():
         raise DomainError("zero polynomial has no roots to enclose")
     if precision <= 0:

@@ -119,7 +119,6 @@ def _primitive_integer_vector(vec):
     return tuple(x // g for x in ints)
 
 
-@lru_cache(maxsize=256)
 def neron_severi(torus: ComplexTorus) -> NeronSeveriSpace:
     """NS of the torus, which takes no computation: the slots X_kl (k < l)
     and Y_kl (k <= l) and the unit forms of [[X, Y], [-Y, X]], n x n blocks."""

@@ -10,7 +10,7 @@ from math import gcd, lcm, nextafter
 import mpmath
 import sympy
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
@@ -23,7 +23,7 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      periodic_count, polarization_q_candidate, polarized,
                      random_endo, serre_test, subtorus_orbit,
                      unit_circle_root_count, unity_free, verify_iterates)
-from toridyn import classify
+from toridyn import classify, exactnum
 from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
                               _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
@@ -282,6 +282,68 @@ def test_serre_rejects_mult_2_3():
     assert not serre_test(f, 6)
 
 
+def test_serre_test_reads_no_magnitudes(monkeypatch):
+    # the Serre test is an integer root count: no root magnitude is
+    # enclosed, so no precision enters it
+    def no_magnitudes(*args):
+        raise AssertionError("a root magnitude was enclosed")
+
+    for module, name in ((classify, "root_magnitudes"), (exactnum, "root_magnitudes"),
+                         (exactnum, "_disk_magnitudes")):
+        monkeypatch.setattr(module, name, no_magnitudes)
+    assert [serre_test(get_example(name).endo, q) for name, q in
+            (("mult_2_1", 2), ("mult_2_3", 6), ("gtz_diag", 5))] == [False, False, True]
+
+
+def test_serre_rejects_moduli_that_differ_on_e3():
+    # M = diag(1 + i, 1, 2) on E^3: det M = 8 = 2^3, so q = 2, but the
+    # squared moduli are 2, 1 and 4; one of them equal to q is not enough
+    order = order_by_name("gaussian")
+    f = cm_matrix_endo(cm_power_torus(order, 3), order,
+                       [[(1, 1), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)],
+                        [(0, 0), (0, 0), (2, 0)]])
+    assert polarization_q_candidate(f) == 2
+    assert not serre_test(f, 2)
+
+
+def test_serre_rejects_a_q_that_is_not_positive():
+    f = get_example("gtz_diag").endo
+    assert serre_test(f, 5)
+    assert not serre_test(f, -5)
+    assert not serre_test(f, 0)
+
+
+def moduli_squared_are(h1, q):
+    """Every root of h1 has |root|^2 = q: mpmath.polyroots at 60 digits
+    on each irreducible factor from sympy."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(h1.coeffs)), x)
+    with mpmath.workdps(60):
+        for factor, _ in poly.factor_list()[1]:
+            roots = mpmath.polyroots([int(c) for c in factor.all_coeffs()],
+                                     maxsteps=500, extraprec=300)
+            if any(abs(abs(r) ** 2 - q) > mpmath.mpf(10) ** -40 for r in roots):
+                return False
+    return True
+
+
+@given(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("gaussian", 3),
+                        ("eisenstein", 1), ("quadratic(-2)", 1)]),
+       st.integers(1, 2), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_serre_test_agrees_with_numerical_roots(case, height, seed):
+    # the first seed from `seed` on whose map |det M| = q^n, among the next
+    # 1,000; most dim-2 and dim-3 maps have no q candidate
+    name, n = case
+    order = order_by_name(name)
+    for seed in range(seed, seed + 1000):
+        if (q := polarization_q_candidate(f := random_endo(n, order, height, seed))):
+            break
+    assume(q is not None)
+    assert serre_test(f, q) == moduli_squared_are(eigen_data(f).h1_charpoly, q), \
+        f"random_endo({n}, {name}, {height}, {seed}), q = {q}"
+
+
 # -- amplified
 
 def test_amplified_mult_2_3_path_a():
@@ -429,18 +491,29 @@ def polarizable_candidates(draw):
                            (draw(unit), draw(unit)))
 
 
+VERDICT_FIELDS = ("serre_consistent", "amplified", "amplified_path", "unity_free",
+                  "finite_order", "polarized", "polarized_q", "polarized_witness",
+                  "h1_poly_class", "lefschetz")
+
+
 @given(polarizable_candidates())
 @settings(max_examples=30, deadline=None)
 def test_polarized_does_not_depend_on_precision(f):
+    # every yes/no field rests on an integer count; precision sets only
+    # the width of the degree intervals
     coarse = full_report(f, Fraction(1, 10))
     polarized.cache_clear()
+    amplified.cache_clear()
+    wide = full_report(f, Fraction(10))
+    polarized.cache_clear()
+    amplified.cache_clear()
     fine = full_report(f)
-    assert ((coarse.polarized, coarse.polarized_q, coarse.polarized_witness)
-            == (fine.polarized, fine.polarized_q, fine.polarized_witness))
+    assert ([getattr(coarse, name) for name in VERDICT_FIELDS]
+            == [getattr(wide, name) for name in VERDICT_FIELDS]
+            == [getattr(fine, name) for name in VERDICT_FIELDS])
     if fine.polarized == "yes":
         # a consequence of the exact verdict
         assert serre_test(f, fine.polarized_q)
-        assert serre_test(f, fine.polarized_q, Fraction(1, 10))
 
 
 def projection_witness_reference(f):

@@ -354,7 +354,6 @@ def test_mignotte_close_roots_escalate(monkeypatch, a, precision, floats_overlap
         return real(coeffs, centres, k)
 
     monkeypatch.setattr(exactnum, "_weierstrass", counting)
-    exactnum._root_magnitudes_cached.cache_clear()
     mags = root_magnitudes(p, precision)
     # round 0 certifies the float proposals; round 1 is the first refined one
     assert len(rounds) > 1 and rounds[0] is False and rounds[1] is floats_overlap
