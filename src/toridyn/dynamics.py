@@ -13,13 +13,14 @@ the Smith factors and budgeted before anything is listed.  Orbit graphs
 on the m-torsion lattice are counted, not built: every count solves a
 congruence with a power of f mod m, from the same triangular basis, taken
 mod m; the order of f on the periodic nodes is bounded from the degrees
-of the factors of its charpoly mod p and tested as f^(N+L) = f^N on
-augmented matrices, and the node budget bounds the trial division this
-needs.  Subtorus orbits are followed on integer bases, pushed by the
-integer rows of M, each image tested for inclusion in the start span by
-integer dot products with the rows of the start lattice's Smith
-coordinates that annihilate it, up to a bound: 'escaping' is a bounded
-verdict.  No step of an orbit makes a Fraction.
+of the factors of its charpoly mod p, read off the kernels of
+M^(p^j) - M over F_p by the same elimination, and tested as
+f^(N+L) = f^N on augmented matrices, and the node budget bounds the
+trial division this needs.  Subtorus orbits are followed on integer
+bases, pushed by the integer rows of M, each image tested for inclusion
+in the start span by integer dot products with the rows of the start
+lattice's Smith coordinates that annihilate it, up to a bound:
+'escaping' is a bounded verdict.  No step of an orbit makes a Fraction.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, pairwise, product, repeat, starmap
 from math import lcm, prod
-from operator import add, lt, mod, mul
+from operator import add, lt, mod, mul, sub
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
 from .exactnum import _prime_factors, cyclotomic_poly
-from .matlin import RationalMatrix, charpoly, matmul, smith_form
+from .matlin import RationalMatrix, matmul, smith_form
 from .endo import TorusEndomorphism, _affine_rows, eigen_data, iterate
 from .torus import Subtorus, make_subtorus
 
@@ -349,30 +350,26 @@ def _orbit_histograms(f, m):
     N the step where |ker M^t| stops growing; the periodic nodes are the
     coset f^N((Z/m)^d) of E.  So L is a multiple of the order of f on
     them exactly when f^(N+L) = f^N, as augmented matrices mod m.  Over
-    p^e || m, E lies in the part where M is invertible, whose charpoly
-    mod p is chi = det(xI - M) mod p with its factors x dropped, so the
-    order divides lcm(p^j - 1) times a power of p, j over 1 and the
-    degrees of the irreducible factors of that part (_factor_degrees);
-    p^j - 1 is the product of the Phi_e(p), e | j, whose primes are the
-    candidates for stripping the bound to the order L.  The nodes of each
-    exact period follow from Fix(k), the solutions of (M^k - I) x = -c_k
-    for f^k = (M^k, c_k), over the divisors k of L.  Every count is one
+    p^e || m, E lies in the part where M is invertible, so the order
+    divides lcm(p^j - 1) times a power of p, j over 1 and the degrees of
+    the irreducible factors other than x of the charpoly of M mod p, read
+    off kernel sizes over F_p (_factor_degrees); p^j - 1 is the product
+    of the Phi_e(p), e | j, whose primes are the candidates for
+    stripping the bound to the order L.  The nodes of each exact period
+    follow from Fix(k), the solutions of (M^k - I) x = -c_k for
+    f^k = (M^k, c_k), over the divisors k of L.  Every count is one
     _congruence_count mod m."""
     d = f.torus.rank
     aug = [[x % m for x in row] for row in _affine_rows(f, m)]
     identity = [[int(i == j) % m for j in range(d + 1)] for i in range(d + 1)]
     factors = _prime_factors(m)
-
-    def product(a, b):
-        return [[x % m for x in row] for row in matmul(a, b)]
-
     squares = [aug]  # squares[i] = aug^(2^i) mod m, shared by every power
 
     def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
         while len(squares) < k.bit_length():
-            squares.append(product(squares[-1], squares[-1]))
+            squares.append(_product_mod(squares[-1], squares[-1], m))
         chosen = [a for i, a in enumerate(squares) if k >> i & 1]
-        return reduce(product, chosen) if chosen else identity
+        return reduce(lambda a, b: _product_mod(a, b, m), chosen) if chosen else identity
 
     def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
         *columns, c = zip(*power(k)[:d])  # the columns of M^k, then c_k
@@ -392,10 +389,9 @@ def _orbit_histograms(f, m):
     def closes(k):  # f^k is the identity on the periodic nodes
         return power(n + k) == start
 
-    chi = charpoly(f.m)
     order, primes = 1, set(factors)
     for p in factors:
-        for j in {1} | _factor_degrees(chi.coeffs, p):
+        for j in {1} | _factor_degrees([row[:d] for row in aug[:d]], p):
             order = lcm(order, p**j - 1)
             for e in range(1, j + 1):
                 if j % e == 0:
@@ -433,59 +429,46 @@ def _congruence_count(columns, b, m):
     return prod(row[k] for k, row in enumerate(basis))
 
 
-def _factor_degrees(coeffs, p):
-    """The degrees of the irreducible factors other than x of the monic
-    integer polynomial `coeffs` (ascending) reduced mod p, by
-    distinct-degree factorisation (von zur Gathen & Gerhard, Modern
-    Computer Algebra, 14.2): gcd(g, x^(p^j) - x) is the product of the
-    distinct irreducible factors of g of degree dividing j, so its degree
-    is the sum over i | j of i times the number n_i of those of degree i.
-    Polynomials mod p are ascending lists without trailing zeros."""
-    g = [c % p for c in coeffs]
-    while len(g) > 1 and g[0] == 0:
-        del g[0]  # the factors of x belong to the tails
-    found, h = {}, [0, 1]  # found[i] = i n_i; h = x^(p^j) mod g
-    for j in range(1, len(g)):
-        power = [1]
-        for bit in bin(p)[2:]:
-            power = _poly_mulmod(power, power, g, p)
-            if bit == "1":
-                power = _poly_mulmod(power, h, g, p)
-        h = power
-        h_minus_x = _poly_rem([c - (i == 1) for i, c in enumerate(h + [0, 0])], g, p)
-        u = _poly_gcd(g, h_minus_x, p)
-        found[j] = len(u) - 1 - sum(v for i, v in found.items() if j % i == 0)
-    return {i for i, v in found.items() if v}
+def _factor_degrees(rows, p):
+    """The degrees of the irreducible factors other than x of the charpoly
+    of the integer square matrix `rows` reduced mod p, read off kernel
+    sizes over F_p.  Over an algebraic closure, M^(p^j) - M kills one
+    vector of each Jordan block of a nonzero root in F_(p^j), nothing of
+    any other nonzero root, and ker M on the root 0.  So found[j] =
+    |ker(M^(p^j) - M)| / (|ker M| prod found[i], i a proper divisor of j)
+    is p^(j b_j), b_j the number of Jordan blocks of one root summed over
+    the factors of degree j, and exceeds 1 exactly when such a factor
+    occurs.  A factor has at most as many blocks as its multiplicity, so
+    once |ker M| prod found = p^d no factor is missing and the search
+    stops.  Each kernel size is one _congruence_count mod p; A and its
+    transpose have kernels of one size, so the rows serve as columns."""
+    d, zeros = len(rows), [0] * len(rows)
+    rows = [[x % p for x in row] for row in rows]
+    base = _congruence_count(rows, zeros, p)  # |ker M|
+    found, power, total = {}, rows, base  # power = M^(p^j) mod p
+    for j in range(1, d + 1):
+        if total == p**d:
+            break
+        power = _power_mod(power, p, p)
+        kernel = _congruence_count([list(map(sub, x, y)) for x, y in zip(power, rows)], zeros, p)
+        found[j] = kernel // (base * prod(v for i, v in found.items() if j % i == 0))
+        total *= found[j]
+    return {j for j, v in found.items() if v > 1}
 
 
-def _poly_rem(a, g, p):
-    """a mod the monic g over Z/p."""
-    a, n = list(a), len(g) - 1
-    while len(a) > n:
-        c = a.pop() % p
-        for t in range(n):
-            a[len(a) - n + t] -= c * g[t]
-    a = [x % p for x in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _product_mod(a, b, m):
+    """The product of the integer row lists a and b, entries mod m."""
+    return [[x % m for x in row] for row in matmul(a, b)]
 
 
-def _poly_mulmod(a, b, g, p):
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_rem(out, g, p)
-
-
-def _poly_gcd(a, b, p):
-    """The monic gcd of a and b over Z/p, a monic."""
-    while b:
-        inverse = pow(b[-1], -1, p)
-        b = [x * inverse % p for x in b]
-        a, b = b, _poly_rem(a, b, p)
-    return a
+def _power_mod(a, k, m):
+    """a^k for k >= 1, entries mod m, by squaring."""
+    result = a
+    for bit in bin(k)[3:]:
+        result = _product_mod(result, result, m)
+        if bit == "1":
+            result = _product_mod(result, a, m)
+    return result
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,

@@ -64,6 +64,17 @@ MUTANTS = [
      "form = ((fwd.transpose() * e * fwd - e * 2) * scale",
      "form = ((fwd.transpose() * e * fwd - e) * scale",
      "tests/test_classify.py::test_amplified_hyperbolic_witness[quadratic(-2)-2-1-6]"),
+    # the factor degrees searched only below d: an irreducible charpoly is
+    # lost, and with it the torsion order bound, which then never closes
+    ("src/toridyn/dynamics.py",
+     "for j in range(1, d + 1):",
+     "for j in range(1, d):",
+     "tests/test_dynamics.py::test_factor_degrees_on_fixed_matrices[irreducible-quadratic]"),
+    # ker M counted as the kernel of a nonzero root in F_p
+    ("src/toridyn/dynamics.py",
+     "kernel // (base * prod(",
+     "kernel // (prod(",
+     "tests/test_dynamics.py::test_factor_degrees_on_fixed_matrices[zero-plus-quadratic]"),
 ]
 
 

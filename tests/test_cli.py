@@ -1145,12 +1145,45 @@ def test_parse_error_no_scenario(capsys):
     assert "--example" in err
 
 
-def test_domain_error_bad_structure(capsys, tmp_path):
-    doc = {"torus": {"J": [["1", "0"], ["0", "1"]]},
-           "endomorphism": {"M": [["2", "0"], ["0", "2"]]}}
-    code, _, err = run(capsys, "classify", write_scenario(tmp_path, doc))
-    assert code == 3
-    assert "error[domain]" in err
+def _on_e(m=DOUBLING["endomorphism"]["M"], tau=None, j=DOUBLING["torus"]["J"]):
+    """A scenario document on E, or on the torus of `j`."""
+    return {"torus": {"J": j}, "endomorphism": {"M": m, **({"tau": tau} if tau else {})}}
+
+
+def _on_ee(generators):
+    """A scenario document on E x E with M = 2 and one sublattice 's'."""
+    return {"torus": {"J": J4}, "endomorphism": {"M": _diagonal(2, 2, 2, 2)},
+            "sublattices": {"s": generators}}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    pytest.param(("classify",), _on_e(j=_diagonal(1, 1)),
+                 "J^2 != -I", id="J-not-a-complex-structure"),
+    pytest.param(("classify",), _on_e(tau=["0"]),
+                 "translation vector has wrong length", id="tau-length"),
+    pytest.param(("classify",), _on_e(m=_diagonal(2, 2, 2, 2)),
+                 "endomorphism matrix has wrong size", id="M-size"),
+    pytest.param(("orbit", "--sublattice", "s"), _on_ee([["1", "0", "0", "0"],
+                                                         ["2", "0", "0", "0"]]),
+                 "saturation requires full column rank", id="dependent-sublattice"),
+    pytest.param(("orbit", "--sublattice", "s"), _on_ee([["0", "0", "0", "0"]]),
+                 "saturation requires full column rank", id="zero-sublattice"),
+    pytest.param(("quotient", "--sublattice", "s"), _on_ee([[]]),
+                 "saturation requires full column rank", id="empty-sublattice"),
+    pytest.param(("orbit", "--sublattice", "s"), _on_ee([["1", "0"], ["0", "1"]]),
+                 "sublattice has wrong ambient rank", id="sublattice-row-length"),
+    pytest.param(("sweep", "--order", "quadratic(x)"), None,
+                 "unknown CM order: quadratic(x)", id="order-quadratic-x"),
+    pytest.param(("sweep", "--order", "quadratic(0)"), None,
+                 "quadratic order requires d >= 1", id="order-quadratic-0"),
+])
+def test_domain_error_bad_structure(capsys, tmp_path, argv, doc, message):
+    # every validation path exits 3 with empty stdout and one stderr line
+    path = (write_scenario(tmp_path, doc),) if doc else ()
+    code, out, err = run(capsys, argv[0], *path, *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error[domain]: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_domain_error_not_holomorphic(capsys, tmp_path):

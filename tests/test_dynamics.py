@@ -460,17 +460,24 @@ def test_torsion_dynamics_of_10_12_nodes_against_sympy_smith_forms():
         assert sum(l * c for l, c in graph.cycle_histogram.items() if k % l == 0) == kernel
 
 
-@pytest.mark.parametrize("name, p", [("gtz_diag", 10**9 + 7), ("mult_by_i", 2**31 - 1)])
-def test_torsion_dynamics_at_a_large_prime_level(name, p):
-    # chi splits mod p into factors of degree at most 2, so the order
-    # bound is p^2 - 1 and only p - 1 and p + 1 are factored
+@pytest.mark.parametrize("name, p, degree", [
+    pytest.param("gtz_diag", 10**9 + 7, 2, id="gtz_diag-1000000007"),
+    pytest.param("mult_by_i", 2**31 - 1, 2, id="mult_by_i-2147483647"),
+    # the Salem quartic stays irreducible mod p, and M, the direct sum of
+    # N and its conjugate, has two Jordan blocks of each root
+    pytest.param("e4_auto", 10037, 4, id="e4_auto-10037"),
+])
+def test_torsion_dynamics_at_a_large_prime_level(name, p, degree):
+    # chi splits mod p into factors of degree at most `degree`, so the
+    # order bound is a multiple of p^degree - 1 and only the cyclotomic
+    # values Phi_e(p), e | j <= degree, are factored
     f = get_example(name).endo
     d = f.torus.rank
     start = time.perf_counter()
     graph = torsion_dynamics(f, p, budget=10**40)
     assert time.perf_counter() - start < 2
     assert sum(l * c for l, c in graph.cycle_histogram.items()) == graph.tail_histogram[0] == p**d
-    assert all((p * p - 1) % l == 0 for l in graph.cycle_histogram)
+    assert all((p**degree - 1) % l == 0 for l in graph.cycle_histogram)
     m_minus_i = sympy.Matrix(f.m.to_integer()) - sympy.eye(d)
     rank = DomainMatrix.from_Matrix(m_minus_i).convert_to(sympy.GF(p)).rank()
     assert graph.fixed_node_count() == p**(d - rank)
@@ -571,16 +578,92 @@ def test_congruence_count_of_inconsistent_systems(a, b, m):
     assert _congruence_count([list(column) for column in zip(*a)], b, m) == 0
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8),
-       st.sampled_from([2, 3, 5, 7, 31, 997]))
-@settings(max_examples=100, deadline=None)
-def test_factor_degrees_match_sympy(coeffs, p):
-    # the degrees of the irreducible factors other than x of a monic
-    # polynomial mod p, against sympy's factorisation over GF(p)
+def companion(coeffs):
+    """The companion matrix of the monic x^d + coeffs (ascending)."""
+    d = len(coeffs)
+    return [[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
+
+
+def direct_sum(*blocks):
+    """The block-diagonal matrix of the square row lists `blocks`."""
+    d = sum(map(len, blocks))
+    rows, k = [], 0
+    for block in blocks:
+        rows += [[0] * k + row + [0] * (d - k - len(row)) for row in block]
+        k += len(block)
+    return rows
+
+
+def factor_degrees_by_sympy(rows, p):
+    """The degrees of the irreducible factors other than x of det(xI - M)
+    reduced mod p, by sympy's factorisation over GF(p)."""
     x = sympy.symbols("x")
-    poly = sympy.Poly(list(reversed(coeffs + [1])), x, modulus=p)
-    expected = {g.degree() for g, _ in poly.factor_list()[1] if g != sympy.Poly(x, x, modulus=p)}
-    assert _factor_degrees(coeffs + [1], p) == expected
+    chi = sympy.Poly(sympy.Matrix(rows).charpoly(x).as_expr(), x, modulus=p)
+    return {g.degree() for g, _ in chi.factor_list()[1] if g != sympy.Poly(x, x, modulus=p)}
+
+
+def random_factor_matrix(rng, p):
+    """A random integer matrix of size at most 8 for _factor_degrees: a
+    companion matrix, the direct sum of A with itself, scalar-plus-nilpotent
+    blocks, a matrix with a row scaled by p (singular mod p), or a random
+    matrix; conjugated by a random unimodular matrix, so the blocks do not
+    show."""
+    kind = rng.choice(["companion", "sum", "jordan", "singular", "random"])
+    if kind == "companion":
+        rows = companion([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
+    elif kind == "sum":
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        rows = direct_sum(a, a)
+    elif kind == "jordan":  # lambda I + N, N strictly upper triangular
+        blocks = [[[rng.randint(-3, 3) * (i < j) + lam * (i == j) for j in range(n)]
+                   for i in range(n)]
+                  for n, lam in [(rng.randint(1, 3), rng.randint(-4, 4))
+                                 for _ in range(rng.randint(1, 3))]]
+        rows = direct_sum(*blocks)
+    else:
+        n = rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if kind == "singular":
+            k = rng.randrange(n)
+            rows[k] = [x * p for x in rows[k]]
+    d = len(rows)
+    for _ in range(rng.randint(0, 2 * d) if d > 1 else 0):  # E M E^-1, E = I + c e_j e_i^T
+        i, j = rng.sample(range(d), 2)
+        c = rng.randint(-2, 2)
+        rows[j] = [x + c * y for x, y in zip(rows[j], rows[i])]
+        for row in rows:
+            row[i] -= c * row[j]
+    return rows
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 7, 31, 997]))
+@settings(max_examples=150, deadline=None)
+def test_factor_degrees_match_sympy(seed, p):
+    # the degrees of the irreducible factors other than x of the charpoly
+    # mod p, read off kernels over F_p, against sympy's factorisation;
+    # sums and scalar-plus-nilpotent blocks give roots of several Jordan
+    # blocks, a row scaled by p a root 0 mod p
+    rows = random_factor_matrix(random.Random(seed), p)
+    assert _factor_degrees(rows, p) == factor_degrees_by_sympy(rows, p)
+
+
+@pytest.mark.parametrize("rows, p, expected", [
+    # irreducible of full degree: the last j = d is searched
+    pytest.param(companion([1, 0]), 3, {2}, id="irreducible-quadratic"),
+    pytest.param(companion([1, 0, 1, 0, 0]), 2, {5}, id="irreducible-quintic"),
+    pytest.param(direct_sum(companion([1, 0]), companion([1, 0])), 3, {2},
+                 id="quadratic-twice"),
+    # ker M is not the root 1: M singular mod p with no linear factor but x
+    pytest.param(direct_sum([[0]], companion([1, 0])), 3, {2}, id="zero-plus-quadratic"),
+    pytest.param([[3, 6, 0], [0, 0, -1], [0, 1, 0]], 3, {2}, id="row-scaled-by-p"),
+    # scalar plus nilpotent: one block of a root in F_p
+    pytest.param([[2, 1, 0], [0, 2, 1], [0, 0, 2]], 5, {1}, id="jordan-block"),
+    pytest.param([[0, 1], [0, 0]], 7, set(), id="nilpotent"),
+])
+def test_factor_degrees_on_fixed_matrices(rows, p, expected):
+    assert factor_degrees_by_sympy(rows, p) == expected
+    assert _factor_degrees(rows, p) == expected
 
 
 def test_torsion_dynamics_doubling_level3(e_torus):
