@@ -314,38 +314,43 @@ def _prime_factors(n: int) -> dict:
     return primes | {n: 1} if n > 1 else primes
 
 
-def _euler_phi(n: int) -> int:
-    return math.prod((p - 1) * p**(e - 1) for p, e in _prime_factors(n).items())
+@lru_cache(maxsize=None)
+def _cyclotomic_at_2(n: int) -> int:
+    """Phi_n(2): 2^n - 1 over Phi_d(2) for each proper divisor d of n."""
+    return (2**n - 1) // math.prod(_cyclotomic_at_2(d) for d in range(1, n) if n % d == 0)
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_indices(max_degree: int):
-    """All n with phi(n) <= max_degree; phi(n) >= sqrt(n/2) bounds the
-    search."""
+    """All n with phi(n) <= max_degree, phi by a sieve; phi(n) >= sqrt(n/2)
+    bounds the search."""
     bound = 2 * max_degree * max_degree + 2
-    return tuple(n for n in range(1, bound + 1) if _euler_phi(n) <= max_degree)
+    phi = list(range(bound + 1))
+    for q in range(2, bound + 1):
+        if phi[q] == q:  # q is prime
+            phi[q::q] = [k - k // q for k in phi[q::q]]
+    return tuple(n for n in range(1, bound + 1) if phi[n] <= max_degree)
 
 
 def cyclotomic_root_count(p: IntPolynomial):
     """Number of roots of p (with multiplicity) that are roots of unity,
-    together with the list of (n, multiplicity) cyclotomic factors."""
+    together with the list of (n, multiplicity) cyclotomic factors.  Phi_1
+    and Phi_2 are found by the roots 1 and -1; any other Phi_n is built only
+    when Phi_n(2) | p(2), a screen that loses no factor: Phi_n is monic, so
+    by Gauss's lemma Phi_n | p forces Phi_n(2) | p(2); try_divide decides."""
     if p.is_zero():
         raise DomainError("zero polynomial has no root-of-unity count")
     remaining = p.primitive()
-    count = 0
-    factors = []
+    at_2, count, factors = remaining(2), 0, []
     for n in _cyclotomic_indices(p.degree):
-        phi_n = cyclotomic_poly(n)
-        mult = 0
-        # phi_n | remaining forces phi_n(2) | remaining(2)
-        while phi_n.degree <= remaining.degree and remaining(2) % phi_n(2) == 0:
-            quo = remaining.try_divide(phi_n)
+        value, mult = _cyclotomic_at_2(n), 0
+        while remaining(3 - 2 * n) == 0 if n <= 2 else at_2 % value == 0:
+            quo = remaining.try_divide(cyclotomic_poly(n))
             if quo is None:
                 break
-            remaining = quo
-            mult += 1
+            remaining, at_2, mult = quo, at_2 // value, mult + 1
         if mult:
-            count += mult * phi_n.degree
+            count += mult * cyclotomic_poly(n).degree
             factors.append((n, mult))
     return count, factors
 

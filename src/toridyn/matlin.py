@@ -9,19 +9,20 @@ not, and every true division goes through `Fraction`.  Elimination
 fraction-free routine (Bareiss 1968) on the integer matrix D*A, D the lcm
 of the denominators.  A characteristic polynomial is read off the power
 sums tr(A^m) of its roots, by the Newton routine of exactnum, for integer
-and for Gaussian-integer matrices alike.  An integer kernel is read off the
-Smith transform V, whose columns at the zero invariant factors are a
-primitive basis of it.  A sublattice keeps the Smith transform of its
-generators and its inverse, so span membership, restriction and quotient
-are integer products with no elimination.  Dimensions in this
-artifact stay small (ambient rank <= 16, Neron-Severi rank <= 64) so dense
-arithmetic is the right tool.
+and for Gaussian-integer matrices alike; only A^1..A^h, h = ceil(n/2), are
+built, and tr(A^m) past them is tr(A^h A^(m-h)), a sum of entry products.
+An integer kernel is read off the Smith transform V, whose columns at the
+zero invariant factors are a primitive basis of it.  A sublattice keeps
+the Smith transform of its generators and its inverse, so span membership,
+restriction and quotient are integer products with no elimination.
+Dimensions in this artifact stay small (ambient rank <= 16, Neron-Severi
+rank <= 64) so dense arithmetic is the right tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 
@@ -99,21 +100,30 @@ def bareiss(mat, jordan=False):
 def trace_powers(a, b=None, s=1):
     """Power sums p_0..p_n, as (re, im) pairs, of the eigenvalues of
     (A + iB) / s for n x n integer matrices A and B given as row lists
-    (B None for zero): p_m = tr((A + iB)^m) / s^m.  The eigenvalues are
-    taken to be algebraic integers, so every p_m lies in Z[i]; a division
-    that is not exact raises InvariantViolation."""
-    n = len(a)
-    sums, re, im = [(n, 0)], a, b
+    (B None for zero): p_m = tr(X^m) / s^m, X = A + iB, with only X^1..X^h,
+    h = ceil(n/2), built; past h, tr(X^h X^(m-h)) is an O(n^2) sum.  The
+    eigenvalues are taken to be algebraic integers, so every p_m lies in
+    Z[i]; a division that is not exact raises InvariantViolation."""
+    def trace(x, y):  # tr(XY) = sum_ij X_ij Y_ji, without forming XY
+        return sum(map(mul, chain.from_iterable(x), chain.from_iterable(zip(*y))))
+    n, h = len(a), (len(a) + 1) // 2
+    sums, powers, re, im = [(n, 0)], [None], a, b
     for m in range(1, n + 1):
-        if m > 1 and b is None:
+        if 1 < m <= h and b is None:
             re = matmul(re, a)
-        elif m > 1:  # (re + i im)(A + iB)
+        elif 1 < m <= h:  # (re + i im)(A + iB)
             re, im = ([[x - y for x, y in zip(r, t)]
                        for r, t in zip(matmul(re, a), matmul(im, b))],
                       [[x + y for x, y in zip(r, t)]
                        for r, t in zip(matmul(re, b), matmul(im, a))])
-        t_re = sum(re[i][i] for i in range(n))
-        t_im = 0 if b is None else sum(im[i][i] for i in range(n))
+        if m <= h:
+            powers.append((re, im))
+            t_re = sum(re[i][i] for i in range(n))
+            t_im = 0 if b is None else sum(im[i][i] for i in range(n))
+        else:  # re + i im is X^h
+            kr, ki = powers[m - h]
+            t_re = trace(re, kr) - (0 if b is None else trace(im, ki))
+            t_im = 0 if b is None else trace(re, ki) + trace(im, kr)
         scale = s ** m
         if t_re % scale or t_im % scale:
             raise InvariantViolation("analytic charpoly is not over Z[i]")

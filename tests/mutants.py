@@ -75,6 +75,17 @@ MUTANTS = [
      "kernel // (base * prod(",
      "kernel // (prod(",
      "tests/test_dynamics.py::test_factor_degrees_on_fixed_matrices[zero-plus-quadratic]"),
+    # Phi_2 tested by the root 1 instead of -1: after Phi_1, x + 1 is lost
+    ("src/toridyn/exactnum.py",
+     "remaining(3 - 2 * n) == 0",
+     "remaining(1) == 0",
+     "tests/test_exactnum.py::test_cyclotomic_root_count_on_fixed_polynomials[x+1-times-x-2]"),
+    # the half-power split one past ceil(n/2): the traces stay right, but
+    # an even n builds one matrix power too many
+    ("src/toridyn/matlin.py",
+     "n, h = len(a), (len(a) + 1) // 2",
+     "n, h = len(a), (len(a) + 2) // 2",
+     "tests/test_matlin.py::test_trace_powers_builds_half_the_powers[4]"),
 ]
 
 

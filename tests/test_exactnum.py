@@ -3,6 +3,7 @@ counts, certified magnitudes."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +120,77 @@ def test_cyclotomic_root_count():
     count, factors = cyclotomic_root_count(p)
     assert count == 4
     assert (4, 2) in factors
+
+
+def test_cyclotomic_at_2_is_the_value_of_the_polynomial():
+    for n in range(1, 601):
+        assert exactnum._cyclotomic_at_2(n) == cyclotomic_poly(n)(2), n
+
+
+def power(p: IntPolynomial, k: int) -> IntPolynomial:
+    return math.prod([p] * k, start=IntPolynomial([1]))
+
+
+X = sympy.Symbol("x")
+SMALL_CYCLOTOMICS = {tuple(sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()): n
+                     for n in range(1, 2 * 16 * 16 + 3) if sympy.totient(n) <= 16}
+
+
+def cyclotomic_factors_by_sympy(p: IntPolynomial):
+    """(count, [(n, multiplicity)]) from sympy's factorisation of p."""
+    _, parts = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), X))
+    keys = [(tuple(f.all_coeffs()), m) for f, m in parts]
+    found = sorted((SMALL_CYCLOTOMICS[k], m) for k, m in keys if k in SMALL_CYCLOTOMICS)
+    return sum(sympy.totient(n) * m for n, m in found), found
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_cyclotomic_root_count_matches_sympy(seed):
+    # products of Phi_n (phi(n) <= 16, up to cube) with random factors and
+    # the edge factors x, x - 1, x + 1 and x - 2; with x - 2, p(2) = 0 and
+    # every screen passes, so only the exact division decides
+    rng = random.Random(seed)
+    n_choices = sorted(SMALL_CYCLOTOMICS.values())
+    p = IntPolynomial([rng.choice([1, -1]) * rng.randint(1, 6)])  # the content
+    for _ in range(rng.randint(0, 3)):
+        p = p * power(cyclotomic_poly(rng.choice(n_choices)), rng.randint(1, 3))
+    for _ in range(rng.randint(0, 2)):
+        p = p * IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                              + [rng.choice([1, 2, 3])])
+    for edge in rng.sample([[0, 1], [-1, 1], [1, 1], [-2, 1]], rng.randint(0, 4)):
+        p = p * power(IntPolynomial(edge), rng.randint(1, 2))
+    assume(p.degree <= 40)  # with x - 2, every Phi_n with phi(n) <= deg p is built
+    assert cyclotomic_root_count(p) == cyclotomic_factors_by_sympy(p), seed
+
+
+@pytest.mark.parametrize("p, expected", [
+    # Phi_1 and Phi_2 are found by the roots 1 and -1, not by a screen at 2
+    pytest.param(IntPolynomial([1, 1]) * IntPolynomial([-2, 1]), (1, [(2, 1)]),
+                 id="x+1-times-x-2"),
+    pytest.param(power(IntPolynomial([-1, 1]), 2) * power(IntPolynomial([1, 1]), 3)
+                 * IntPolynomial([0, 3]), (5, [(1, 2), (2, 3)]), id="roots-1-and-minus-1"),
+    pytest.param(IntPolynomial([1, 1]) * cyclotomic_poly(6) * IntPolynomial([5, 0, 1]),
+                 (3, [(2, 1), (6, 1)]), id="phi2-phi6-and-x2+5"),
+])
+def test_cyclotomic_root_count_on_fixed_polynomials(p, expected):
+    assert cyclotomic_factors_by_sympy(p) == expected
+    assert cyclotomic_root_count(p) == expected
+
+
+def test_sweep_builds_only_the_cyclotomics_it_screens_in():
+    # Phi_n is built only when its screen at 2 passes, not for every n with
+    # phi(n) <= 6; the count repeats exactly in a fresh process
+    code = ("import toridyn.cli; from toridyn import exactnum; "
+            "toridyn.cli.main(['sweep', '--count', '1', '--dim', '3', "
+            "'--iterate', '2', '--seed', '0']); "
+            "print(exactnum.cyclotomic_poly.cache_info().currsize, "
+            "len(exactnum._cyclotomic_indices(6)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    built, indices = map(int, out.stdout.split("\n")[-2].split())
+    assert built < indices
 
 
 # -- unit circle counts

@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DomainError, IntPolynomial, InvarianceViolation,
-                     RationalMatrix, Sublattice, charpoly, exterior_power,
-                     restrict_and_quotient, saturate, smith_form)
-from toridyn.matlin import bareiss
+                     InvariantViolation, RationalMatrix, Sublattice, charpoly,
+                     exterior_power, restrict_and_quotient, saturate, smith_form)
+from toridyn import matlin
+from toridyn.matlin import bareiss, trace_powers
 
 from conftest import frac_matrix, lattice_contains, random_integer_matrix, sympy_matrix
 
@@ -78,6 +79,84 @@ def test_charpoly_matches_sympy(seed):
 def test_charpoly_rational_matrix_raises_on_non_square():
     with pytest.raises(DomainError):
         charpoly(frac_matrix([[1, 2]]))
+
+
+def power_traces_by_sympy(a, b):
+    """tr(X^m) for m = 0..n, X = A + iB, from every power of the real form
+    [[A, -B], [B, A]], whose m-th power is [[Re X^m, -Im X^m], [Im X^m, Re X^m]]."""
+    n = len(a)
+    b = b or [[0] * n for _ in range(n)]
+    real = sympy.Matrix([ra + [-x for x in rb] for ra, rb in zip(a, b)]
+                        + [rb + ra for ra, rb in zip(a, b)])
+    power, traces = sympy.eye(2 * n), []
+    for _ in range(n + 1):
+        traces.append((sum(power[i, i] for i in range(n)),
+                       sum(power[n + i, i] for i in range(n))))
+        power *= real
+    return traces
+
+
+@st.composite
+def trace_cases(draw):
+    """(A, B, s, seed): an integer matrix of size 1..8 with B None and s 1,
+    or a Gaussian block (A + iB) = s D Y D^-1, Y Gaussian-integral and D
+    diagonal with entries 1 or s, so that every tr(X^m) is divisible by s^m
+    though not every entry of A + iB is."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if not draw(st.booleans()):
+        return y, None, 1, seed
+    s = rng.randint(2, 4)
+    z = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    e = [rng.randint(0, 1) for _ in range(n)]
+    scale = [[s ** (1 + e[i] - e[j]) for j in range(n)] for i in range(n)]
+    return ([[c * x for c, x in zip(cs, row)] for cs, row in zip(scale, y)],
+            [[c * x for c, x in zip(cs, row)] for cs, row in zip(scale, z)], s, seed)
+
+
+@given(trace_cases())
+@settings(max_examples=150, deadline=None)
+def test_trace_powers_match_the_trace_of_every_power(case):
+    # traces past ceil(n/2) are sums of entry products of two built powers;
+    # each must equal the trace of the power formed in full
+    a, b, s, seed = case
+    traces = power_traces_by_sympy(a, b)
+    assert all(re % s**m == 0 and im % s**m == 0 for m, (re, im) in enumerate(traces)), seed
+    expected = [(re // s**m, im // s**m) for m, (re, im) in enumerate(traces)]
+    assert trace_powers(a, b, s) == expected, seed
+
+
+@pytest.mark.parametrize("a, b", [
+    # traces 4, 4, 4: tr(X^3) = 4 is the first not divisible by 2^3
+    pytest.param([[2, 0, 1], [-2, 2, -2], [-2, 0, 0]], None, id="integer"),
+    # traces 3, 0, 16 + 28i, 33i: only the imaginary part of tr(X^3) fails
+    pytest.param([[2, -2, 2], [-1, 0, -2], [2, 0, -2]],
+                 [[1, 0, 1], [-2, -1, 0], [1, -2, 0]], id="gaussian"),
+])
+def test_trace_powers_raise_when_a_trace_is_not_divisible(a, b):
+    traces = power_traces_by_sympy(a, b)
+    assert all(re % 2**m == 0 and im % 2**m == 0 for m, (re, im) in enumerate(traces[:3]))
+    assert traces[3][0] % 8 or traces[3][1] % 8
+    assert trace_powers(a, b) == traces
+    with pytest.raises(InvariantViolation):
+        trace_powers(a, b, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_powers_builds_half_the_powers(n, monkeypatch):
+    # X^1 .. X^ceil(n/2) take ceil(n/2) - 1 products; no other is formed
+    calls, matmul = [], matlin.matmul
+
+    def counted(x, y):
+        calls.append(len(x))
+        return matmul(x, y)
+
+    monkeypatch.setattr(matlin, "matmul", counted)
+    a = [[(3 * i + 5 * j) % 7 - 3 for j in range(n)] for i in range(n)]
+    assert trace_powers(a) == power_traces_by_sympy(a, None)
+    assert len(calls) == (n + 1) // 2 - 1
 
 
 # -- exterior powers
