@@ -149,7 +149,7 @@ def _smith_reduce(m_minus_i: RationalMatrix, rhs):
     0 while its c_i is not an integer."""
     dec = smith_form(m_minus_i)
     c = [Fraction(ci) for ci in dec.u.apply(rhs)]
-    factors = [abs(dec.d[i, i].numerator) for i in range(m_minus_i.rows)]
+    factors = dec.invariant_factors
     if any(di == 0 and ci.denominator != 1 for di, ci in zip(factors, c)):
         return None
     return dec.v, c, factors
@@ -286,20 +286,20 @@ def fixed_points(f: TorusEndomorphism,
 
 
 def periodic_count(f: TorusEndomorphism, k: int):
-    """Number of period-dividing-k points, or the string 'infinite' when
-    the fixed locus of f^k is positive dimensional."""
+    """Number of period-dividing-k points, |det(M^k - I)| taken on the
+    iterate f^k by Bareiss as in fixed_points, or the string 'infinite'
+    when the fixed locus of f^k is positive dimensional."""
     if not f.surjective:
         raise NotSurjectiveError("periodic counts require det M != 0")
     if k < 1:
         raise DomainError("period must be >= 1")
-    # M has even size, so det(M^k - I) is the H^1 charpoly of f^k at 1
-    det = eigen_data(f, k).h1_charpoly(1)
-    if det != 0:
-        return abs(det)
-    # a consistent congruence has a free direction, so its solutions are
-    # cosets of a positive-dimensional subtorus; none is listed
     g = iterate(f, k)
     m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
+    det = abs(m_minus_i.det().numerator)
+    if det:
+        return det
+    # a consistent congruence has a free direction, so its solutions are
+    # cosets of a positive-dimensional subtorus; none is listed
     return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
 
 

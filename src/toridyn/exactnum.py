@@ -337,12 +337,16 @@ def cyclotomic_root_count(p: IntPolynomial):
     together with the list of (n, multiplicity) cyclotomic factors.  Phi_1
     and Phi_2 are found by the roots 1 and -1; any other Phi_n is built only
     when Phi_n(2) | p(2), a screen that loses no factor: Phi_n is monic, so
-    by Gauss's lemma Phi_n | p forces Phi_n(2) | p(2); try_divide decides."""
+    by Gauss's lemma Phi_n | p forces Phi_n(2) | p(2); try_divide decides.
+    The factors x - 2 pass every screen and are no Phi_n: they go first."""
     if p.is_zero():
         raise DomainError("zero polynomial has no root-of-unity count")
     remaining = p.primitive()
     at_2, count, factors = remaining(2), 0, []
-    for n in _cyclotomic_indices(p.degree):
+    if at_2 == 0:
+        remaining, _ = _strip_root(remaining, 2)
+        at_2 = remaining(2)
+    for n in _cyclotomic_indices(remaining.degree):
         value, mult = _cyclotomic_at_2(n), 0
         while remaining(3 - 2 * n) == 0 if n <= 2 else at_2 % value == 0:
             quo = remaining.try_divide(cyclotomic_poly(n))

@@ -11,10 +11,12 @@ of the denominators.  A characteristic polynomial is read off the power
 sums tr(A^m) of its roots, by the Newton routine of exactnum, for integer
 and for Gaussian-integer matrices alike; only A^1..A^h, h = ceil(n/2), are
 built, and tr(A^m) past them is tr(A^h A^(m-h)), a sum of entry products.
-An integer kernel is read off the Smith transform V, whose columns at the
-zero invariant factors are a primitive basis of it.  A sublattice keeps
-the Smith transform of its generators and its inverse, so span membership,
-restriction and quotient are integer products with no elimination.
+The Smith form keeps A and its transforms on one grid, [A | U] above V,
+so each step is written once.  An integer kernel is read off the Smith
+transform V, whose columns at the zero invariant factors are a primitive
+basis of it.  A sublattice keeps the Smith transform of its generators
+and its inverse, so span membership, restriction and quotient are integer
+products with no elimination.
 Dimensions in this artifact stay small (ambient rank <= 16, Neron-Severi
 rank <= 64) so dense arithmetic is the right tool.
 """
@@ -356,85 +358,60 @@ class SmithDecomposition(Record):
 
 
 def smith_form(a) -> SmithDecomposition:
-    """Smith normal form of an integer matrix (lists or RationalMatrix)."""
+    """Smith normal form U A V = D of an integer matrix (lists or
+    RationalMatrix), after Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.  One grid holds [A | U] above V: a row step acts on one
+    grid row, a column step on one column of every grid row.  The pivot is
+    the first entry of least |value| in row-major order."""
     if isinstance(a, RationalMatrix):
         mat = a.to_integer()
     else:
         mat = [[int(x) for x in row] for row in a]
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in mat:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, f):
-        mat[dst] = [a + f * b for a, b in zip(mat[dst], mat[src])]
-        u[dst] = [a + f * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(dst, src, f):
-        for r in mat:
-            r[dst] += f * r[src]
-        for r in v:
-            r[dst] += f * r[src]
-
-    def negate_row(i):
-        mat[i] = [-x for x in mat[i]]
-        u[i] = [-x for x in u[i]]
-
+    grid = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(mat)]
+    grid += ([int(i == j) for j in range(cols)] for i in range(cols))
     t = 0
     while t < min(rows, cols):
-        # locate a smallest nonzero entry in the remaining block
         best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                if mat[i][j] != 0 and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
+            for j, x in enumerate(grid[i][t:cols], t):
+                if x != 0 and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if mat[t][t] < 0:
-            negate_row(t)
+        i, j = best
+        grid[t], grid[i] = grid[i], grid[t]
+        for row in grid:
+            row[t], row[j] = row[j], row[t]
+        if grid[t][t] < 0:
+            grid[t] = [-x for x in grid[t]]
+        pivot = grid[t]
         # clear the edging; restart if a smaller remainder shows up
         dirty = False
         for i in range(t + 1, rows):
-            if mat[i][t] != 0:
-                q = mat[i][t] // mat[t][t]
-                add_row(i, t, -q)
-                if mat[i][t] != 0:
-                    dirty = True
+            if grid[i][t] != 0:
+                q = grid[i][t] // pivot[t]
+                grid[i] = [x - q * y for x, y in zip(grid[i], pivot)]
+                dirty |= grid[i][t] != 0
         for j in range(t + 1, cols):
-            if mat[t][j] != 0:
-                q = mat[t][j] // mat[t][t]
-                add_col(j, t, -q)
-                if mat[t][j] != 0:
-                    dirty = True
+            if pivot[j] != 0:
+                q = pivot[j] // pivot[t]
+                for row in grid:
+                    row[j] -= q * row[t]
+                dirty |= pivot[j] != 0
         if dirty:
             continue
         # enforce divisibility d_t | everything below-right
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if mat[i][j] % mat[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % pivot[t] for x in grid[i][t + 1:cols])), None)
         if offender is not None:
-            add_row(t, offender, 1)
+            grid[t] = [x + y for x, y in zip(pivot, grid[offender])]
             continue
         t += 1
-    return SmithDecomposition(RationalMatrix._of(u, True), RationalMatrix._of(mat, True),
-                              RationalMatrix._of(v, True))
+    return SmithDecomposition(RationalMatrix._of([row[cols:] for row in grid[:rows]], True),
+                              RationalMatrix._of([row[:cols] for row in grid[:rows]], True),
+                              RationalMatrix._of(grid[rows:], True))
 
 
 # ---------------------------------------------------------------------------

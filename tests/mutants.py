@@ -86,6 +86,22 @@ MUTANTS = [
      "n, h = len(a), (len(a) + 1) // 2",
      "n, h = len(a), (len(a) + 2) // 2",
      "tests/test_matlin.py::test_trace_powers_builds_half_the_powers[4]"),
+    # the Smith column swap skips the V rows of the grid: U A V = D fails
+    ("src/toridyn/matlin.py",
+     "for row in grid:\n            row[t], row[j] = row[j], row[t]",
+     "for row in grid[:rows]:\n            row[t], row[j] = row[j], row[t]",
+     "tests/test_matlin.py::test_smith_form_decomposition"),
+    # the Smith pivot is the last, not the first, entry of least |value|:
+    # the form stays valid, but V, and so each coset transversal, moves
+    ("src/toridyn/matlin.py",
+     "abs(x) < least",
+     "abs(x) <= least",
+     "tests/test_cli.py::test_coset_family_transversals_are_pinned"),
+    # x - 3 stripped instead of x - 2: p(2) stays 0, and every Phi_n is built
+    ("src/toridyn/exactnum.py",
+     "_strip_root(remaining, 2)",
+     "_strip_root(remaining, 3)",
+     "tests/test_exactnum.py::test_a_root_at_2_builds_no_cyclotomic"),
 ]
 
 

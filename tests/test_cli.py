@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -10,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -17,6 +20,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from toridyn import InvariantViolation, fixed_points, full_report, iterate
 from toridyn.cli import COMMANDS, _default_text, load_scenario_file, main, parse_args
@@ -1355,3 +1359,104 @@ def test_classify_of_random_scenario_files_agrees_with_sympy(capsys, tmp_path, d
     report = json.loads(out)
     assert report["h1_charpoly"] == [str(c) for c in reversed(m.charpoly().all_coeffs())]
     assert report["lefschetz"] == (sympy.eye(m.rows) - m).det()
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _solves(m, tau, point):
+    """M x + tau = x (mod 1), in Fractions."""
+    return all((sum(map(mul, row, point)) + t - x).denominator == 1
+               for row, t, x in zip(m, tau, point))
+
+
+def eigenvalue_one_scenario(seed):
+    """A scenario on E_i x E_i with a coset family of fixed points: the
+    analytic matrix N = I + u v^T, u and v drawn over Z[i], has the
+    eigenvalue 1; J and M are conjugated by a unimodular U made of
+    elementary column operations, and tau = -(M - I) y mod 1 for a
+    rational y with denominators up to 6."""
+    rng = random.Random(seed)
+    u, v = ([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
+            for _ in range(2))
+    j, m = [[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]
+    for r in range(2):
+        j[2 * r][2 * r + 1], j[2 * r + 1][2 * r] = -1, 1
+        for c in range(2):
+            (p, q), (s, t) = u[r], v[c]  # N_rc = [r == c] + (p + qi)(s + ti)
+            a, b = int(r == c) + p * s - q * t, p * t + q * s
+            m[2 * r][2 * c:2 * c + 2], m[2 * r + 1][2 * c:2 * c + 2] = [a, -b], [b, a]
+    # column dst += k * column src of U is row src -= k * row dst of U^-1
+    frame = [[int(r == c) for c in range(4)] for r in range(4)]
+    inverse = [row[:] for row in frame]
+    for _ in range(rng.randint(0, 12)):
+        src, dst = rng.sample(range(4), 2)
+        k = rng.randint(-2, 2)
+        for row in frame:
+            row[dst] += k * row[src]
+        inverse[src] = [x - k * y for x, y in zip(inverse[src], inverse[dst])]
+
+    def conjugate(a):
+        return [[sum(map(mul, row, col)) for col in zip(*frame)]
+                for row in ([sum(map(mul, r, col)) for col in zip(*a)] for r in inverse)]
+
+    j, m = conjugate(j), conjugate(m)
+    y = [Fraction(rng.randint(0, 5), rng.randint(1, 6)) for _ in range(4)]
+    tau = [(x - sum(map(mul, row, y))) % 1 for row, x in zip(m, y)]
+    return {"torus": {"J": [[str(x) for x in row] for row in j]},
+            "endomorphism": {"M": [[str(x) for x in row] for row in m],
+                             "tau": [str(t) for t in tau]}}
+
+
+# digest of the exit code and stdout of `fixed-points` on
+# eigenvalue_one_scenario(seed), seeds 0-31, in json then text: coset
+# families whose transversals have 1 to 25 points, which follow the Smith
+# transform V, and so its pivot order
+PINNED_COSET_FAMILIES = "ef00f88b471190cb6326ddd50d90ce2703d69a579917d528362b455b9a0f77ad"
+
+
+def test_coset_family_transversals_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for seed in range(32):
+        path = write_scenario(tmp_path, eigenvalue_one_scenario(seed))
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "fixed-points", path, "--format", fmt)
+            assert code == 0 and "coset-family" in out
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == PINNED_COSET_FAMILIES
+
+
+@given(st.one_of(gaussian_scenarios(), st.integers(0, 2**32 - 1)))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fixed_points_of_random_scenario_files_agree_with_sympy(capsys, tmp_path, source):
+    # a seed stands for eigenvalue_one_scenario(seed).  A refusal is one
+    # stderr line; a listing solves M x + tau = x (mod 1) and has
+    # |det(M - I)| points, or, when M - I is singular, a transversal of the
+    # product of its nonzero Smith invariant factors over a subtorus of
+    # rank nullity(M - I), all counted by sympy
+    doc = eigenvalue_one_scenario(source) if isinstance(source, int) else source
+    code, out, err = run(capsys, "fixed-points", write_scenario(tmp_path, doc),
+                         "--format", "json")
+    if code:
+        assert code in (3, 4) and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    m = _fractions(doc["endomorphism"]["M"])
+    tau = [Fraction(t) for t in doc["endomorphism"]["tau"]]
+    m_minus_i = sympy.Matrix(m) - sympy.eye(len(m))
+    result = json.loads(out)
+    if result["kind"] == "empty":
+        assert m_minus_i.det() == 0
+        return
+    rows = _fractions(result["points" if result["kind"] == "finite" else "transversal"])
+    assert all(_solves(m, tau, x) for x in rows)
+    if result["kind"] == "finite":
+        assert result["count"] == len(rows) == abs(m_minus_i.det()) > 0
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+    else:
+        assert result["kind"] == "coset-family"
+        assert result["subtorus_rank"] == len(m) - m_minus_i.rank() > 0
+        factors = invariant_factors(m_minus_i, domain=sympy.ZZ)
+        assert len(rows) == math.prod(abs(d) for d in factors if d)

@@ -27,7 +27,7 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
                      subtorus_orbit, torsion_dynamics)
 from toridyn.cli import _default_text, main
 from toridyn.dynamics import _congruence_count, _factor_degrees, _smith_reduce
-from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example
+from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
 
@@ -300,6 +300,34 @@ def test_periodic_count_rotation(e_torus):
     f = make_endo(e_torus, e_torus.j.to_integer())
     assert periodic_count(f, 1) == abs(lefschetz_number(f)) == 2
     assert periodic_count(f, 4) == "infinite"
+
+
+def test_periodic_count_is_the_count_of_the_iterate(monkeypatch):
+    # M has even size, so det(M^k - I) is the H^1 charpoly of f^k at 1;
+    # periodic_count takes it on the iterate and reads no eigen_data
+    import toridyn.dynamics as dynamics
+    from toridyn.endo import eigen_data
+
+    examples = [get_example(name).endo for name in sorted(named_examples())]
+    expected = [[eigen_data(f, k).h1_charpoly(1) for k in range(1, 25)] for f in examples]
+
+    def no_eigen_data(*args):
+        raise AssertionError("periodic_count read eigen_data")
+
+    monkeypatch.setattr(dynamics, "eigen_data", no_eigen_data)
+    for f, dets in zip(examples, expected):
+        for k, det in enumerate(dets, 1):
+            count = periodic_count(f, k)
+            assert count == abs(det) if det else count in ("infinite", 0), k
+    # gtz_diag's charpoly to index 4 * 10**4 by Newton took 0.5 s; its
+    # iterate by squaring and one Bareiss pass take under 0.01 s
+    gtz_diag = get_example("gtz_diag").endo
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        periodic_count(gtz_diag, 10**4)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 def smith_periodic_count(f, k):

@@ -148,8 +148,8 @@ def cyclotomic_factors_by_sympy(p: IntPolynomial):
 @settings(max_examples=150, deadline=None)
 def test_cyclotomic_root_count_matches_sympy(seed):
     # products of Phi_n (phi(n) <= 16, up to cube) with random factors and
-    # the edge factors x, x - 1, x + 1 and x - 2; with x - 2, p(2) = 0 and
-    # every screen passes, so only the exact division decides
+    # the edge factors x, x - 1, x + 1 and x - 2, and sometimes (x - 2)^k
+    # for k up to 6: with x - 2, p(2) = 0 until the factor is divided out
     rng = random.Random(seed)
     n_choices = sorted(SMALL_CYCLOTOMICS.values())
     p = IntPolynomial([rng.choice([1, -1]) * rng.randint(1, 6)])  # the content
@@ -160,7 +160,9 @@ def test_cyclotomic_root_count_matches_sympy(seed):
                               + [rng.choice([1, 2, 3])])
     for edge in rng.sample([[0, 1], [-1, 1], [1, 1], [-2, 1]], rng.randint(0, 4)):
         p = p * power(IntPolynomial(edge), rng.randint(1, 2))
-    assume(p.degree <= 40)  # with x - 2, every Phi_n with phi(n) <= deg p is built
+    if rng.random() < 0.25:
+        p = p * power(IntPolynomial([-2, 1]), rng.randint(1, 6))
+    assume(p.degree <= 40)
     assert cyclotomic_root_count(p) == cyclotomic_factors_by_sympy(p), seed
 
 
@@ -172,6 +174,10 @@ def test_cyclotomic_root_count_matches_sympy(seed):
                  * IntPolynomial([0, 3]), (5, [(1, 2), (2, 3)]), id="roots-1-and-minus-1"),
     pytest.param(IntPolynomial([1, 1]) * cyclotomic_poly(6) * IntPolynomial([5, 0, 1]),
                  (3, [(2, 1), (6, 1)]), id="phi2-phi6-and-x2+5"),
+    # the factors x - 2 are divided out before the screen at 2
+    pytest.param(power(IntPolynomial([-2, 1]), 5) * power(cyclotomic_poly(10), 2)
+                 * cyclotomic_poly(3) * IntPolynomial([1, 1]),
+                 (11, [(2, 1), (3, 1), (10, 2)]), id="x-2-to-the-5-phi2-phi3-phi10"),
 ])
 def test_cyclotomic_root_count_on_fixed_polynomials(p, expected):
     assert cyclotomic_factors_by_sympy(p) == expected
@@ -191,6 +197,20 @@ def test_sweep_builds_only_the_cyclotomics_it_screens_in():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     built, indices = map(int, out.stdout.split("\n")[-2].split())
     assert built < indices
+
+
+def test_a_root_at_2_builds_no_cyclotomic():
+    # (x - 2)^16 is 0 at 2, which every Phi_n(2) divides; it is divided out
+    # before the screen, so no Phi_n is built in a fresh process
+    code = ("import math; from toridyn import exactnum; "
+            "p = exactnum.IntPolynomial([math.comb(16, k) * (-2) ** (16 - k) "
+            "for k in range(17)]); "
+            "print(exactnum.cyclotomic_root_count(p), "
+            "exactnum.cyclotomic_poly.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "(0, []) 0\n"
 
 
 # -- unit circle counts
