@@ -260,18 +260,20 @@ def _choose(columns, row, k, denom):
             columns[t] = tuple(map(mod, sums, repeat(denom)))
 
 
+def _fixed_count(f: TorusEndomorphism):
+    """(M - I, -tau, |det(M - I)|): the fixed points' congruence, and their count."""
+    m_minus_i = f.m - RationalMatrix.identity(f.torus.rank)
+    return m_minus_i, tuple(-t for t in f.tau), abs(m_minus_i.det().numerator)
+
+
 def fixed_points(f: TorusEndomorphism,
                  budget: int = DEFAULT_NODE_BUDGET) -> FixedPointSet:
     """Solves (M - I) x = -tau (mod 1) by Smith reduction.  Listing more
     than `budget` points (or transversal points) raises ResourceError."""
-    d = f.torus.rank
-    m_minus_i = f.m - RationalMatrix.identity(d)
-    # det != 0 makes |det| the number of points: refuse it before the
-    # Smith form, whose coefficients swell on large entries
-    det = abs(m_minus_i.det().numerator)
+    m_minus_i, rhs, det = _fixed_count(f)
+    # refuse a count over budget before the Smith form, whose entries swell
     if det > budget:
         raise ResourceError(f"fixed point set has {_count_text(det)} points, budget {budget}")
-    rhs = tuple(-t for t in f.tau)
     solved = _solve_congruence(m_minus_i, rhs, budget)
     if solved is None:
         return FixedPointSet("empty")
@@ -287,20 +289,18 @@ def fixed_points(f: TorusEndomorphism,
 
 def periodic_count(f: TorusEndomorphism, k: int):
     """Number of period-dividing-k points, |det(M^k - I)| taken on the
-    iterate f^k by Bareiss as in fixed_points, or the string 'infinite'
-    when the fixed locus of f^k is positive dimensional."""
+    iterate f^k as in fixed_points, or the string 'infinite' when the
+    fixed locus of f^k is positive dimensional."""
     if not f.surjective:
         raise NotSurjectiveError("periodic counts require det M != 0")
     if k < 1:
         raise DomainError("period must be >= 1")
-    g = iterate(f, k)
-    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
-    det = abs(m_minus_i.det().numerator)
+    m_minus_i, rhs, det = _fixed_count(iterate(f, k))
     if det:
         return det
     # a consistent congruence has a free direction, so its solutions are
     # cosets of a positive-dimensional subtorus; none is listed
-    return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
+    return "infinite" if _smith_reduce(m_minus_i, rhs) else 0
 
 
 class TorsionOrbitGraph(Record):

@@ -27,6 +27,7 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
                      subtorus_orbit, torsion_dynamics)
 from toridyn.cli import _default_text, main
 from toridyn.dynamics import _congruence_count, _factor_degrees, _smith_reduce
+from toridyn.endo import eigen_data
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -303,22 +304,18 @@ def test_periodic_count_rotation(e_torus):
 
 
 def test_periodic_count_is_the_count_of_the_iterate(monkeypatch):
-    # M has even size, so det(M^k - I) is the H^1 charpoly of f^k at 1;
-    # periodic_count takes it on the iterate and reads no eigen_data
+    # periodic_count takes det(M^k - I) on the iterate and reads no eigen_data
     import toridyn.dynamics as dynamics
-    from toridyn.endo import eigen_data
 
     examples = [get_example(name).endo for name in sorted(named_examples())]
-    expected = [[eigen_data(f, k).h1_charpoly(1) for k in range(1, 25)] for f in examples]
+    expected = [[newton_periodic_count(f, k) for k in range(1, 25)] for f in examples]
 
     def no_eigen_data(*args):
         raise AssertionError("periodic_count read eigen_data")
 
     monkeypatch.setattr(dynamics, "eigen_data", no_eigen_data)
-    for f, dets in zip(examples, expected):
-        for k, det in enumerate(dets, 1):
-            count = periodic_count(f, k)
-            assert count == abs(det) if det else count in ("infinite", 0), k
+    for f, counts in zip(examples, expected):
+        assert [periodic_count(f, k) for k in range(1, 25)] == counts
     # gtz_diag's charpoly to index 4 * 10**4 by Newton took 0.5 s; its
     # iterate by squaring and one Bareiss pass take under 0.01 s
     gtz_diag = get_example("gtz_diag").endo
@@ -330,14 +327,16 @@ def test_periodic_count_is_the_count_of_the_iterate(monkeypatch):
     assert min(times) < 0.1
 
 
-def smith_periodic_count(f, k):
-    """The count from the composed iterate: det(M^k - I) by elimination,
-    and the Smith form when it is 0."""
-    g = iterate(f, k)
-    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
-    det = m_minus_i.det().numerator
+def newton_periodic_count(f, k):
+    """The count by another route: M has even size, so det(M^k - I) is the
+    H^1 charpoly of f^k at 1, which eigen_data takes by Newton's identities
+    from the traces of M; the Smith form of the composed iterate decides
+    between 'infinite' and 0 when it is 0."""
+    det = eigen_data(f, k).h1_charpoly(1)
     if det != 0:
         return abs(det)
+    g = iterate(f, k)
+    m_minus_i = g.m - RationalMatrix.identity(f.torus.rank)
     return "infinite" if _smith_reduce(m_minus_i, tuple(-t for t in g.tau)) else 0
 
 
@@ -348,7 +347,7 @@ def smith_periodic_count(f, k):
 def test_periodic_count_matches_the_composed_iterate(order, n, k, seed, tau):
     base = random_endo(n, order_by_name(order), 2, seed)
     f = make_endo(base.torus, base.m, tau[:base.torus.rank])
-    assert periodic_count(f, k) == smith_periodic_count(f, k)
+    assert periodic_count(f, k) == newton_periodic_count(f, k)
 
 
 @pytest.mark.parametrize("order, unit", [("gaussian", (1, 0)), ("gaussian", (0, 1)),
@@ -363,7 +362,7 @@ def test_periodic_count_matches_the_composed_iterate_on_units(order, unit, tau):
     if tau is not None:
         f = make_endo(f.torus, f.m, tau + (0,) * (f.torus.rank - 2))
     for k in range(1, 7):
-        assert periodic_count(f, k) == smith_periodic_count(f, k)
+        assert periodic_count(f, k) == newton_periodic_count(f, k)
 
 
 # -- torsion orbit graphs
