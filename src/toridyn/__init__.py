@@ -6,8 +6,8 @@ from .errors import (ComplexStructureError, DomainError, InvarianceViolation,
                      NotSurjectiveError, ParseError, ResourceError, ToridynError)
 from .exactnum import (DEFAULT_PRECISION, CertifiedMagnitudeMultiset,
                        IntPolynomial, MagnitudeEntry, cyclotomic_poly,
-                       cyclotomic_root_count, polynomial_class,
-                       root_magnitudes, unit_circle_root_count)
+                       cyclotomic_root_count, gauss_poly_conj, gauss_poly_mul,
+                       polynomial_class, root_magnitudes, unit_circle_root_count)
 from .matlin import (RationalMatrix, SmithDecomposition, Sublattice, charpoly,
                      exterior_basis, exterior_power, restrict_and_quotient,
                      saturate, smith_form)
@@ -15,8 +15,8 @@ from .torus import (ComplexTorus, NeronSeveriSpace, Subtorus,
                     canonical_ample_class, form_to_ns_vector, is_ample,
                     make_subtorus, make_torus, neron_severi, ns_vector_to_form)
 from .endo import (EigenData, TorusEndomorphism, analytic_charpoly, eigen_data,
-                   eigen_split, fixed_subtorus, gauss_poly_conj, gauss_poly_mul,
-                   iterate, make_endo, minimal_unity_iterate, unity_free)
+                   eigen_split, fixed_subtorus, iterate, make_endo,
+                   minimal_unity_iterate, unity_free)
 from .dynamics import (FixedPointSet, TorsionOrbitGraph, fixed_points,
                        lefschetz_number, periodic_count, subtorus_orbit,
                        torsion_dynamics)

@@ -17,12 +17,12 @@ from math import floor, inf, lcm, nextafter
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError
-from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _from_power_sums,
-                       _modulus_root_count, _power_sums, polynomial_class,
-                       root_magnitudes, unit_circle_root_count)
+from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _int_from_power_sums,
+                       _int_power_sums, _modulus_root_count, _power_sums,
+                       polynomial_class, root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _cached_on_k, _frame_blocks, eigen_data,
-                   iterate, minimal_unity_iterate, unity_free)
+from .endo import (TorusEndomorphism, _cached_on_k, _eigen_data_of, _frame_blocks,
+                   eigen_data, iterate, minimal_unity_iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -59,12 +59,19 @@ def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
     charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so
     its eigenvalues are conj(mu_i) mu_j over the roots mu of the analytic
-    charpoly of f^k, and tr((f^*)^m) = |p_m|^2 with p_m the power sums of
+    charpoly of f, and tr((f^*)^m) = |p_m|^2 with p_m the power sums of
     the mu, Gaussian integers since the mu are algebraic integers."""
-    gamma = eigen_data(f, k).analytic
+    gamma = eigen_data(f).analytic
     n = len(gamma) - 1
-    sums = [(re * re + im * im, 0) for re, im in _power_sums(gamma, n * n)]
-    return IntPolynomial(re for re, _ in _from_power_sums(sums))
+    return _ns_charpoly_of(_power_sums(gamma, n * n, k), 1)
+
+
+def _ns_charpoly_of(gamma_sums, k: int) -> IntPolynomial:
+    """ns_charpoly(f, k) from the power sums p_m of the roots of Gamma:
+    the traces of (f^*)^k are |p_k|^2, |p_2k|^2, ..., |p_(n^2 k)|^2."""
+    n = gamma_sums[0][0]
+    return IntPolynomial(_int_from_power_sums(
+        [re * re + im * im for re, im in gamma_sums[:n * n * k + 1:k]]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +485,29 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     As M has even size, det(M^j - I) = h1_j(1) with h1_j the H^1 charpoly
     of f^j.
 
-    The data of f^k comes from f's: eigen_data(f, k) gives unity-free and
-    h1_k(1), and ns_charpoly(f, k), the charpoly of (f^*)^k on NS, is read
-    off it.  Amplified stays yes by rule (a) when ns_charpoly(f, k)(1) !=
-    0; f^k is built only otherwise, and for polarized, which stays an
-    independent check on f^k.  At k = 1 every check holds by definition."""
+    The data of f^k comes from f's: the power sums of the roots of f's H^1
+    and analytic charpolys are built once, to the largest index that kmax
+    needs, and f^k's eigen data (unity-free and h1_k(1)) and the charpoly
+    of (f^*)^k on NS are read off their slices p_k, p_2k, ...  Amplified
+    stays yes by rule (a) when that NS charpoly is nonzero at 1; f^k is
+    built only otherwise, and for polarized, which stays an independent
+    check on f^k.  At k = 1 every check holds by definition."""
     if not f.surjective:
         raise NotSurjectiveError("iterate verification requires det M != 0")
     violations = []
     base_free, _ = unity_free(f)
     base_amp = amplified(f)
     base_pol = polarized(f)
-    h1_at_one = [eigen_data(f).h1_charpoly(1)]
+    h1, gamma = eigen_data(f).h1_charpoly, eigen_data(f).analytic
+    h1_sums = _int_power_sums(h1.coeffs, h1.degree * kmax)
+    gamma_sums = _power_sums(gamma, max(h1.degree, (len(gamma) - 1) ** 2) * kmax)
+    h1_at_one = [h1(1)]
     for k in range(2, kmax + 1):
-        data = eigen_data(f, k)
+        data = _eigen_data_of(h1_sums, gamma_sums, k)
         h1_at_one.append(data.h1_charpoly(1))
         if (data.u_count == 0) != base_free:
             violations.append(f"unity-free changed at iterate {k}")
-        if (base_amp.verdict == "yes" and ns_charpoly(f, k)(1) == 0
+        if (base_amp.verdict == "yes" and _ns_charpoly_of(gamma_sums, k)(1) == 0
                 and amplified(iterate(f, k)).verdict != "yes"):
             violations.append(f"amplified lost at iterate {k}")
         if base_pol.verdict == "yes":

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import add
 from types import SimpleNamespace
 
 from .errors import DomainError, InvariantViolation, ParseError, ResourceError
@@ -223,11 +223,13 @@ def _emit_with_rows(doc, key, fps, fmt):
     streamed to stdout parent by parent with no string of the whole
     listing.  Each distinct numerator k becomes a token once: str(k /
     denominator), quoted as json.dumps (JSON) or repr (text) would, built
-    from integers under _whole_numbers().  The rows of each distinct tail
-    are joined once, and each parent is written as its head before each
-    of its tail's rows, head + (rowsep + head).join(tail rows), with no
-    Python work per point.  Everything that can raise is built before
-    the first write, so a failure leaves stdout empty."""
+    from integers under _whole_numbers().  The rows of a tail are joined
+    when its first parent is written, and dropped after its last one, so a
+    shared tail is joined once and an unshared one is never held past its
+    parent.  Each parent is written as its head before each of its tail's
+    rows, head + (rowsep + head).join(tail rows), with no Python work per
+    point.  Every token is built before the first write, so a failure
+    leaves stdout empty."""
     quote, sep = ('"', ",") if fmt == "json" else ("'", ", ")
     denom = fps.denominator
 
@@ -239,15 +241,25 @@ def _emit_with_rows(doc, key, fps, fmt):
         heads, tails = fps.listing_as(token)
     # each head ends in sep, and is "" when the listing has no head columns
     heads = list(map(sep.join, zip(*heads, repeat("", len(fps.tail_index)))))
-    rows, n = list(map(sep.join, zip(*tails))), fps.tail_length
+    # tails are read in order; fixed_points numbers them by first parent
+    blocks = enumerate(zip(*repeat(map(sep.join, zip(*tails)), fps.tail_length)))
+    uses, held = [0] * len(fps.tail_index), {}
+    for i in fps.tail_index:
+        uses[i] += 1
+
+    def tail(i):  # the rows of tail i, held from its first parent to its last
+        while i not in held:
+            held.update([next(blocks)])
+        uses[i] -= 1
+        return held[i] if uses[i] else held.pop(i)
+
     if fmt == "json":
         head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         prefix, end = f'{head[:-1]},"{key}":[[', "]]}\n"
     else:
         prefix, end = f"{_default_text(doc)}\n{key}: [[", "]]\n"
-    starts = list(map(mul, fps.tail_index, repeat(n)))  # of each parent's tail
-    tails = map(rows.__getitem__, map(slice, starts, map(add, starts, repeat(n))))
     rowsep = f"]{sep}["
+    tails = map(tail, fps.tail_index)
     parents = map(add, heads, map(str.join, map(rowsep.__add__, heads), tails))
     out = sys.stdout
     out.write(prefix)

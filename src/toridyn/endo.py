@@ -3,9 +3,10 @@
 Validation, iteration, analytic eigenvalue data over the Gaussian
 integers, the exact unity-free test, fixed subtori, and eigenvalue
 multiset splitting along invariant subtori.  Every charpoly here (H^1 and
-the analytic Gamma, of f and of f^k) comes from power sums by exactnum's
-Newton routine: of M and of A + iB through matlin.trace_powers, and of
-f^k from every k-th power sum of f's.
+the analytic Gamma, of f and of f^k) comes from power sums by Newton's
+identities: of M and of A + iB through matlin.trace_powers, and of f^k
+from every k-th power sum of f's roots (_eigen_data_of), in ints for H^1
+and in Gaussian-integer pairs for Gamma.
 
 Convention: the analytic eigenvalue multiset is attached to the +i
 eigenspace of J.  Conjugating the convention conjugates the multiset; all
@@ -21,8 +22,9 @@ from math import lcm
 from ._record import Record
 from .errors import (DomainError, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
-from .exactnum import (IntPolynomial, _from_power_sums, _root_power_poly,
-                       cyclotomic_root_count, gauss_poly_conj, gauss_poly_mul)
+from .exactnum import (IntPolynomial, _from_power_sums, _int_from_power_sums,
+                       _int_power_sums, _power_sums, cyclotomic_root_count,
+                       gauss_poly_mul)
 from .matlin import (RationalMatrix, _quotient, charpoly, matmul,
                      restrict_and_quotient, smith_form, trace_powers)
 from .torus import ComplexTorus, Subtorus, _complex_basis, make_subtorus
@@ -149,25 +151,34 @@ def _cached_on_k(fn):
 
 @_cached_on_k
 def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
-    """Eigen data of f^k.  For k > 1 it is derived from f's: both charpolys
-    of f^k have the k-th powers of the roots of f's, and f^k is never
-    built."""
+    """Eigen data of f^k.  Both charpolys of f are read off the traces of M
+    and of A + iB; for k > 1 those of f^k are derived from f's, whose k-th
+    powers are their roots, and f^k is never built."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
     if k == 1:
-        h1 = charpoly(f.m)
-        gamma = analytic_charpoly(f.m, f.torus.j)
+        h1, gamma = charpoly(f.m).coeffs, analytic_charpoly(f.m, f.torus.j)
     else:
         base = eigen_data(f)
-        h1 = IntPolynomial(re for re, _ in _root_power_poly(
-            [(c, 0) for c in base.h1_charpoly.coeffs], k))
-        gamma = tuple(_root_power_poly(base.analytic, k))
-    if gauss_poly_mul(gamma, gauss_poly_conj(gamma)) != tuple((c, 0) for c in h1.coeffs):
+        h1, gamma = base.h1_charpoly.coeffs, base.analytic
+    d = len(h1) - 1
+    return _eigen_data_of(_int_power_sums(h1, d, k), _power_sums(gamma, d, k), 1)
+
+
+def _eigen_data_of(h1_sums, gamma_sums, k: int) -> EigenData:
+    """EigenData of f^k from the slices p_0, p_k, ..., p_dk of the power
+    sums of the roots of f's h1 (ints) and Gamma ((re, im) pairs).  Those
+    of h1 are the roots of Gamma and their conjugates, so h1_k = Gamma_k
+    conj(Gamma_k) is checked on the sums: p_m(h1) = 2 Re p_m(Gamma)."""
+    d = h1_sums[0]
+    h1, gamma = h1_sums[:d * k + 1:k], gamma_sums[:d * k + 1:k]
+    if any(p != 2 * re for p, (re, _) in zip(h1, gamma)):
         raise InvariantViolation("h1 charpoly is not analytic x conjugate")
+    h1 = IntPolynomial(_int_from_power_sums(h1))
     count, factors = cyclotomic_root_count(h1)
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, count // 2, tuple(factors), gamma)
+    return EigenData(h1, count // 2, tuple(factors), tuple(_from_power_sums(gamma[:d // 2 + 1])))
 
 
 def unity_free(f: TorusEndomorphism):

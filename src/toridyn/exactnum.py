@@ -1,9 +1,10 @@
 """Exact scalars and univariate polynomials.
 
 Integer polynomials with exact arithmetic, polynomials over the Gaussian
-integers with Newton's identities between their coefficients and the
-power sums of their roots (the one route to every characteristic
-polynomial), cyclotomic factor extraction, Kronecker/Salem
+integers, Newton's identities between the coefficients of a polynomial
+and the power sums of its roots (the route to every characteristic
+polynomial: in ints for integer polynomials, in (re, im) pairs over the
+Gaussian integers), cyclotomic factor extraction, Kronecker/Salem
 classification, and certified rational enclosures of root magnitudes.
 Root-of-unity and unit-circle detection never consult floating point;
 real roots are counted by integer Sturm sequences.  For magnitudes,
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from ._record import Record
 from .errors import DomainError, InvariantViolation, ResourceError
@@ -40,12 +42,13 @@ class IntPolynomial:
     """Dense univariate polynomial, coefficients ascending from the constant
     term.  Immutable.  Arithmetic is exact and stays in the integers:
     division is integer long division, accepted only when the quotient is
-    integral (pseudo-remainders in gcd always are)."""
+    integral (pseudo-remainders in gcd always are).  A coefficient that is
+    not an integer, such as Fraction(1, 2) or 2.7, raises DomainError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
+        cs = [c if type(c) is int else _integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -179,6 +182,16 @@ class IntPolynomial:
         return [str(c) for c in self.coeffs]
 
 
+def _integer(value) -> int:
+    """value as an int; DomainError unless it equals one."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, infinity
+        pass
+    raise DomainError(f"polynomial coefficient {value!r} is not an integer")
+
+
 @lru_cache(maxsize=1024)
 def _squarefree_decomposition(p: IntPolynomial):
     p = p.primitive()
@@ -221,24 +234,24 @@ def gauss_poly_conj(p):
     return tuple((re, -im) for re, im in p)
 
 
-def _power_sums(coeffs, count: int):
-    """Power sums p_0..p_count, as (re, im) pairs, of the roots of the monic
-    polynomial with ascending Gaussian-integer coefficients `coeffs`, by
-    Newton's identities p_m = -(m c_m + sum_(0<i<m) c_i p_(m-i)) for
-    x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0 past n."""
+def _power_sums(coeffs, count: int, step: int = 1):
+    """Power sums p_0, p_step, ..., p_(count step), as (re, im) pairs, of
+    the roots of the monic polynomial with ascending Gaussian-integer
+    coefficients `coeffs`, by Newton's identities p_m = -(m c_m +
+    sum_(0<i<m) c_i p_(m-i)) for x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0
+    past n.  Only the last n sums are kept from step to step."""
     n = len(coeffs) - 1
-    c = coeffs[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
-    p = [(n, 0)]
-    for m in range(1, count + 1):
-        re, im = c[m] if m <= n else (0, 0)
+    c, last, out = coeffs[-2::-1], deque(maxlen=n), [(n, 0)]  # last: p_(m-1), ...
+    for m in range(1, count * step + 1):
+        re, im = c[m - 1] if m <= n else (0, 0)
         re, im = m * re, m * im
-        for i in range(1, min(m, n + 1)):
-            a, b = c[i]
-            x, y = p[m - i]
+        for (a, b), (x, y) in zip(c, last):
             re += a * x - b * y
             im += a * y + b * x
-        p.append((-re, -im))
-    return p
+        last.appendleft((-re, -im))
+        if m % step == 0:
+            out.append((-re, -im))
+    return out
 
 
 def _from_power_sums(p):
@@ -261,11 +274,30 @@ def _from_power_sums(p):
     return out[::-1]
 
 
-def _root_power_poly(coeffs, k: int):
-    """Ascending (re, im) coefficients of the monic polynomial whose roots
-    are the k-th powers of the roots of the monic polynomial `coeffs` over
-    Z[i]: its power sums are p_k, p_2k, ... of the roots of `coeffs`."""
-    return _from_power_sums(_power_sums(coeffs, (len(coeffs) - 1) * k)[::k])
+def _int_power_sums(coeffs, count: int, step: int = 1):
+    """_power_sums for a monic integer polynomial, in ints."""
+    n = len(coeffs) - 1
+    c, last, out = coeffs[-2::-1], deque(maxlen=n), [n]
+    for m in range(1, count * step + 1):
+        s = -sum(map(mul, c, last)) - (m * c[m - 1] if m <= n else 0)
+        last.appendleft(s)
+        if m % step == 0:
+            out.append(s)
+    return out
+
+
+def _int_from_power_sums(p):
+    """_from_power_sums for integer power sums, in ints."""
+    out = [1]
+    for j in range(1, len(p)):
+        s = p[j]
+        for i in range(1, j):
+            s += out[i] * p[j - i]
+        b, inexact = divmod(-s, j)
+        if inexact:
+            raise InvariantViolation("power-sum division is not exact")
+        out.append(b)
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ not, and every true division goes through `Fraction`.  Elimination
 (determinants, inverses, pivot columns, the positive-definite test) is one
 fraction-free routine (Bareiss 1968) on the integer matrix D*A, D the lcm
 of the denominators.  A characteristic polynomial is read off the power
-sums tr(A^m) of its roots, by the Newton routine of exactnum, for integer
-and for Gaussian-integer matrices alike; only A^1..A^h, h = ceil(n/2), are
-built, and tr(A^m) past them is tr(A^h A^(m-h)), a sum of entry products.
+sums tr(A^m) of its roots by Newton's identities, exactnum's integer
+kernel for an integer matrix and its Gaussian-integer one for A + iB;
+only A^1..A^h, h = ceil(n/2), are built, and tr(A^m) past them is
+tr(A^h A^(m-h)), a sum of entry products.
 The Smith form keeps A and its transforms on one grid, [A | U] above V,
 so each step is written once.  An integer kernel is read off the Smith
 transform V, whose columns at the zero invariant factors are a primitive
@@ -30,7 +31,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import DomainError, InvarianceViolation, InvariantViolation
-from .exactnum import IntPolynomial, _from_power_sums
+from .exactnum import IntPolynomial, _int_from_power_sums
 
 # ---------------------------------------------------------------------------
 # Integer arithmetic
@@ -316,7 +317,7 @@ def charpoly(a: RationalMatrix) -> IntPolynomial:
     eigenvalues by Newton's identities."""
     if not a.is_square():
         raise DomainError("characteristic polynomial requires a square matrix")
-    return IntPolynomial(re for re, _ in _from_power_sums(trace_powers(a.to_integer())))
+    return IntPolynomial(_int_from_power_sums([re for re, _ in trace_powers(a.to_integer())]))
 
 
 def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:

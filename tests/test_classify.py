@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
+from toridyn import (DomainError, InvariantViolation, NotSurjectiveError, RationalMatrix,
                      amplified, canonical_ample_class, chain_violations,
                      charpoly, cm_matrix_endo, cm_power_torus,
                      dynamical_degrees, eigen_data, exterior_power,
@@ -23,7 +23,7 @@ from toridyn import (DomainError, NotSurjectiveError, RationalMatrix,
                      periodic_count, polarization_q_candidate, polarized,
                      random_endo, serre_test, subtorus_orbit,
                      unit_circle_root_count, unity_free, verify_iterates)
-from toridyn import classify, exactnum
+from toridyn import classify, endo, exactnum
 from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
                               _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
@@ -89,15 +89,18 @@ def test_ns_action_matches_solving_the_basis(case, height, seed):
 @given(st.sampled_from([("gaussian", 1), ("gaussian", 2), ("gaussian", 3),
                         ("eisenstein", 1), ("eisenstein", 2), ("eisenstein", 3),
                         ("quadratic(-2)", 1), ("quadratic(-2)", 2), ("quadratic(-2)", 3)]),
-       st.integers(1, 4), st.integers(1, 2), st.integers(0, 10**6))
+       st.integers(1, 6), st.integers(1, 2), st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_ns_charpoly_is_the_charpoly_of_the_ns_action(case, k, height, seed):
     # the charpoly of (f^*)^k read off the power sums of Gamma equals the
-    # one of the k-th power of the rho x rho action
+    # one of the k-th power of the rho x rho action, both in ns_charpoly
+    # and at the k-th slice of the sequence verify_iterates builds
     order, n = case
     f = random_endo(n, order_by_name(order), height, seed)
     oracle = charpoly(ns_action(f) ** k)
     assert ns_charpoly(f, k).coeffs == tuple(getattr(oracle, "coeffs", oracle))
+    if k > 1:
+        assert verify_iterates_data(f, k)["_ns_charpoly_of", k].coeffs == oracle.coeffs
 
 
 # -- finite order
@@ -685,6 +688,71 @@ def composed_iterates_reference(f, kmax):
     return violations
 
 
+def verify_iterates_data(f, kmax):
+    """{(helper, k): value} for the eigen data (_eigen_data_of) and the NS
+    charpoly (_ns_charpoly_of) of each f^k that verify_iterates(f, kmax)
+    reads, with amplified forced to yes so that it reads the NS charpoly
+    at every k."""
+    seen = {}
+
+    def recording(name):
+        helper = getattr(classify, name)
+
+        def call(*args):
+            seen[name, args[-1]] = value = helper(*args)
+            return value
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "amplified", lambda g: AmplifiedVerdict("yes", "forced"))
+        for name in ("_eigen_data_of", "_ns_charpoly_of"):
+            patch.setattr(classify, name, recording(name))
+        verify_iterates(f, kmax)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["gtz_diag", "salem_surface", "e4_auto", "mult_2_1"])
+def test_verify_iterates_takes_each_newton_step_once(monkeypatch, name):
+    # with f's own verdicts known, as in a sweep, verify_iterates(f, 4)
+    # builds the power sums of h1 to 4 d and of Gamma to 4 max(d, n^2),
+    # each once; the independent checks on f^k build f^k's own
+    f = get_example(name).endo
+    unity_free(f), amplified(f), polarized(f)
+    base = eigen_data(f)
+    d, n = base.h1_charpoly.degree, len(base.analytic) - 1
+    steps = []
+
+    def counting(kernel):
+        def call(coeffs, count, step=1):
+            if tuple(coeffs) in (base.h1_charpoly.coeffs, base.analytic):
+                steps.append((kernel.__name__, count * step))
+            return kernel(coeffs, count, step)
+        return call
+
+    for module in (classify, endo):
+        for kernel in (exactnum._int_power_sums, exactnum._power_sums):
+            monkeypatch.setattr(module, kernel.__name__, counting(kernel))
+    verify_iterates(f, 4)
+    assert sorted(steps) == [("_int_power_sums", 4 * d), ("_power_sums", 4 * max(d, n * n))]
+
+
+def test_a_corrupted_gamma_sequence_fails_the_identity(monkeypatch):
+    # p_m(h1) = 2 Re p_m(Gamma) is checked on the two sequences; p_6 is
+    # read at k = 2 and 3
+    f = get_example("gtz_diag").endo
+    unity_free(f), amplified(f), polarized(f)
+
+    def corrupted(coeffs, count, step=1):
+        sums = exactnum._power_sums(coeffs, count, step)
+        re, im = sums[6]
+        sums[6] = (re + 1, im)
+        return sums
+
+    monkeypatch.setattr(classify, "_power_sums", corrupted)
+    with pytest.raises(InvariantViolation, match="analytic x conjugate"):
+        verify_iterates(f, 4)
+
+
 @pytest.mark.parametrize("denominator", [2, 3, 5, 6])
 @pytest.mark.parametrize("n, seed", [(1, 3), (2, 11)])
 def test_verify_iterates_matches_the_composed_iterates(denominator, n, seed):
@@ -715,6 +783,12 @@ def test_iterate_data_is_derived_from_f(order, n, k, seed, tau):
     assert derived == eigen_data(g)
     assert derived.analytic == eigen_data(g).analytic
     assert ns_action(f) ** k == ns_action(g)
+    # verify_iterates(f, k) reads the same data of every f^j off one sequence
+    seen = verify_iterates_data(f, k)
+    for j in range(2, k + 1):
+        data = eigen_data(iterate(f, j))
+        assert seen["_eigen_data_of", j] == data
+        assert seen["_eigen_data_of", j].analytic == data.analytic
 
 
 PINNED_VERDICT_CASES = [("gaussian", 1, 3), ("gaussian", 2, 3), ("gaussian", 3, 2),

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toridyn import (DEFAULT_PRECISION, DomainError, IntPolynomial,
+from toridyn import (DEFAULT_PRECISION, DomainError, IntPolynomial, InvariantViolation,
                      cyclotomic_poly, cyclotomic_root_count,
                      gaussian_order, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
@@ -30,6 +30,20 @@ def test_polynomial_normalization_strips_leading_zeros():
     assert IntPolynomial([1, 2, 0, 0]).degree == 1
     assert IntPolynomial([]).is_zero()
     assert IntPolynomial([0]).is_zero()
+
+
+@pytest.mark.parametrize("coeffs", [[Fraction(1, 2), 1], [2.7, 1], [1, 0, Fraction(-7, 3)],
+                                    [float("nan"), 1], [float("inf")], [None], ["3", 1]])
+def test_polynomial_refuses_a_coefficient_that_is_not_an_integer(coeffs):
+    # int() used to truncate these: [1/2, 1] became x and [2.7, 1] became
+    # x + 2, and every public function then answered for that polynomial
+    with pytest.raises(DomainError, match="not an integer"):
+        IntPolynomial(coeffs)
+
+
+def test_polynomial_accepts_integral_values_of_any_type():
+    p = IntPolynomial([Fraction(4, 2), 3.0, True])
+    assert p == IntPolynomial([2, 3, 1]) and all(type(c) is int for c in p.coeffs)
 
 
 def test_polynomial_arithmetic_matches_sympy():
@@ -73,6 +87,30 @@ def test_gcd_divides_both(a, b):
     g = p.gcd(q)
     assert p.try_divide(g) is not None or p.primitive().try_divide(g.primitive()) is not None
     assert q.try_divide(g) is not None or q.primitive().try_divide(g.primitive()) is not None
+
+
+# -- Newton's identities
+
+@given(st.lists(st.integers(-30, 30), max_size=6), st.integers(0, 12), st.integers(1, 4),
+       st.integers(2, 6), st.integers(1, 10))
+@settings(max_examples=100, deadline=None)
+def test_integer_newton_kernels_are_the_pair_kernels_on_real_input(lower, count, step,
+                                                                  j, delta):
+    coeffs = (*lower, 1)
+    sums = exactnum._int_power_sums(coeffs, count, step)
+    pairs = exactnum._power_sums([(c, 0) for c in coeffs], count, step)
+    assert pairs == [(p, 0) for p in sums]
+    assert sums == exactnum._int_power_sums(coeffs, count * step)[::step]
+    full = exactnum._int_power_sums(coeffs, len(lower))
+    assert exactnum._int_from_power_sums(full) == list(coeffs)
+    assert exactnum._from_power_sums([(p, 0) for p in full]) == [(c, 0) for c in coeffs]
+    # p_j moved by a delta that j does not divide moves b_j off the integers
+    if j <= len(lower) and delta % j:
+        full[j] += delta
+        with pytest.raises(InvariantViolation, match="not exact"):
+            exactnum._int_from_power_sums(full)
+        with pytest.raises(InvariantViolation, match="not exact"):
+            exactnum._from_power_sums([(p, 0) for p in full])
 
 
 # -- cyclotomics
