@@ -21,8 +21,8 @@ from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _int_from_power_sums,
                        _int_power_sums, _modulus_root_count, _power_sums,
                        polynomial_class, root_magnitudes, unit_circle_root_count)
 from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _cached_on_k, _eigen_data_of, _frame_blocks,
-                   eigen_data, iterate, minimal_unity_iterate, unity_free)
+from .endo import (TorusEndomorphism, _eigen_data_of, _frame_blocks, eigen_data,
+                   iterate, minimal_unity_iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -54,7 +54,7 @@ def ns_action(f: TorusEndomorphism) -> RationalMatrix:
                     s * s) for unit in ns.units] for r, c in ns.slots])
 
 
-@_cached_on_k
+@lru_cache(maxsize=512)
 def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
     charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so

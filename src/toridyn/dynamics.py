@@ -34,7 +34,7 @@ from operator import add, lt, mod, mul, sub
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
-from .exactnum import _prime_factors, cyclotomic_poly
+from .exactnum import _cyclotomic_value, _prime_factors
 from .matlin import RationalMatrix, matmul, smith_form
 from .endo import TorusEndomorphism, _affine_rows, eigen_data, iterate
 from .torus import Subtorus, make_subtorus
@@ -361,15 +361,8 @@ def _orbit_histograms(f, m):
     _congruence_count mod m."""
     d = f.torus.rank
     aug = [[x % m for x in row] for row in _affine_rows(f, m)]
-    identity = [[int(i == j) % m for j in range(d + 1)] for i in range(d + 1)]
     factors = _prime_factors(m)
-    squares = [aug]  # squares[i] = aug^(2^i) mod m, shared by every power
-
-    def power(k):  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
-        while len(squares) < k.bit_length():
-            squares.append(_product_mod(squares[-1], squares[-1], m))
-        chosen = [a for i, a in enumerate(squares) if k >> i & 1]
-        return reduce(lambda a, b: _product_mod(a, b, m), chosen) if chosen else identity
+    power = _powers_mod(aug, m)  # f^k as the augmented matrix [[M^k, c_k], [0, 1]] mod m
 
     def solutions(k, s):  # of (M^k - s I) x = -s c_k: |ker M^k| or Fix(k)
         *columns, c = zip(*power(k)[:d])  # the columns of M^k, then c_k
@@ -395,7 +388,7 @@ def _orbit_histograms(f, m):
             order = lcm(order, p**j - 1)
             for e in range(1, j + 1):
                 if j % e == 0:
-                    primes.update(_prime_factors(cyclotomic_poly(e)(p)))
+                    primes.update(_prime_factors(_cyclotomic_value(e, p)))
     while not closes(order):  # the p-power parts: unipotent, translations
         order *= prod(factors)
     divisors = [1]
@@ -445,12 +438,12 @@ def _factor_degrees(rows, p):
     d, zeros = len(rows), [0] * len(rows)
     rows = [[x % p for x in row] for row in rows]
     base = _congruence_count(rows, zeros, p)  # |ker M|
-    found, power, total = {}, rows, base  # power = M^(p^j) mod p
+    found, power, total = {}, _powers_mod(rows, p), base
     for j in range(1, d + 1):
         if total == p**d:
             break
-        power = _power_mod(power, p, p)
-        kernel = _congruence_count([list(map(sub, x, y)) for x, y in zip(power, rows)], zeros, p)
+        kernel = _congruence_count([list(map(sub, x, y)) for x, y in zip(power(p**j), rows)],
+                                   zeros, p)
         found[j] = kernel // (base * prod(v for i, v in found.items() if j % i == 0))
         total *= found[j]
     return {j for j, v in found.items() if v > 1}
@@ -461,14 +454,20 @@ def _product_mod(a, b, m):
     return [[x % m for x in row] for row in matmul(a, b)]
 
 
-def _power_mod(a, k, m):
-    """a^k for k >= 1, entries mod m, by squaring."""
-    result = a
-    for bit in bin(k)[3:]:
-        result = _product_mod(result, result, m)
-        if bit == "1":
-            result = _product_mod(result, a, m)
-    return result
+def _powers_mod(a, m):
+    """k -> a^k mod m for k >= 0, for square integer rows a reduced mod m:
+    the product of the squares a^(2^i) at the set bits of k, each square
+    built once and shared by every later power."""
+    identity = [[int(i == j) % m for j in range(len(a))] for i in range(len(a))]
+    squares = [a]
+
+    def power(k):
+        while len(squares) < k.bit_length():
+            squares.append(_product_mod(squares[-1], squares[-1], m))
+        chosen = [s for i, s in enumerate(squares) if k >> i & 1]
+        return reduce(lambda x, y: _product_mod(x, y, m), chosen) if chosen else identity
+
+    return power
 
 
 def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,

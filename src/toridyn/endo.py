@@ -15,7 +15,7 @@ downstream verdicts are conjugation-invariant.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
 
@@ -136,20 +136,7 @@ class EigenData(Record):
     analytic: tuple
 
 
-def _cached_on_k(fn):
-    """lru_cache for fn(f, k=1), keyed on the value of k: fn(f) and
-    fn(f, 1) share one entry."""
-    cached = lru_cache(maxsize=512)(fn)
-
-    @wraps(fn)
-    def call(f, k=1):
-        return cached(f, k)
-
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
-
-
-@_cached_on_k
+@lru_cache(maxsize=512)
 def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
     """Eigen data of f^k.  Both charpolys of f are read off the traces of M
     and of A + iB; for k > 1 those of f^k are derived from f's, whose k-th

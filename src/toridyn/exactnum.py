@@ -42,8 +42,9 @@ class IntPolynomial:
     """Dense univariate polynomial, coefficients ascending from the constant
     term.  Immutable.  Arithmetic is exact and stays in the integers:
     division is integer long division, accepted only when the quotient is
-    integral (pseudo-remainders in gcd always are).  A coefficient that is
-    not an integer, such as Fraction(1, 2) or 2.7, raises DomainError."""
+    integral (pseudo-remainders in gcd always are).  A coefficient or a
+    scalar factor that is not an integer, such as Fraction(1, 2) or 2.7,
+    raises DomainError."""
 
     __slots__ = ("coeffs",)
 
@@ -98,8 +99,9 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
+        if not isinstance(other, IntPolynomial):
+            factor = _integer(other)
+            return IntPolynomial([c * factor for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return IntPolynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -189,7 +191,7 @@ def _integer(value) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):  # None, nan, infinity
         pass
-    raise DomainError(f"polynomial coefficient {value!r} is not an integer")
+    raise DomainError(f"polynomial coefficient or factor {value!r} is not an integer")
 
 
 @lru_cache(maxsize=1024)
@@ -347,9 +349,10 @@ def _prime_factors(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_at_2(n: int) -> int:
-    """Phi_n(2): 2^n - 1 over Phi_d(2) for each proper divisor d of n."""
-    return (2**n - 1) // math.prod(_cyclotomic_at_2(d) for d in range(1, n) if n % d == 0)
+def _cyclotomic_value(n: int, x: int) -> int:
+    """Phi_n(x) for an integer x >= 2: x^n - 1 over Phi_d(x) for each
+    proper divisor d of n."""
+    return (x**n - 1) // math.prod(_cyclotomic_value(d, x) for d in range(1, n) if n % d == 0)
 
 
 @lru_cache(maxsize=None)
@@ -379,7 +382,7 @@ def cyclotomic_root_count(p: IntPolynomial):
         remaining, _ = _strip_root(remaining, 2)
         at_2 = remaining(2)
     for n in _cyclotomic_indices(remaining.degree):
-        value, mult = _cyclotomic_at_2(n), 0
+        value, mult = _cyclotomic_value(n, 2), 0
         while remaining(3 - 2 * n) == 0 if n <= 2 else at_2 % value == 0:
             quo = remaining.try_divide(cyclotomic_poly(n))
             if quo is None:

@@ -112,6 +112,27 @@ MUTANTS = [
      "gamma_sums[:n * n * k + 1:k]",
      "gamma_sums[:n * n * k + 1:k + 1]",
      "tests/test_classify.py::test_ns_charpoly_is_the_charpoly_of_the_ns_action"),
+    # x^n + 1 for x^n - 1 in the Phi_n recursion: every value is wrong
+    ("src/toridyn/exactnum.py",
+     "(x**n - 1) // math.prod(",
+     "(x**n + 1) // math.prod(",
+     "tests/test_exactnum.py::test_cyclotomic_value_is_the_value_of_the_polynomial"),
+    # a power takes the square at bit i when bit i or i + 1 of k is set
+    ("src/toridyn/dynamics.py",
+     "if k >> i & 1]",
+     "if k >> i & 3]",
+     "tests/test_dynamics.py::test_factor_degrees_on_fixed_matrices[irreducible-quintic]"),
+    # eigen_data caches nothing: each call rebuilds its EigenData
+    ("src/toridyn/endo.py",
+     "@lru_cache(maxsize=512)\ndef eigen_data",
+     "@lru_cache(maxsize=0)\ndef eigen_data",
+     "tests/test_classify.py::test_k_is_normalised_in_the_caches"),
+    # a scalar factor is taken as an int only when it is one: a Fraction
+    # reaches the polynomial product again
+    ("src/toridyn/exactnum.py",
+     "if not isinstance(other, IntPolynomial):",
+     "if isinstance(other, int):",
+     "tests/test_exactnum.py::test_polynomial_refuses_a_factor_that_is_not_an_integer[factor0]"),
     # the integer kernel keeps a quotient that is not exact
     ("src/toridyn/exactnum.py",
      "if inexact:",

@@ -989,6 +989,28 @@ def test_sweep_reports_a_chain_violation_as_a_failure(capsys, monkeypatch):
     assert [v["failures"] for v in doc["violations"]] == [["amplified but not unity-free"]]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_reports_a_surface_that_is_unity_free_but_not_amplified(capsys, monkeypatch,
+                                                                      dim):
+    # on a surface (dim 2) unity-free forces amplified, so a "no" on a
+    # unity-free sample is listed; in dim 3 no such rule holds
+    import toridyn.cli as cli
+    from toridyn.classify import AmplifiedVerdict
+
+    monkeypatch.setattr(cli, "amplified", lambda f: AmplifiedVerdict("no", "forced"))
+    code, out, err = run(capsys, "sweep", "--count", "6", "--dim", str(dim),
+                         "--seed", "7", "--format", "json")
+    doc = json.loads(out)
+    rule = "surface unity-free but not amplified"
+    listed = sum(rule in v["failures"] for v in doc["violations"])
+    free = sum(n for cell, n in doc["cells"].items() if "/ unity-free /" in cell)
+    assert err == "" and free > 0
+    if dim == 2:
+        assert code == 1 and listed == free
+    else:
+        assert listed == 0
+
+
 def test_examples_listing(capsys):
     code, out, _ = run(capsys, "examples", "--format", "json")
     assert code == 0

@@ -28,6 +28,7 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
 from toridyn.cli import _default_text, main
 from toridyn.dynamics import _congruence_count, _factor_degrees, _smith_reduce
 from toridyn.endo import eigen_data
+from toridyn.exactnum import cyclotomic_poly
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -508,6 +509,16 @@ def test_torsion_dynamics_at_a_large_prime_level(name, p, degree):
     m_minus_i = sympy.Matrix(f.m.to_integer()) - sympy.eye(d)
     rank = DomainMatrix.from_Matrix(m_minus_i).convert_to(sympy.GF(p)).rank()
     assert graph.fixed_node_count() == p**(d - rank)
+
+
+def test_torsion_dynamics_builds_no_polynomial():
+    # the order bound factors the values Phi_e(p) as integers, so no
+    # cyclotomic polynomial is built at any level
+    cyclotomic_poly.cache_clear()
+    for scenario in named_examples().values():
+        for m in (31, 997, 10**9 + 7):
+            torsion_dynamics(scenario.endo, m, budget=10**80)
+    assert cyclotomic_poly.cache_info().currsize == 0
 
 
 def test_torsion_dynamics_at_level_1(capsys):

@@ -46,6 +46,22 @@ def test_polynomial_accepts_integral_values_of_any_type():
     assert p == IntPolynomial([2, 3, 1]) and all(type(c) is int for c in p.coeffs)
 
 
+@pytest.mark.parametrize("factor", [Fraction(1, 2), 2.7, Fraction(-7, 3), float("nan"),
+                                    float("inf"), None, "3"])
+def test_polynomial_refuses_a_factor_that_is_not_an_integer(factor):
+    # such a factor used to reach is_zero() and raise AttributeError
+    with pytest.raises(DomainError, match="not an integer"):
+        IntPolynomial([1, 1]) * factor
+    with pytest.raises(DomainError, match="not an integer"):
+        factor * IntPolynomial([1, 1])
+
+
+@pytest.mark.parametrize("factor", [Fraction(2), 2.0, 2, Fraction(4, 2)])
+def test_polynomial_multiplies_integral_factors_of_any_type_as_ints(factor):
+    for p in (IntPolynomial([1, 1]) * factor, factor * IntPolynomial([1, 1])):
+        assert p == IntPolynomial([2, 2]) and all(type(c) is int for c in p.coeffs)
+
+
 def test_polynomial_arithmetic_matches_sympy():
     p = IntPolynomial([1, -3, 2])
     q = IntPolynomial([5, 0, 0, 1])
@@ -60,6 +76,8 @@ def test_try_divide_exact_and_inexact():
     p = IntPolynomial([-1, 0, 1])  # (x-1)(x+1)
     assert p.try_divide(IntPolynomial([-1, 1])) == IntPolynomial([1, 1])
     assert p.try_divide(IntPolynomial([2, 1])) is None
+    # the quotient of x^2 + 1 by 2x + 1 has the leading coefficient 1/2
+    assert IntPolynomial([1, 0, 1]).try_divide(IntPolynomial([1, 2])) is None
 
 
 def test_reversal_and_reciprocal():
@@ -160,9 +178,12 @@ def test_cyclotomic_root_count():
     assert (4, 2) in factors
 
 
-def test_cyclotomic_at_2_is_the_value_of_the_polynomial():
+def test_cyclotomic_value_is_the_value_of_the_polynomial():
     for n in range(1, 601):
-        assert exactnum._cyclotomic_at_2(n) == cyclotomic_poly(n)(2), n
+        assert exactnum._cyclotomic_value(n, 2) == cyclotomic_poly(n)(2), n
+    for x in (3, 31, 997, 10**9 + 7):
+        for n in range(1, 61):
+            assert exactnum._cyclotomic_value(n, x) == cyclotomic_poly(n)(x), (n, x)
 
 
 def power(p: IntPolynomial, k: int) -> IntPolynomial:

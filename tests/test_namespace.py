@@ -1,8 +1,14 @@
-"""The public names of the toridyn package."""
+"""The public names of the toridyn package, and the names that the
+benchmark's tracer looks up in it."""
 
+import ast
+import importlib
+from pathlib import Path
 from types import ModuleType
 
 import toridyn
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 PUBLIC_NAMES = [
     "AmplifiedVerdict", "CMOrder", "CertifiedMagnitudeMultiset",
@@ -38,3 +44,29 @@ def test_public_names_are_pinned():
     names = sorted(n for n in dir(toridyn) if not n.startswith("_")
                    and not isinstance(getattr(toridyn, n), ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# span targets of bench/spans.py that name functions since deleted from
+# toridyn; their per-layer metrics read 0 until the benchmark drops them
+STALE_SPAN_TARGETS = {("exactnum", "gaussian_root_magnitudes"),
+                      ("matlin", "RationalMatrix.rref"),
+                      ("matlin", "RationalMatrix.solve_exact"),
+                      ("matlin", "RationalMatrix.kernel_basis")}
+
+
+def test_bench_span_targets_resolve():
+    # a renamed or deleted function would orphan its per-layer metric in
+    # silence; the targets are read from the source, bench/ is not imported
+    tree = ast.parse(SPANS.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    unresolved = set()
+    for module, path, _ in targets:
+        owner = importlib.import_module("toridyn." + module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            unresolved.add((module, path))
+    assert len(targets) > len(STALE_SPAN_TARGETS)
+    assert unresolved <= STALE_SPAN_TARGETS
