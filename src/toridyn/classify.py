@@ -20,9 +20,9 @@ from .errors import DomainError, NotSurjectiveError
 from .exactnum import (DEFAULT_PRECISION, IntPolynomial, _int_from_power_sums,
                        _int_power_sums, _modulus_root_count, _power_sums,
                        polynomial_class, root_magnitudes, unit_circle_root_count)
-from .matlin import RationalMatrix, _quotient
-from .endo import (TorusEndomorphism, _eigen_data_of, _frame_blocks, eigen_data,
-                   iterate, minimal_unity_iterate, unity_free)
+from .matlin import RationalMatrix, _quotient, matmul
+from .endo import (TorusEndomorphism, _check_conjugate_sums, _frame_blocks, _h1_of,
+                   eigen_data, iterate, minimal_unity_iterate, unity_free)
 from .dynamics import lefschetz_number
 from .torus import (_is_positive_definite,
                     _primitive_integer_vector, canonical_ample_class,
@@ -61,6 +61,8 @@ def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
     its eigenvalues are conj(mu_i) mu_j over the roots mu of the analytic
     charpoly of f, and tr((f^*)^m) = |p_m|^2 with p_m the power sums of
     the mu, Gaussian integers since the mu are algebraic integers."""
+    if k < 1:
+        raise DomainError("iteration count must be >= 1")
     gamma = eigen_data(f).analytic
     n = len(gamma) - 1
     return _ns_charpoly_of(_power_sums(gamma, n * n, k), 1)
@@ -294,13 +296,17 @@ def _radical(p: IntPolynomial) -> IntPolynomial:
 
 
 def _is_semisimple(f: TorusEndomorphism) -> bool:
-    """M is diagonalizable over C exactly when radical(h1)(M) = 0."""
-    coeffs = _radical(eigen_data(f).h1_charpoly).coeffs
-    size = f.torus.rank
-    value = RationalMatrix.zero(size, size)
-    for c in reversed(coeffs):  # Horner
-        value = value * f.m + RationalMatrix.identity(size) * c
-    return value == RationalMatrix.zero(size, size)
+    """M is diagonalizable over C exactly when radical(h1)(M) = 0.  A
+    squarefree h1 decides it at once: M then has 2n distinct eigenvalues.
+    Else radical(h1)(M) is evaluated by Horner on the integer rows."""
+    h1 = eigen_data(f).h1_charpoly
+    if all(mult == 1 for _, mult in h1.squarefree_decomposition()):
+        return True
+    value = [[0] * f.torus.rank for _ in range(f.torus.rank)]
+    for c in reversed(_radical(h1).coeffs):
+        value = [[x + c * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(matmul(value, f.m.entries))]
+    return not any(map(any, value))
 
 
 class PolarizedVerdict(Record):
@@ -324,8 +330,8 @@ def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
 
     With M semisimple, so is f^*, and the projector is psi(f^*) / psi(q),
     psi = radical(chi) / (x - q).  It is applied by Horner on the integer
-    forms, W -> M^T W M + c E with E the form of L_can; the witness is a
-    ray, so only the sign of psi(q) is used."""
+    rows of the forms, W -> M^T W M + c E with E the form of L_can; the
+    witness is a ray, so only the sign of psi(q) is used."""
     if not f.surjective:
         raise NotSurjectiveError("polarized requires det M != 0")
     q = polarization_q_candidate(f)
@@ -338,13 +344,13 @@ def polarized(f: TorusEndomorphism) -> PolarizedVerdict:
         return PolarizedVerdict("no", q=q, reason="q is not an NS eigenvalue")
     psi = _radical(chi).try_divide(IntPolynomial([-q, 1]))
     torus = f.torus
-    e = ns_vector_to_form(torus, canonical_ample_class(torus))
-    mt = f.m.transpose()
-    form = RationalMatrix.zero(torus.rank, torus.rank)
+    e = ns_vector_to_form(torus, canonical_ample_class(torus)).entries
+    sign, m, mt = -1 if psi(q) < 0 else 1, f.m.entries, f.m.transpose().entries
+    form = [[0] * torus.rank for _ in range(torus.rank)]
     for c in reversed(psi.coeffs):
-        form = mt * form * f.m + e * c
-    if psi(q) < 0:
-        form = -form
+        form = [[x + sign * c * y for x, y in zip(row, e_row)]
+                for row, e_row in zip(matmul(matmul(mt, form), m), e)]
+    form = RationalMatrix._of(form, True)
     if not _is_positive_definite(torus.j.transpose() * form):
         return PolarizedVerdict("no", q=q, reason="the q-part of L_can is not ample")
     return PolarizedVerdict("yes", q=q,
@@ -487,11 +493,14 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
 
     The data of f^k comes from f's: the power sums of the roots of f's H^1
     and analytic charpolys are built once, to the largest index that kmax
-    needs, and f^k's eigen data (unity-free and h1_k(1)) and the charpoly
+    needs, and h1 = Gamma conj(Gamma) is checked once on every index the
+    two share.  f^k's h1_k, with its root-of-unity count, and the charpoly
     of (f^*)^k on NS are read off their slices p_k, p_2k, ...  Amplified
     stays yes by rule (a) when that NS charpoly is nonzero at 1; f^k is
     built only otherwise, and for polarized, which stays an independent
     check on f^k.  At k = 1 every check holds by definition."""
+    if kmax < 1:
+        raise DomainError("iteration count must be >= 1")
     if not f.surjective:
         raise NotSurjectiveError("iterate verification requires det M != 0")
     violations = []
@@ -501,11 +510,12 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     h1, gamma = eigen_data(f).h1_charpoly, eigen_data(f).analytic
     h1_sums = _int_power_sums(h1.coeffs, h1.degree * kmax)
     gamma_sums = _power_sums(gamma, max(h1.degree, (len(gamma) - 1) ** 2) * kmax)
+    _check_conjugate_sums(h1_sums, gamma_sums)
     h1_at_one = [h1(1)]
     for k in range(2, kmax + 1):
-        data = _eigen_data_of(h1_sums, gamma_sums, k)
-        h1_at_one.append(data.h1_charpoly(1))
-        if (data.u_count == 0) != base_free:
+        h1_k, u_k, _ = _h1_of(h1_sums, k)
+        h1_at_one.append(h1_k(1))
+        if (u_k == 0) != base_free:
             violations.append(f"unity-free changed at iterate {k}")
         if (base_amp.verdict == "yes" and _ns_charpoly_of(gamma_sums, k)(1) == 0
                 and amplified(iterate(f, k)).verdict != "yes"):

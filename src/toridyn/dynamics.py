@@ -479,6 +479,8 @@ def subtorus_orbit(f: TorusEndomorphism, sub: Subtorus,
     Returns (verdict, examined): verdict 'invariant', ('periodic', p) or
     'escaping', and the number of subtori examined, the start included.
     'escaping' is bounded: the orbit did not close within `bound` steps."""
+    if bound < 1:
+        raise DomainError("orbit bound must be >= 1")
     if not f.surjective:
         raise NotSurjectiveError("subtorus orbits require det M != 0")
     # M^k V has the dimension of V, so it is V as soon as it lies in V:

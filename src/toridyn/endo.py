@@ -4,9 +4,9 @@ Validation, iteration, analytic eigenvalue data over the Gaussian
 integers, the exact unity-free test, fixed subtori, and eigenvalue
 multiset splitting along invariant subtori.  Every charpoly here (H^1 and
 the analytic Gamma, of f and of f^k) comes from power sums by Newton's
-identities: of M and of A + iB through matlin.trace_powers, and of f^k
-from every k-th power sum of f's roots (_eigen_data_of), in ints for H^1
-and in Gaussian-integer pairs for Gamma.
+identities, in ints for H^1 and in Gaussian-integer pairs for Gamma: for
+f, the traces of M and of A + iB (matlin.trace_powers), each sequence
+inverted once; for f^k, every k-th power sum of f's roots.
 
 Convention: the analytic eigenvalue multiset is attached to the +i
 eigenspace of J.  Conjugating the convention conjugates the multiset; all
@@ -25,8 +25,8 @@ from .errors import (DomainError, InvariantViolation,
 from .exactnum import (IntPolynomial, _from_power_sums, _int_from_power_sums,
                        _int_power_sums, _power_sums, cyclotomic_root_count,
                        gauss_poly_mul)
-from .matlin import (RationalMatrix, _quotient, charpoly, matmul,
-                     restrict_and_quotient, smith_form, trace_powers)
+from .matlin import (RationalMatrix, _quotient, matmul, restrict_and_quotient,
+                     smith_form, trace_powers)
 from .torus import ComplexTorus, Subtorus, _complex_basis, make_subtorus
 
 
@@ -75,7 +75,7 @@ def make_endo(torus: ComplexTorus, m, tau=None) -> TorusEndomorphism:
     if mat * torus.j != torus.j * mat:
         raise NotHolomorphicError("matrix does not commute with the complex structure")
     if tau is None:
-        tau = [0] * torus.rank
+        return TorusEndomorphism(torus, mat, (0,) * torus.rank)
     if len(tau) != torus.rank:
         raise DomainError("translation vector has wrong length")
     tau = tuple(Fraction(t) % 1 for t in tau)
@@ -138,34 +138,42 @@ class EigenData(Record):
 
 @lru_cache(maxsize=512)
 def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
-    """Eigen data of f^k.  Both charpolys of f are read off the traces of M
-    and of A + iB; for k > 1 those of f^k are derived from f's, whose k-th
-    powers are their roots, and f^k is never built."""
+    """Eigen data of f^k from the power sums p_0..p_d of the roots of h1 and
+    Gamma, each inverted once.  For k = 1 they are the traces of M and of
+    A + iB, Gamma's extended to p_d; for k > 1, every k-th power sum of
+    f's roots, as f^k has their k-th powers for roots: f^k is never built."""
     if k < 1:
         raise DomainError("iteration count must be >= 1")
     if k == 1:
-        h1, gamma = charpoly(f.m).coeffs, analytic_charpoly(f.m, f.torus.j)
+        gamma = analytic_charpoly(f.m, f.torus.j)
+        h1_sums = [re for re, _ in trace_powers(f.m.entries)]
+        gamma_sums = _power_sums(gamma, h1_sums[0])
     else:
         base = eigen_data(f)
-        h1, gamma = base.h1_charpoly.coeffs, base.analytic
-    d = len(h1) - 1
-    return _eigen_data_of(_int_power_sums(h1, d, k), _power_sums(gamma, d, k), 1)
+        d = base.h1_charpoly.degree
+        h1_sums = _int_power_sums(base.h1_charpoly.coeffs, d, k)
+        gamma_sums = _power_sums(base.analytic, d, k)
+        gamma = tuple(_from_power_sums(gamma_sums[:d // 2 + 1]))
+    _check_conjugate_sums(h1_sums, gamma_sums)
+    return EigenData(*_h1_of(h1_sums, 1), gamma)
 
 
-def _eigen_data_of(h1_sums, gamma_sums, k: int) -> EigenData:
-    """EigenData of f^k from the slices p_0, p_k, ..., p_dk of the power
-    sums of the roots of f's h1 (ints) and Gamma ((re, im) pairs).  Those
-    of h1 are the roots of Gamma and their conjugates, so h1_k = Gamma_k
-    conj(Gamma_k) is checked on the sums: p_m(h1) = 2 Re p_m(Gamma)."""
-    d = h1_sums[0]
-    h1, gamma = h1_sums[:d * k + 1:k], gamma_sums[:d * k + 1:k]
-    if any(p != 2 * re for p, (re, _) in zip(h1, gamma)):
+def _check_conjugate_sums(h1_sums, gamma_sums):
+    """h1 = Gamma conj(Gamma) at every index of both power-sum sequences:
+    h1's roots are Gamma's and their conjugates, so p_m(h1) = 2 Re p_m(Gamma)."""
+    if any(p != 2 * re for p, (re, _) in zip(h1_sums, gamma_sums)):
         raise InvariantViolation("h1 charpoly is not analytic x conjugate")
-    h1 = IntPolynomial(_int_from_power_sums(h1))
+
+
+def _h1_of(h1_sums, k: int):
+    """(h1_k, u, cyclotomic factors) of f^k from the slice p_0, p_k, ..., p_dk
+    of the power sums of f's h1, u half the root-of-unity count of h1_k."""
+    d = h1_sums[0]
+    h1 = IntPolynomial(_int_from_power_sums(h1_sums[:d * k + 1:k]))
     count, factors = cyclotomic_root_count(h1)
     if count % 2 != 0:
         raise InvariantViolation("root-of-unity count on H^1 must be even")
-    return EigenData(h1, count // 2, tuple(factors), tuple(_from_power_sums(gamma[:d // 2 + 1])))
+    return h1, count // 2, tuple(factors)
 
 
 def unity_free(f: TorusEndomorphism):

@@ -133,6 +133,22 @@ MUTANTS = [
      "if not isinstance(other, IntPolynomial):",
      "if isinstance(other, int):",
      "tests/test_exactnum.py::test_polynomial_refuses_a_factor_that_is_not_an_integer[factor0]"),
+    # h1 = Gamma conj(Gamma) checked on the iterate sequences up to p_d
+    # only, which no slice of k > 1 stays inside
+    ("src/toridyn/classify.py",
+     "_check_conjugate_sums(h1_sums, gamma_sums)",
+     "_check_conjugate_sums(h1_sums[:h1.degree + 1], gamma_sums)",
+     "tests/test_classify.py::test_a_corrupted_gamma_sequence_fails_the_identity"),
+    # every M taken as semisimple, as if each h1 were squarefree
+    ("src/toridyn/classify.py",
+     "if all(mult == 1 for _, mult in h1.squarefree_decomposition()):",
+     "if True:",
+     "tests/test_classify.py::test_is_semisimple_on_fixed_blocks[jordan-gaussian]"),
+    # the polarized Horner step without its c E term: the form stays 0
+    ("src/toridyn/classify.py",
+     "[[x + sign * c * y for x, y in zip(row, e_row)]",
+     "[[x for x, y in zip(row, e_row)]",
+     "tests/test_classify.py::test_polarized_gtz_q5"),
     # the integer kernel keeps a quotient that is not exact
     ("src/toridyn/exactnum.py",
      "if inexact:",

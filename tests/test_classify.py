@@ -23,7 +23,7 @@ from toridyn import (DomainError, InvariantViolation, NotSurjectiveError, Ration
                      periodic_count, polarization_q_candidate, polarized,
                      random_endo, serre_test, subtorus_orbit,
                      unit_circle_root_count, unity_free, verify_iterates)
-from toridyn import classify, endo, exactnum
+from toridyn import classify, endo, exactnum, matlin
 from toridyn.classify import (AmplifiedVerdict, PolarizedVerdict, _integer_nth_root,
                               _log_enclosure)
 from toridyn.scenarios import get_example, named_examples
@@ -53,6 +53,14 @@ def test_ns_action_multiplication_scalar(e_torus):
     f = make_endo(e_torus, [[3, 0], [0, 3]])
     a = ns_action(f)
     assert a.entries == ((Fraction(9),),)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_iterate_helpers_refuse_k_below_1(k):
+    f = get_example("gtz_diag").endo
+    for call in (ns_charpoly, verify_iterates, eigen_data):
+        with pytest.raises(DomainError, match="iteration count"):
+            call(f, k)
 
 
 def test_ns_action_requires_surjective(e_torus):
@@ -583,6 +591,49 @@ def test_polarized_no_for_non_semisimple(ee_torus):
     assert v.verdict == "no" and v.q == 4 and v.reason == "M is not semisimple"
 
 
+def order_block_endo(order, shape, a, b):
+    """A 2 x 2 matrix over the order on the square of its curve: a Jordan
+    block [[a, 1], [0, a]], a scalar block a I, or diag(a, b)."""
+    one, zero = (1, 0), (0, 0)
+    rows = {"jordan": [[a, one], [zero, a]], "scalar": [[a, zero], [zero, a]],
+            "diagonal": [[a, zero], [zero, b]]}[shape]
+    order = order_by_name(order)
+    return cm_matrix_endo(cm_power_torus(order, 2), order, rows)
+
+
+def is_diagonalizable_reference(f):
+    return sympy.Matrix(f.m.entries).is_diagonalizable()
+
+
+@pytest.mark.parametrize("order", ["gaussian", "eisenstein"])
+@pytest.mark.parametrize("shape, a, b, semisimple, squarefree", [
+    ("jordan", (2, 1), None, False, False),
+    ("scalar", (2, 1), None, True, False),
+    ("diagonal", (1, 2), (3, 1), True, None),
+], ids=["jordan", "scalar", "diagonal"])
+def test_is_semisimple_on_fixed_blocks(order, shape, a, b, semisimple, squarefree):
+    # h1 is squarefree only for the Gaussian diagonal map: over the
+    # Eisenstein order every eigenvalue of the rank-8 M occurs twice, so a
+    # semisimple map with repeated roots takes the Horner evaluation
+    f = order_block_endo(order, shape, a, b)
+    factors = eigen_data(f).h1_charpoly.squarefree_decomposition()
+    if squarefree is None:
+        squarefree = order == "gaussian"
+    assert all(mult == 1 for _, mult in factors) == squarefree
+    assert classify._is_semisimple(f) == semisimple == is_diagonalizable_reference(f)
+
+
+order_elements = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(st.sampled_from(["gaussian", "eisenstein"]),
+       st.sampled_from(["jordan", "scalar", "diagonal"]), order_elements, order_elements)
+@settings(max_examples=40, deadline=None)
+def test_is_semisimple_matches_sympy(order, shape, a, b):
+    f = order_block_endo(order, shape, a, b)
+    assert classify._is_semisimple(f) == is_diagonalizable_reference(f)
+
+
 # -- reports and chains
 
 def test_full_report_mult_2_3():
@@ -689,10 +740,10 @@ def composed_iterates_reference(f, kmax):
 
 
 def verify_iterates_data(f, kmax):
-    """{(helper, k): value} for the eigen data (_eigen_data_of) and the NS
-    charpoly (_ns_charpoly_of) of each f^k that verify_iterates(f, kmax)
-    reads, with amplified forced to yes so that it reads the NS charpoly
-    at every k."""
+    """{(helper, k): value} for h1_k with its root-of-unity count (_h1_of)
+    and the NS charpoly (_ns_charpoly_of) of each f^k that
+    verify_iterates(f, kmax) reads, with amplified forced to yes so that it
+    reads the NS charpoly at every k."""
     seen = {}
 
     def recording(name):
@@ -705,7 +756,7 @@ def verify_iterates_data(f, kmax):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classify, "amplified", lambda g: AmplifiedVerdict("yes", "forced"))
-        for name in ("_eigen_data_of", "_ns_charpoly_of"):
+        for name in ("_h1_of", "_ns_charpoly_of"):
             patch.setattr(classify, name, recording(name))
         verify_iterates(f, kmax)
     return seen
@@ -737,20 +788,48 @@ def test_verify_iterates_takes_each_newton_step_once(monkeypatch, name):
 
 
 def test_a_corrupted_gamma_sequence_fails_the_identity(monkeypatch):
-    # p_m(h1) = 2 Re p_m(Gamma) is checked on the two sequences; p_6 is
-    # read at k = 2 and 3
+    # p_m(h1) = 2 Re p_m(Gamma) is checked on the whole of the two
+    # sequences: p_6 lies in the slices of k = 2 and 3, p_7 in no slice
     f = get_example("gtz_diag").endo
     unity_free(f), amplified(f), polarized(f)
+    for index in (6, 7):
+        def corrupted(coeffs, count, step=1):
+            sums = exactnum._power_sums(coeffs, count, step)
+            re, im = sums[index]
+            sums[index] = (re + 1, im)
+            return sums
 
-    def corrupted(coeffs, count, step=1):
-        sums = exactnum._power_sums(coeffs, count, step)
-        re, im = sums[6]
-        sums[6] = (re + 1, im)
-        return sums
+        monkeypatch.setattr(classify, "_power_sums", corrupted)
+        with pytest.raises(InvariantViolation, match="analytic x conjugate"):
+            verify_iterates(f, 4)
 
-    monkeypatch.setattr(classify, "_power_sums", corrupted)
-    with pytest.raises(InvariantViolation, match="analytic x conjugate"):
-        verify_iterates(f, 4)
+
+@pytest.mark.parametrize("name", ["gtz_diag", "salem_surface", "e4_auto", "mult_2_1"])
+def test_eigen_data_inverts_each_trace_sequence_once(monkeypatch, name):
+    # eigen_data(f) reads the power sums of h1 and Gamma off the traces
+    # and inverts each sequence once: it builds no charpoly of M and turns
+    # no coefficients of h1 back into power sums
+    f = get_example(name).endo
+    calls = []
+
+    def counting(kernel):
+        def call(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return call
+
+    def refused(*args):
+        raise AssertionError("eigen_data(f) went through the charpoly of M")
+
+    for kernel in (exactnum._from_power_sums, exactnum._int_from_power_sums):
+        monkeypatch.setattr(endo, kernel.__name__, counting(kernel))
+    monkeypatch.setattr(endo, "_int_power_sums", refused)
+    monkeypatch.setattr(endo, "charpoly", refused, raising=False)
+    monkeypatch.setattr(matlin, "charpoly", refused)
+    data = endo.eigen_data.__wrapped__(f)
+    assert sorted(calls) == ["_from_power_sums", "_int_from_power_sums"]
+    assert data.h1_charpoly == charpoly(f.m)
+    assert data.analytic == endo.analytic_charpoly(f.m, f.torus.j)
 
 
 @pytest.mark.parametrize("denominator", [2, 3, 5, 6])
@@ -783,12 +862,12 @@ def test_iterate_data_is_derived_from_f(order, n, k, seed, tau):
     assert derived == eigen_data(g)
     assert derived.analytic == eigen_data(g).analytic
     assert ns_action(f) ** k == ns_action(g)
-    # verify_iterates(f, k) reads the same data of every f^j off one sequence
+    # verify_iterates(f, k) reads the same h1_j and root-of-unity count of
+    # every f^j off one sequence
     seen = verify_iterates_data(f, k)
     for j in range(2, k + 1):
         data = eigen_data(iterate(f, j))
-        assert seen["_eigen_data_of", j] == data
-        assert seen["_eigen_data_of", j].analytic == data.analytic
+        assert seen["_h1_of", j] == (data.h1_charpoly, data.u_count, data.cyclotomic_factors)
 
 
 PINNED_VERDICT_CASES = [("gaussian", 1, 3), ("gaussian", 2, 3), ("gaussian", 3, 2),

@@ -767,6 +767,17 @@ def test_subtorus_orbit_diagonal_escapes_under_gtz():
     assert subtorus_orbit(f, sub, bound=8) == ("escaping", 9)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_subtorus_orbit_refuses_a_bound_below_1(bound):
+    # a bound below 1 examines no image, so it has no verdict to report
+    scenario = get_example("gtz_diag")
+    f = scenario.endo
+    sub = make_subtorus(f.torus, RationalMatrix.from_columns(
+        scenario.sublattices["diagonal"]))
+    with pytest.raises(DomainError, match="orbit bound"):
+        subtorus_orbit(f, sub, bound)
+
+
 def test_subtorus_orbit_swap_periodic(ee_torus):
     f = make_endo(ee_torus, [[0, 0, 2, 0], [0, 0, 0, 2],
                              [2, 0, 0, 0], [0, 2, 0, 0]])
