@@ -162,41 +162,46 @@ def _outward(v: Fraction, up: bool) -> float:
 def dynamical_degrees(f: TorusEndomorphism,
                       precision: Fraction = DEFAULT_PRECISION) -> DegreeData:
     """lambda_j as the product of the 2j largest certified root magnitude
-    enclosures of the H^1 charpoly.
+    enclosures of the H^1 charpoly, and lambda_n the exact |det M|.
 
     The outer enclosure multiplies the top-2j lower bounds and the top-2j
     upper bounds separately, which is valid for nonnegative values without
-    having to decide an order between overlapping intervals."""
+    having to decide an order between overlapping intervals.  The bounds
+    are integers over one denominator D, a power of two (each is dyadic or
+    an integer, h1 being monic), so the products are prefix products of
+    ints over D^2j, two factors per step."""
     if not f.surjective:
         raise NotSurjectiveError("dynamical degrees require det M != 0")
-    mags = h1_magnitudes(f, precision)
-    expanded = [e for e in mags.entries for _ in range(e.multiplicity)]
-    lowers = sorted((e.lower for e in expanded), reverse=True)
-    uppers = sorted((e.upper for e in expanded), reverse=True)
+    entries = h1_magnitudes(f, precision).entries
+    den = lcm(*(x.denominator for e in entries for x in (e.lower, e.upper)))
+    bounds = [(e.lower.numerator * (den // e.lower.denominator),
+               e.upper.numerator * (den // e.upper.denominator))
+              for e in entries for _ in range(e.multiplicity)]
+    lowers = sorted((lo for lo, _ in bounds), reverse=True)
+    uppers = sorted((hi for _, hi in bounds), reverse=True)
     n = f.torus.n
-    intervals = []
-    for j in range(n + 1):
-        lo = Fraction(1)
-        hi = Fraction(1)
-        for i in range(2 * j):
-            lo *= lowers[i]
-            hi *= uppers[i]
-        intervals.append((lo, hi))
+    intervals, lo, hi = [(Fraction(1), Fraction(1))], 1, 1
+    for j in range(1, n):
+        lo *= lowers[2 * j - 2] * lowers[2 * j - 1]
+        hi *= uppers[2 * j - 2] * uppers[2 * j - 1]
+        intervals.append((Fraction(lo, den ** (2 * j)), Fraction(hi, den ** (2 * j))))
     # the top degree is the topological degree |det M|, known exactly
     degree_det = Fraction(abs(f.degree_matrix_det))
-    intervals[n] = (degree_det, degree_det)
+    intervals.append((degree_det, degree_det))
     # exact structure: entries certified > 1 come first, exact-1 entries
     # in the middle; when positions 2j+1, 2j+2 are both exactly 1 the two
     # consecutive degrees agree exactly.  That decides every equality, as
     # the magnitudes pair up (h1 = Gamma conj(Gamma)) and root_magnitudes
     # certifies every modulus-1 root as [1, 1].
-    count_gt1 = sum(1 for e in expanded if e.lower > 1)
-    count_one = sum(1 for e in expanded if e.lower == e.upper == 1)
+    count_gt1 = sum(lo > den for lo, _ in bounds)
+    count_one = sum(lo == hi == den for lo, hi in bounds)
     equal = tuple(j for j in range(n)
                   if count_gt1 <= 2 * j and 2 * j + 2 <= count_gt1 + count_one)
     # topological entropy is log max_j lambda_j (Gromov; Yomdin)
-    entropy = (_log_enclosure(max(lo for lo, _ in intervals))[0],
-               _log_enclosure(max(hi for _, hi in intervals))[1])
+    top_lo, top_hi = max(lo for lo, _ in intervals), max(hi for _, hi in intervals)
+    entropy = _log_enclosure(top_lo)
+    if top_hi != top_lo:
+        entropy = (entropy[0], _log_enclosure(top_hi)[1])
     return DegreeData(tuple(intervals), equal, equal, entropy, Fraction(precision))
 
 

@@ -132,7 +132,7 @@ def load_scenario_file(path):
 def resolve_scenario(args):
     if args.example is not None:
         sc = get_example(args.example)
-        return sc.endo, dict(sc.sublattices)
+        return sc.endo, sc.sublattices
     if getattr(args, "scenario", None):
         return load_scenario_file(args.scenario)
     raise ParseError("provide a scenario file or --example NAME")

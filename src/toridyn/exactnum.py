@@ -477,13 +477,18 @@ def unit_circle_root_count(p: IntPolynomial) -> int:
 
 def _float_roots(coeffs):
     """Root proposals for an integer polynomial (ascending coefficients,
-    nonzero constant term) from the Aberth-Ehrlich iteration in complex
-    floats; None when floats overflow or the iteration breaks down."""
+    nonzero constant term) from at most 100 Aberth-Ehrlich sweeps in
+    complex floats, started on the circle of radius |p(c) / a_d|^(1/d), or
+    1 when p(c) = 0, around the root centroid c = -a_(d-1) / (d a_d); None
+    when floats overflow or the iteration breaks down."""
     d = len(coeffs) - 1
     try:
         monic = [c / coeffs[-1] for c in reversed(coeffs)]
-        radius = abs(monic[-1]) ** (1 / d)
-        zs = [radius * cmath.exp(1j * (2 * math.pi * j / d + 0.4)) for j in range(d)]
+        centre, at = -monic[1] / d, 1
+        for c in monic[1:]:
+            at = at * centre + c
+        radius = abs(at) ** (1 / d) or 1
+        zs = [centre + radius * cmath.exp(1j * (2 * math.pi * j / d + 0.4)) for j in range(d)]
         for _ in range(100):
             moved = False
             for i, z in enumerate(zs):

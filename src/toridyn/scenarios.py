@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from types import MappingProxyType
 
 from ._record import Record
 from .errors import DomainError, ResourceError
@@ -186,14 +187,14 @@ class Scenario(Record):
     name: str
     description: str
     endo: TorusEndomorphism
-    sublattices: dict  # name -> tuple of integer column tuples
+    sublattices: MappingProxyType  # read-only: name -> tuple of integer column tuples
 
 
-_EE_SUBLATTICES = {
+_EE_SUBLATTICES = MappingProxyType({
     "first_factor": ((1, 0, 0, 0), (0, 1, 0, 0)),
     "second_factor": ((0, 0, 1, 0), (0, 0, 0, 1)),
     "diagonal": ((1, 0, 1, 0), (0, 1, 0, 1)),
-}
+})
 
 # name -> (description, n, n x n matrix over the Gaussian order acting on E^n)
 _EXAMPLES = {
@@ -217,11 +218,14 @@ _EXAMPLES = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_example(name: str) -> Scenario:
+    """The named example, built and validated once per name; a Scenario is
+    frozen and its sublattices read-only, so callers share it."""
     description, n, b = _EXAMPLES[name]
     g = order_by_name("gaussian")
     return Scenario(name, description, cm_matrix_endo(cm_power_torus(g, n), g, b),
-                    dict(_EE_SUBLATTICES) if n == 2 else {})
+                    _EE_SUBLATTICES if n == 2 else MappingProxyType({}))
 
 
 def named_examples() -> dict:
@@ -229,6 +233,7 @@ def named_examples() -> dict:
 
 
 def get_example(name: str) -> Scenario:
+    """The named example: one shared Scenario per name."""
     if name not in _EXAMPLES:
         raise DomainError(
             f"unknown example {name!r}; known: {', '.join(sorted(_EXAMPLES))}")

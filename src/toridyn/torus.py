@@ -17,7 +17,7 @@ from math import gcd, lcm
 from ._record import Record
 from .errors import (ComplexStructureError, DomainError, InvariantViolation,
                      NotSubtorusError)
-from .matlin import RationalMatrix, Sublattice, bareiss, exterior_basis, saturate
+from .matlin import RationalMatrix, Sublattice, _rational, bareiss, exterior_basis, saturate
 
 
 class ComplexTorus(Record):
@@ -133,17 +133,17 @@ def neron_severi(torus: ComplexTorus) -> NeronSeveriSpace:
 
 def ns_vector_to_form(torus: ComplexTorus, omega) -> RationalMatrix:
     """Alternating form E on the lattice from an NS vector in the
-    lexicographic wedge basis e_i ^ e_j (i < j)."""
+    lexicographic wedge basis e_i ^ e_j (i < j); an integer vector, such
+    as canonical_ample_class, goes straight into integer rows."""
     d = torus.rank
     pairs = exterior_basis(d, 2)
-    vec = [Fraction(x) for x in omega]
+    vec = [_rational(x) for x in omega]
     if len(vec) != len(pairs):
         raise DomainError("NS vector has wrong length")
-    e = [[Fraction(0)] * d for _ in range(d)]
+    e = [[0] * d for _ in range(d)]
     for (i, j), val in zip(pairs, vec):
-        e[i][j] = val
-        e[j][i] = -val
-    return RationalMatrix(e)
+        e[i][j], e[j][i] = val, -val
+    return RationalMatrix._of(e, all(type(x) is int for x in vec))
 
 
 def form_to_ns_vector(torus: ComplexTorus, e: RationalMatrix) -> tuple:

@@ -154,6 +154,32 @@ MUTANTS = [
      "if inexact:",
      "if False:",
      "tests/test_exactnum.py::test_integer_newton_kernels_are_the_pair_kernels_on_real_input"),
+    # the Aberth circle centred on minus the root centroid
+    ("src/toridyn/exactnum.py",
+     "centre, at = -monic[1] / d, 1",
+     "centre, at = monic[1] / d, 1",
+     "tests/test_exactnum.py::test_float_proposals_converge_in_a_few_sweeps_from_the_centroid"
+     "[(2, -3, 1)]"),
+    # the prefix product of the lower bounds skips a factor at each step
+    ("src/toridyn/classify.py",
+     "lo *= lowers[2 * j - 2] * lowers[2 * j - 1]",
+     "lo *= lowers[2 * j - 1]",
+     "tests/test_classify.py::test_degrees_match_the_fraction_products"),
+    # the upper end of the entropy read off the largest lower degree
+    ("src/toridyn/classify.py",
+     "entropy = (entropy[0], _log_enclosure(top_hi)[1])",
+     "entropy = (entropy[0], _log_enclosure(top_lo)[1])",
+     "tests/test_classify.py::test_entropy_bounds_contain_the_log_exactly[salem_surface-None]"),
+    # each get_example call builds its scenario again
+    ("src/toridyn/scenarios.py",
+     "@lru_cache(maxsize=None)\ndef _build_example",
+     "@lru_cache(maxsize=0)\ndef _build_example",
+     "tests/test_scenarios.py::test_get_example_shares_one_frozen_scenario[gtz_diag]"),
+    # the shared sublattices of E x E stored in a mutable dict
+    ("src/toridyn/scenarios.py",
+     "_EE_SUBLATTICES = MappingProxyType({",
+     "_EE_SUBLATTICES = dict({",
+     "tests/test_scenarios.py::test_get_example_shares_one_frozen_scenario[mult_2_1]"),
 ]
 
 

@@ -233,6 +233,43 @@ def test_entropy_bounds_contain_the_log_exactly(name, precision):
     assert _contains_log(d.entropy, lo) and _contains_log(d.entropy, hi)
 
 
+def degrees_reference(f, precision):
+    """(intervals, equal pairs) by the Fraction formula: the products of the
+    top-2j sorted lower and upper bounds of root_magnitudes, and the counts
+    of the entries certified > 1 and exactly 1."""
+    mags = exactnum.root_magnitudes(eigen_data(f).h1_charpoly, precision)
+    expanded = [e for e in mags.entries for _ in range(e.multiplicity)]
+    lowers = sorted((e.lower for e in expanded), reverse=True)
+    uppers = sorted((e.upper for e in expanded), reverse=True)
+    intervals = []
+    for j in range(f.torus.n + 1):
+        lo = hi = Fraction(1)
+        for i in range(2 * j):
+            lo, hi = lo * lowers[i], hi * uppers[i]
+        intervals.append((lo, hi))
+    gt1 = sum(1 for e in expanded if e.lower > 1)
+    one = sum(1 for e in expanded if e.lower == e.upper == 1)
+    return intervals, tuple(j for j in range(f.torus.n) if gt1 <= 2 * j and 2 * j + 2 <= gt1 + one)
+
+
+@given(st.sampled_from([("gaussian", 1, 3), ("gaussian", 2, 2), ("gaussian", 3, 1),
+                        ("eisenstein", 1, 2)]),
+       st.integers(0, 10**6), st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**30)]))
+@settings(max_examples=40, deadline=None)
+def test_degrees_match_the_fraction_products(sample, seed, precision):
+    order, n, height = sample
+    f = random_endo(n, order_by_name(order), height, seed)
+    d = dynamical_degrees(f, precision)
+    intervals, equal = degrees_reference(f, precision)
+    det = abs(f.degree_matrix_det)
+    assert d.intervals[:-1] == tuple(intervals[:-1])
+    assert d.intervals[-1] == (det, det) and intervals[-1][0] <= det <= intervals[-1][1]
+    assert d.equal_consecutive_pairs == d.exact_equalities == equal
+    lo = max(lo for lo, _ in d.intervals)
+    hi = max(hi for _, hi in d.intervals)
+    assert _contains_log(d.entropy, lo) and _contains_log(d.entropy, hi)
+
+
 @pytest.mark.parametrize("x", [
     Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(4, 3),
     Fraction(25), Fraction(16, 15), Fraction(2**80, 2**80 - 1),

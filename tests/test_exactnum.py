@@ -1,6 +1,7 @@
 """Exact number-theory layer: polynomials, cyclotomics, unit-circle
 counts, certified magnitudes."""
 
+import inspect
 import math
 import os
 import random
@@ -15,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toridyn import (DEFAULT_PRECISION, DomainError, IntPolynomial, InvariantViolation,
-                     cyclotomic_poly, cyclotomic_root_count,
-                     gaussian_order, polynomial_class,
+                     cyclotomic_poly, cyclotomic_root_count, eigen_data,
+                     gaussian_order, named_examples, polynomial_class,
                      root_magnitudes, unit_circle_root_count)
 from toridyn import exactnum
 
@@ -527,6 +528,53 @@ def test_magnitudes_beyond_float_range():
             assert e.upper - e.lower <= mags.precision
             assert mpmath.mpf(e.lower.numerator) / e.lower.denominator <= target
             assert target <= mpmath.mpf(e.upper.numerator) / e.upper.denominator
+
+
+def aberth_sweeps(coeffs):
+    """(proposals, sweeps) of exactnum._float_roots, the sweeps counted by
+    a trace on the line that starts each one."""
+    code = exactnum._float_roots.__code__
+    lines, start = inspect.getsourcelines(exactnum._float_roots)
+    head = start + next(i for i, line in enumerate(lines) if "moved = False" in line)
+    sweeps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal sweeps
+        if frame.f_code is not code:
+            return None
+        sweeps += event == "line" and frame.f_lineno == head
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        zs = exactnum._float_roots(coeffs)
+    finally:
+        sys.settrace(previous)
+    return zs, sweeps
+
+
+def _named_h1_factors():
+    return {factor.coeffs for sc in named_examples().values()
+            for factor, _ in eigen_data(sc.endo).h1_charpoly.squarefree_decomposition()}
+
+
+# (x - 1)(x - 2) and x^2 - 3x + 1 are among them
+@pytest.mark.parametrize("coeffs", sorted(_named_h1_factors() | {(2, -3, 1), (1, -3, 1)}),
+                         ids=str)
+def test_float_proposals_converge_in_a_few_sweeps_from_the_centroid(coeffs):
+    # started around the root centroid, the Aberth sweeps find the real and
+    # reciprocal roots of these factors in at most 8 sweeps (4 or 5 each);
+    # started on |z| = |a_0 / a_d|^(1/d) around 0 they took 28 to 33
+    zs, sweeps = aberth_sweeps(list(coeffs))
+    assert sweeps <= 8
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=100)
+        for r in roots:
+            z = min(zs, key=lambda z: abs(z - complex(r)))
+            assert abs(mpmath.mpc(z) - r) <= mpmath.mpf(2) ** -40 * abs(r)
+        assert len({min(range(len(zs)), key=lambda i: abs(zs[i] - complex(r)))
+                    for r in roots}) == len(zs)
 
 
 # -- polynomial classification

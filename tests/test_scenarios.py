@@ -131,12 +131,23 @@ def test_get_example_builds_only_the_requested_example(monkeypatch):
         built.append(torus.n)
         return original(torus, order, b, tau)
 
+    # a memo hit builds nothing, so start from an empty memo
+    scenarios._build_example.cache_clear()
     monkeypatch.setattr(scenarios, "cm_matrix_endo", spy)
     assert get_example("gtz_diag").endo.torus.n == 2
     assert built == [2]  # in particular the n = 4 e4_auto is not built
     with pytest.raises(DomainError) as err:
         get_example("e5_auto")
     assert all(name in str(err.value) for name in named_examples())
+
+
+@pytest.mark.parametrize("name", sorted(named_examples()))
+def test_get_example_shares_one_frozen_scenario(name):
+    sc = get_example(name)
+    assert get_example(name) is sc and named_examples()[name] is sc
+    with pytest.raises(TypeError):
+        sc.sublattices["diagonal"] = ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert sc.sublattices.get("diagonal") in (None, ((1, 0, 1, 0), (0, 1, 0, 1)))
 
 
 def test_get_example_reuses_the_cached_gaussian_order(monkeypatch):

@@ -1,5 +1,7 @@
 """Complex tori, subtori, Neron-Severi spaces, ample classes."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,22 @@ def test_ns_coordinates_are_the_invariant_forms(case):
 
 
 # -- ample classes
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_canonical_form_is_built_on_integer_rows(n):
+    # the form of the primitive integer class L_can, on ranks 2, 4 and 8,
+    # against the same form built entry by entry over Fractions
+    torus = cm_power_torus(order_by_name("gaussian"), n)
+    vec = canonical_ample_class(torus)
+    e = ns_vector_to_form(torus, vec)
+    reference = [[Fraction(0)] * torus.rank for _ in range(torus.rank)]
+    for k, (i, j) in enumerate((i, j) for i in range(torus.rank)
+                               for j in range(i + 1, torus.rank)):
+        reference[i][j], reference[j][i] = Fraction(vec[k]), -Fraction(vec[k])
+    assert e == RationalMatrix(reference) and e.is_integral()
+    assert all(type(x) is int for row in e.entries for x in row)
+    assert ns_vector_to_form(torus, [Fraction(x, 2) for x in vec]) == e * Fraction(1, 2)
+
 
 def test_canonical_ample_class_is_ample(e_torus, ee_torus):
     for t in (e_torus, ee_torus):
