@@ -55,22 +55,19 @@ def ns_action(f: TorusEndomorphism) -> RationalMatrix:
 
 
 @lru_cache(maxsize=512)
-def ns_charpoly(f: TorusEndomorphism, k: int = 1) -> IntPolynomial:
-    """Charpoly of (f^*)^k on NS, of degree rho = n^2, from the analytic
+def ns_charpoly(f: TorusEndomorphism) -> IntPolynomial:
+    """Charpoly of f^* on NS, of degree rho = n^2, from the analytic
     charpoly alone.  On NS (x) C, f^* is H -> N^* H N with N = A + iB, so
     its eigenvalues are conj(mu_i) mu_j over the roots mu of the analytic
     charpoly of f, and tr((f^*)^m) = |p_m|^2 with p_m the power sums of
     the mu, Gaussian integers since the mu are algebraic integers."""
-    if k < 1:
-        raise DomainError("iteration count must be >= 1")
     gamma = eigen_data(f).analytic
-    n = len(gamma) - 1
-    return _ns_charpoly_of(_power_sums(gamma, n * n, k), 1)
+    return _ns_charpoly_of(_power_sums(gamma, (len(gamma) - 1) ** 2), 1)
 
 
 def _ns_charpoly_of(gamma_sums, k: int) -> IntPolynomial:
-    """ns_charpoly(f, k) from the power sums p_m of the roots of Gamma:
-    the traces of (f^*)^k are |p_k|^2, |p_2k|^2, ..., |p_(n^2 k)|^2."""
+    """Charpoly of (f^*)^k on NS off the power sums p_m of Gamma's roots:
+    its traces are |p_k|^2, |p_2k|^2, ..., |p_(n^2 k)|^2."""
     n = gamma_sums[0][0]
     return IntPolynomial(_int_from_power_sums(
         [re * re + im * im for re, im in gamma_sums[:n * n * k + 1:k]]))
@@ -496,14 +493,14 @@ def verify_iterates(f: TorusEndomorphism, kmax: int):
     As M has even size, det(M^j - I) = h1_j(1) with h1_j the H^1 charpoly
     of f^j.
 
-    The data of f^k comes from f's: the power sums of the roots of f's H^1
-    and analytic charpolys are built once, to the largest index that kmax
-    needs, and h1 = Gamma conj(Gamma) is checked once on every index the
-    two share.  f^k's h1_k, with its root-of-unity count, and the charpoly
-    of (f^*)^k on NS are read off their slices p_k, p_2k, ...  Amplified
-    stays yes by rule (a) when that NS charpoly is nonzero at 1; f^k is
-    built only otherwise, and for polarized, which stays an independent
-    check on f^k.  At k = 1 every check holds by definition."""
+    The data of f^k comes from f's, and is derived nowhere else: the power
+    sums of the roots of f's H^1 and analytic charpolys are built once, to
+    the largest index kmax needs, and h1 = Gamma conj(Gamma) is checked on
+    every index the two share.  f^k's h1_k, with its root-of-unity count,
+    and the charpoly of (f^*)^k on NS are read off their slices p_k, p_2k,
+    ...  Amplified stays yes by rule (a) when that NS charpoly is nonzero
+    at 1; f^k is built only otherwise, and for polarized, which stays an
+    independent check on f^k.  At k = 1 every check holds by definition."""
     if kmax < 1:
         raise DomainError("iteration count must be >= 1")
     if not f.surjective:

@@ -31,6 +31,7 @@ from functools import cached_property, reduce
 from itertools import chain, pairwise, product, repeat, starmap
 from math import lcm, prod
 from operator import add, lt, mod, mul, sub
+from types import MappingProxyType
 
 from ._record import Record
 from .errors import DomainError, NotSurjectiveError, ResourceError
@@ -309,8 +310,12 @@ class TorsionOrbitGraph(Record):
 
     level: int
     node_count: int
-    cycle_histogram: dict  # cycle length -> number of cycles
-    tail_histogram: dict   # tail length -> node count (0 = periodic)
+    cycle_histogram: MappingProxyType  # read-only: cycle length -> number of cycles
+    tail_histogram: MappingProxyType   # read-only: tail length -> node count (0 = periodic)
+
+    def __hash__(self):
+        return hash((self.level, tuple(sorted(self.cycle_histogram.items())),
+                     tuple(sorted(self.tail_histogram.items()))))
 
     def periodic_node_count(self) -> int:
         return self.tail_histogram[0]
@@ -337,8 +342,7 @@ def torsion_dynamics(f: TorusEndomorphism, m: int,
     n_nodes = m**d
     if n_nodes > budget:
         raise ResourceError(f"torsion graph needs {_count_text(n_nodes)} nodes, budget {budget}")
-    cycle_hist, tail_hist = _orbit_histograms(f, m)
-    return TorsionOrbitGraph(m, n_nodes, cycle_hist, tail_hist)
+    return TorsionOrbitGraph(m, n_nodes, *map(MappingProxyType, _orbit_histograms(f, m)))
 
 
 def _orbit_histograms(f, m):

@@ -3,10 +3,10 @@
 Validation, iteration, analytic eigenvalue data over the Gaussian
 integers, the exact unity-free test, fixed subtori, and eigenvalue
 multiset splitting along invariant subtori.  Every charpoly here (H^1 and
-the analytic Gamma, of f and of f^k) comes from power sums by Newton's
-identities, in ints for H^1 and in Gaussian-integer pairs for Gamma: for
-f, the traces of M and of A + iB (matlin.trace_powers), each sequence
-inverted once; for f^k, every k-th power sum of f's roots.
+the analytic Gamma) comes from power sums by Newton's identities, in ints
+for H^1 and in Gaussian-integer pairs for Gamma: for f, the traces of M
+and of A + iB (matlin.trace_powers); for f^k, read by verify_iterates
+alone, every k-th power sum of f's roots.
 
 Convention: the analytic eigenvalue multiset is attached to the +i
 eigenspace of J.  Conjugating the convention conjugates the multiset; all
@@ -23,8 +23,7 @@ from ._record import Record
 from .errors import (DomainError, InvariantViolation,
                      NotHolomorphicError, NotSurjectiveError)
 from .exactnum import (IntPolynomial, _from_power_sums, _int_from_power_sums,
-                       _int_power_sums, _power_sums, cyclotomic_root_count,
-                       gauss_poly_mul)
+                       _power_sums, cyclotomic_root_count, gauss_poly_mul)
 from .matlin import (RationalMatrix, _quotient, matmul, restrict_and_quotient,
                      smith_form, trace_powers)
 from .torus import ComplexTorus, Subtorus, _complex_basis, make_subtorus
@@ -137,24 +136,12 @@ class EigenData(Record):
 
 
 @lru_cache(maxsize=512)
-def eigen_data(f: TorusEndomorphism, k: int = 1) -> EigenData:
-    """Eigen data of f^k from the power sums p_0..p_d of the roots of h1 and
-    Gamma, each inverted once.  For k = 1 they are the traces of M and of
-    A + iB, Gamma's extended to p_d; for k > 1, every k-th power sum of
-    f's roots, as f^k has their k-th powers for roots: f^k is never built."""
-    if k < 1:
-        raise DomainError("iteration count must be >= 1")
-    if k == 1:
-        gamma = analytic_charpoly(f.m, f.torus.j)
-        h1_sums = [re for re, _ in trace_powers(f.m.entries)]
-        gamma_sums = _power_sums(gamma, h1_sums[0])
-    else:
-        base = eigen_data(f)
-        d = base.h1_charpoly.degree
-        h1_sums = _int_power_sums(base.h1_charpoly.coeffs, d, k)
-        gamma_sums = _power_sums(base.analytic, d, k)
-        gamma = tuple(_from_power_sums(gamma_sums[:d // 2 + 1]))
-    _check_conjugate_sums(h1_sums, gamma_sums)
+def eigen_data(f: TorusEndomorphism) -> EigenData:
+    """Eigen data of f from the traces of M and of A + iB, each sequence
+    inverted once; h1 = Gamma conj(Gamma) is checked on the power sums to p_d."""
+    gamma = analytic_charpoly(f.m, f.torus.j)
+    h1_sums = [re for re, _ in trace_powers(f.m.entries)]
+    _check_conjugate_sums(h1_sums, _power_sums(gamma, h1_sums[0]))
     return EigenData(*_h1_of(h1_sums, 1), gamma)
 
 

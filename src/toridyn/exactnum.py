@@ -236,23 +236,21 @@ def gauss_poly_conj(p):
     return tuple((re, -im) for re, im in p)
 
 
-def _power_sums(coeffs, count: int, step: int = 1):
-    """Power sums p_0, p_step, ..., p_(count step), as (re, im) pairs, of
-    the roots of the monic polynomial with ascending Gaussian-integer
-    coefficients `coeffs`, by Newton's identities p_m = -(m c_m +
-    sum_(0<i<m) c_i p_(m-i)) for x^n + c_1 x^(n-1) + ... + c_n, with c_m = 0
-    past n.  Only the last n sums are kept from step to step."""
+def _power_sums(coeffs, count: int):
+    """Power sums p_0..p_count, as (re, im) pairs, of the roots of the
+    monic polynomial with ascending Gaussian-integer coefficients `coeffs`,
+    by Newton's identities p_m = -(m c_m + sum_(0<i<m) c_i p_(m-i)) for
+    x^n + c_1 x^(n-1) + ... + c_n, c_m = 0 past n; each p_m reads the last n."""
     n = len(coeffs) - 1
     c, last, out = coeffs[-2::-1], deque(maxlen=n), [(n, 0)]  # last: p_(m-1), ...
-    for m in range(1, count * step + 1):
+    for m in range(1, count + 1):
         re, im = c[m - 1] if m <= n else (0, 0)
         re, im = m * re, m * im
         for (a, b), (x, y) in zip(c, last):
             re += a * x - b * y
             im += a * y + b * x
         last.appendleft((-re, -im))
-        if m % step == 0:
-            out.append((-re, -im))
+        out.append((-re, -im))
     return out
 
 
@@ -276,15 +274,14 @@ def _from_power_sums(p):
     return out[::-1]
 
 
-def _int_power_sums(coeffs, count: int, step: int = 1):
+def _int_power_sums(coeffs, count: int):
     """_power_sums for a monic integer polynomial, in ints."""
     n = len(coeffs) - 1
     c, last, out = coeffs[-2::-1], deque(maxlen=n), [n]
-    for m in range(1, count * step + 1):
+    for m in range(1, count + 1):
         s = -sum(map(mul, c, last)) - (m * c[m - 1] if m <= n else 0)
         last.appendleft(s)
-        if m % step == 0:
-            out.append(s)
+        out.append(s)
     return out
 
 

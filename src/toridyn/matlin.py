@@ -328,7 +328,7 @@ def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
     d = a.rows
     if not 1 <= k <= d:
         raise DomainError("exterior power index out of range")
-    subsets = list(combinations(range(d), k))
+    subsets = exterior_basis(d, k)
     e = a.entries
     return RationalMatrix._of(
         [[RationalMatrix._of([[e[i][j] for j in cols] for i in rows], a.is_integral()).det()

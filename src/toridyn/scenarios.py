@@ -189,6 +189,9 @@ class Scenario(Record):
     endo: TorusEndomorphism
     sublattices: MappingProxyType  # read-only: name -> tuple of integer column tuples
 
+    def __hash__(self):
+        return hash((self.name, self.endo))
+
 
 _EE_SUBLATTICES = MappingProxyType({
     "first_factor": ((1, 0, 0, 0), (0, 1, 0, 0)),

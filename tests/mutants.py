@@ -112,6 +112,16 @@ MUTANTS = [
      "gamma_sums[:n * n * k + 1:k]",
      "gamma_sums[:n * n * k + 1:k + 1]",
      "tests/test_classify.py::test_ns_charpoly_is_the_charpoly_of_the_ns_action"),
+    # the NS slice one stride too short: p_1, p_2, ... for p_2, p_4, ...
+    ("src/toridyn/classify.py",
+     "gamma_sums[:n * n * k + 1:k]",
+     "gamma_sums[:n * n * k + 1:max(k - 1, 1)]",
+     "tests/test_classify.py::test_ns_charpoly_is_the_charpoly_of_the_ns_action"),
+    # the h1 slice one stride too short: p_1, p_2, ... for p_2, p_4, ...
+    ("src/toridyn/endo.py",
+     "h1_sums[:d * k + 1:k]",
+     "h1_sums[:d * k + 1:max(k - 1, 1)]",
+     "tests/test_classify.py::test_iterate_data_is_derived_from_f"),
     # x^n + 1 for x^n - 1 in the Phi_n recursion: every value is wrong
     ("src/toridyn/exactnum.py",
      "(x**n - 1) // math.prod(",

@@ -58,9 +58,8 @@ def test_ns_action_multiplication_scalar(e_torus):
 @pytest.mark.parametrize("k", [0, -1])
 def test_iterate_helpers_refuse_k_below_1(k):
     f = get_example("gtz_diag").endo
-    for call in (ns_charpoly, verify_iterates, eigen_data):
-        with pytest.raises(DomainError, match="iteration count"):
-            call(f, k)
+    with pytest.raises(DomainError, match="iteration count"):
+        verify_iterates(f, k)
 
 
 def test_ns_action_requires_surjective(e_torus):
@@ -101,13 +100,14 @@ def test_ns_action_matches_solving_the_basis(case, height, seed):
 @settings(max_examples=30, deadline=None)
 def test_ns_charpoly_is_the_charpoly_of_the_ns_action(case, k, height, seed):
     # the charpoly of (f^*)^k read off the power sums of Gamma equals the
-    # one of the k-th power of the rho x rho action, both in ns_charpoly
-    # and at the k-th slice of the sequence verify_iterates builds
+    # one of the k-th power of the rho x rho action: in ns_charpoly for
+    # k = 1, and at the k-th slice of the sequence verify_iterates builds
     order, n = case
     f = random_endo(n, order_by_name(order), height, seed)
     oracle = charpoly(ns_action(f) ** k)
-    assert ns_charpoly(f, k).coeffs == tuple(getattr(oracle, "coeffs", oracle))
-    if k > 1:
+    if k == 1:
+        assert ns_charpoly(f).coeffs == tuple(getattr(oracle, "coeffs", oracle))
+    else:
         assert verify_iterates_data(f, k)["_ns_charpoly_of", k].coeffs == oracle.coeffs
 
 
@@ -286,7 +286,6 @@ def test_k_is_normalised_in_the_caches():
     f = get_example("gtz_diag").endo
     assert eigen_data(f) is eigen_data(f)
     assert ns_charpoly(f) is ns_charpoly(f)
-    assert eigen_data(f, 2) is eigen_data(f, 2)
 
 
 # -- polarization candidate and Serre test
@@ -811,15 +810,15 @@ def test_verify_iterates_takes_each_newton_step_once(monkeypatch, name):
     steps = []
 
     def counting(kernel):
-        def call(coeffs, count, step=1):
+        def call(coeffs, count):
             if tuple(coeffs) in (base.h1_charpoly.coeffs, base.analytic):
-                steps.append((kernel.__name__, count * step))
-            return kernel(coeffs, count, step)
+                steps.append((kernel.__name__, count))
+            return kernel(coeffs, count)
         return call
 
-    for module in (classify, endo):
-        for kernel in (exactnum._int_power_sums, exactnum._power_sums):
-            monkeypatch.setattr(module, kernel.__name__, counting(kernel))
+    for module, kernel in ((classify, exactnum._int_power_sums),
+                           (classify, exactnum._power_sums), (endo, exactnum._power_sums)):
+        monkeypatch.setattr(module, kernel.__name__, counting(kernel))
     verify_iterates(f, 4)
     assert sorted(steps) == [("_int_power_sums", 4 * d), ("_power_sums", 4 * max(d, n * n))]
 
@@ -830,8 +829,8 @@ def test_a_corrupted_gamma_sequence_fails_the_identity(monkeypatch):
     f = get_example("gtz_diag").endo
     unity_free(f), amplified(f), polarized(f)
     for index in (6, 7):
-        def corrupted(coeffs, count, step=1):
-            sums = exactnum._power_sums(coeffs, count, step)
+        def corrupted(coeffs, count):
+            sums = exactnum._power_sums(coeffs, count)
             re, im = sums[index]
             sums[index] = (re + 1, im)
             return sums
@@ -860,7 +859,7 @@ def test_eigen_data_inverts_each_trace_sequence_once(monkeypatch, name):
 
     for kernel in (exactnum._from_power_sums, exactnum._int_from_power_sums):
         monkeypatch.setattr(endo, kernel.__name__, counting(kernel))
-    monkeypatch.setattr(endo, "_int_power_sums", refused)
+    monkeypatch.setattr(endo, "_int_power_sums", refused, raising=False)
     monkeypatch.setattr(endo, "charpoly", refused, raising=False)
     monkeypatch.setattr(matlin, "charpoly", refused)
     data = endo.eigen_data.__wrapped__(f)
@@ -895,9 +894,6 @@ def test_iterate_data_is_derived_from_f(order, n, k, seed, tau):
     base = random_endo(n, order_by_name(order), 2, seed)
     f = make_endo(base.torus, base.m, tau[:base.torus.rank])
     g = iterate(f, k)
-    derived = eigen_data(f, k)
-    assert derived == eigen_data(g)
-    assert derived.analytic == eigen_data(g).analytic
     assert ns_action(f) ** k == ns_action(g)
     # verify_iterates(f, k) reads the same h1_j and root-of-unity count of
     # every f^j off one sequence

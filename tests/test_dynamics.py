@@ -27,8 +27,8 @@ from toridyn import (DomainError, FixedPointSet, InvarianceViolation, RationalMa
                      subtorus_orbit, torsion_dynamics)
 from toridyn.cli import _default_text, main
 from toridyn.dynamics import _congruence_count, _factor_degrees, _smith_reduce
-from toridyn.endo import eigen_data
-from toridyn.exactnum import cyclotomic_poly
+from toridyn.endo import _h1_of, eigen_data
+from toridyn.exactnum import _int_power_sums, cyclotomic_poly
 from toridyn.scenarios import cm_matrix_endo, cm_power_torus, get_example, named_examples
 
 from conftest import ORDER_UNITS, block_unit_endo
@@ -330,10 +330,11 @@ def test_periodic_count_is_the_count_of_the_iterate(monkeypatch):
 
 def newton_periodic_count(f, k):
     """The count by another route: M has even size, so det(M^k - I) is the
-    H^1 charpoly of f^k at 1, which eigen_data takes by Newton's identities
-    from the traces of M; the Smith form of the composed iterate decides
-    between 'infinite' and 0 when it is 0."""
-    det = eigen_data(f, k).h1_charpoly(1)
+    H^1 charpoly of f^k at 1, read by Newton's identities off every k-th
+    power sum of the roots of f's h1; the Smith form of the composed
+    iterate decides between 'infinite' and 0 when it is 0."""
+    h1 = eigen_data(f).h1_charpoly
+    det = _h1_of(_int_power_sums(h1.coeffs, h1.degree * k), k)[0](1)
     if det != 0:
         return abs(det)
     g = iterate(f, k)

@@ -110,16 +110,14 @@ def test_gcd_divides_both(a, b):
 
 # -- Newton's identities
 
-@given(st.lists(st.integers(-30, 30), max_size=6), st.integers(0, 12), st.integers(1, 4),
+@given(st.lists(st.integers(-30, 30), max_size=6), st.integers(0, 12),
        st.integers(2, 6), st.integers(1, 10))
 @settings(max_examples=100, deadline=None)
-def test_integer_newton_kernels_are_the_pair_kernels_on_real_input(lower, count, step,
-                                                                  j, delta):
+def test_integer_newton_kernels_are_the_pair_kernels_on_real_input(lower, count, j, delta):
     coeffs = (*lower, 1)
-    sums = exactnum._int_power_sums(coeffs, count, step)
-    pairs = exactnum._power_sums([(c, 0) for c in coeffs], count, step)
+    sums = exactnum._int_power_sums(coeffs, count)
+    pairs = exactnum._power_sums([(c, 0) for c in coeffs], count)
     assert pairs == [(p, 0) for p in sums]
-    assert sums == exactnum._int_power_sums(coeffs, count * step)[::step]
     full = exactnum._int_power_sums(coeffs, len(lower))
     assert exactnum._int_from_power_sums(full) == list(coeffs)
     assert exactnum._from_power_sums([(p, 0) for p in full]) == [(c, 0) for c in coeffs]

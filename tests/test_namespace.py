@@ -1,5 +1,6 @@
-"""The public names of the toridyn package, and the names that the
-benchmark's tracer looks up in it."""
+"""The public names of the toridyn package, the names that the
+benchmark's tracer looks up in it, and the texts and tests that the
+mutant list of tests/mutants.py names."""
 
 import ast
 import importlib
@@ -8,7 +9,9 @@ from types import ModuleType
 
 import toridyn
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+MUTANTS = ROOT / "tests" / "mutants.py"
 
 PUBLIC_NAMES = [
     "AmplifiedVerdict", "CMOrder", "CertifiedMagnitudeMultiset",
@@ -54,13 +57,19 @@ STALE_SPAN_TARGETS = {("exactnum", "gaussian_root_magnitudes"),
                       ("matlin", "RationalMatrix.kernel_basis")}
 
 
+def _assigned_literal(path: Path, name: str):
+    """The literal value assigned to `name` at the top level of a source
+    file, read without importing it."""
+    tree = ast.parse(path.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name])
+
+
 def test_bench_span_targets_resolve():
     # a renamed or deleted function would orphan its per-layer metric in
     # silence; the targets are read from the source, bench/ is not imported
-    tree = ast.parse(SPANS.read_text())
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    targets = _assigned_literal(SPANS, "TARGETS")
     unresolved = set()
     for module, path, _ in targets:
         owner = importlib.import_module("toridyn." + module)
@@ -70,3 +79,17 @@ def test_bench_span_targets_resolve():
             unresolved.add((module, path))
     assert len(targets) > len(STALE_SPAN_TARGETS)
     assert unresolved <= STALE_SPAN_TARGETS
+
+
+def test_mutant_list_is_not_stale():
+    # a mutant whose old text moved, or whose test was renamed, shows only
+    # when tests/mutants.py is run; its texts and test ids are checked here
+    mutants = _assigned_literal(MUTANTS, "MUTANTS")
+    assert mutants
+    for path, old, new, test in mutants:
+        assert old != new
+        assert (ROOT / path).read_text().count(old) == 1, (path, old)
+        test_file, test_name = test.split("::")
+        tree = ast.parse((ROOT / test_file).read_text())
+        names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert test_name.split("[")[0] in names, test

@@ -1,13 +1,18 @@
 """Frozen records: construction, defaults, equality, hashing and
 immutability of the library's value classes."""
 
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from toridyn import (AmplifiedVerdict, ClassificationReport, DomainError,
                      FixedPointSet, MagnitudeEntry, PolarizedVerdict,
-                     RationalMatrix, Sublattice, fixed_points, full_report)
+                     RationalMatrix, Sublattice, amplified, dynamical_degrees,
+                     eigen_data, fixed_points, fixed_subtorus, full_report,
+                     h1_magnitudes, neron_severi, polarized, smith_form,
+                     torsion_dynamics)
 from toridyn._record import Record
 from toridyn.scenarios import CMOrder, gaussian_order, get_example
 
@@ -92,3 +97,41 @@ def test_cached_properties_and_explicit_hashes_survive_freezing():
     assert f.degree_matrix_det == f.__dict__["degree_matrix_det"] == f.m.det()
     fp = fixed_points(f)
     assert fp.rows is fp.rows and len(fp.rows) == fp.count()
+
+
+def _record_types(cls=Record):
+    """Every Record subclass that toridyn defines."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("toridyn."):
+            yield sub
+        yield from _record_types(sub)
+
+
+def _built_records():
+    """One record of each type, built by the library's own calls."""
+    sc = get_example("gtz_diag")
+    f = sc.endo
+    magnitudes = h1_magnitudes(f)
+    _, sub = fixed_subtorus(get_example("mult_2_1").endo)
+    return [sc, f, f.torus, neron_severi(f.torus), eigen_data(f), smith_form(f.m),
+            sub, sub.lattice, magnitudes, magnitudes.entries[0], fixed_points(f),
+            torsion_dynamics(f, 3), dynamical_degrees(f), amplified(f), polarized(f),
+            full_report(f), gaussian_order()]
+
+
+def test_every_record_the_library_builds_hashes():
+    records = _built_records()
+    assert {type(r) for r in records} == set(_record_types())
+    for record in records:
+        # an equal record built from copies of the fields hashes equal
+        fields = [getattr(record, name) for name in record._fields]
+        twin = type(record)(*(MappingProxyType(dict(v)) if isinstance(v, Mapping) else v
+                              for v in fields))
+        assert twin == record and hash(twin) == hash(record)
+        for value in fields:
+            if isinstance(value, Mapping):
+                key = next(iter(value))
+                with pytest.raises(TypeError):
+                    value[key] = value[key]
+                with pytest.raises(TypeError):
+                    del value[key]
